@@ -32,6 +32,7 @@ from repro.engine import PeakBatchFn, PeakFn, ThermalEngine
 from repro.errors import ConvergenceError
 from repro.platform import Platform
 from repro.schedule.periodic import PeriodicSchedule
+from repro.schedule.transforms import shift_cores
 from repro.thermal.peak import PeakResult
 
 __all__ = ["enforce_threshold", "fill_headroom"]
@@ -182,14 +183,12 @@ def fill_headroom(
     ratios = np.asarray(ratios, dtype=float).copy()
     movable = plan.v_high > plan.v_low + 1e-12
 
+    offsets = {core: off for core, off in enumerate(shifts or ()) if off > 0}
+
     def rebuild(r: np.ndarray) -> PeriodicSchedule:
         sched = build_oscillating_schedule(plan, r, period, m)
-        if shifts is not None:
-            from repro.schedule.transforms import shift_core
-
-            for core, off in enumerate(shifts):
-                if off > 0:
-                    sched = shift_core(sched, core, off)
+        if offsets:
+            sched = shift_cores(sched, offsets)
         return sched
 
     sched = rebuild(ratios)

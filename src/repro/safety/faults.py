@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.engine import ThermalEngine
 from repro.errors import ConfigurationError
-from repro.schedule.intervals import StateInterval
 from repro.schedule.periodic import PeriodicSchedule
 
 __all__ = [
@@ -338,16 +337,9 @@ def stuck_schedule(
             f"stuck_core {core} out of range for {schedule.n_cores} cores"
         )
     stuck_v = float(ladder.levels[faults.stuck_level])
-    intervals = tuple(
-        StateInterval(
-            length=iv.length,
-            voltages=tuple(
-                stuck_v if i == core else v for i, v in enumerate(iv.voltages)
-            ),
-        )
-        for iv in schedule.intervals
-    )
-    return PeriodicSchedule(intervals)
+    volts = schedule.voltage_matrix.copy()
+    volts[:, core] = stuck_v
+    return PeriodicSchedule.from_arrays(schedule.lengths, volts)
 
 
 def perturbed_peak(

@@ -15,6 +15,7 @@ from repro.schedule.transforms import (
     m_oscillate,
     m_oscillate_core,
     shift_core,
+    shift_cores,
     merge_adjacent,
 )
 from repro.schedule.properties import (
@@ -38,6 +39,7 @@ __all__ = [
     "m_oscillate",
     "m_oscillate_core",
     "shift_core",
+    "shift_cores",
     "merge_adjacent",
     "is_step_up",
     "throughput",

@@ -3,7 +3,10 @@
 The central builder is :func:`from_core_timelines`: given each core's
 private (length, voltage) sequence over a common period, take the union of
 all switch instants and emit one state interval per gap — the canonical
-state-interval representation the thermal solvers consume.
+state-interval representation the thermal solvers consume.  Its array
+core, :func:`~repro.schedule.periodic.combine_timelines`, also serves
+:func:`phase_schedule` and the transforms; :func:`two_mode_schedule` uses
+a closed form of it.
 
 On top of it we provide the shapes the paper uses:
 
@@ -18,13 +21,20 @@ On top of it we provide the shapes the paper uses:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.schedule.intervals import MIN_INTERVAL, CoreSegment, StateInterval
-from repro.schedule.periodic import PeriodicSchedule
+from repro.schedule.intervals import MIN_INTERVAL, CoreSegment
+from repro.schedule.periodic import (
+    PeriodicSchedule,
+    check_segments,
+    combine_timelines,
+    cut_grid,
+    padded,
+)
 
 __all__ = [
     "from_core_timelines",
@@ -36,17 +46,18 @@ __all__ = [
 ]
 
 
-def _coerce_timeline(timeline) -> list[CoreSegment]:
-    segs = []
-    for item in timeline:
-        if isinstance(item, CoreSegment):
-            segs.append(item)
-        else:
-            length, voltage = item
-            segs.append(CoreSegment(length=float(length), voltage=float(voltage)))
-    if not segs:
-        raise ScheduleError("each core timeline needs at least one segment")
-    return segs
+def _segment(item) -> tuple[float, float]:
+    """One timeline entry as a validated ``(length, voltage)`` pair."""
+    if isinstance(item, CoreSegment):
+        return item.length, item.voltage
+    length, voltage = item
+    length, voltage = float(length), float(voltage)
+    if not (
+        math.isfinite(length) and length >= MIN_INTERVAL
+        and voltage >= 0 and math.isfinite(voltage)
+    ):
+        CoreSegment(length=length, voltage=voltage)  # raises the canonical error
+    return length, voltage
 
 
 def from_core_timelines(
@@ -65,51 +76,42 @@ def from_core_timelines(
     """
     if not timelines:
         raise ScheduleError("need at least one core timeline")
-    per_core = [_coerce_timeline(t) for t in timelines]
-    periods = [sum(s.length for s in segs) for segs in per_core]
-    period = periods[0]
-    for i, p in enumerate(periods[1:], start=1):
-        if abs(p - period) > atol * max(period, 1.0):
-            raise ScheduleError(
-                f"core {i} period {p} != core 0 period {period}"
-            )
-
-    # Union of all switch instants.
-    cuts = {0.0, period}
-    for segs in per_core:
-        t = 0.0
-        for seg in segs[:-1]:
-            t += seg.length
-            cuts.add(min(t, period))
-    grid = np.array(sorted(cuts))
-    # Drop numerically-duplicate cuts.
-    keep = np.concatenate([[True], np.diff(grid) > MIN_INTERVAL])
-    grid = grid[keep]
-    if grid[-1] < period - MIN_INTERVAL:
-        grid = np.append(grid, period)
-
-    # Voltage of each core within each gap.
-    intervals = []
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    core_volts = np.empty((len(mids), len(per_core)))
-    for c, segs in enumerate(per_core):
-        ends = np.cumsum([s.length for s in segs])
-        ends[-1] = period  # absorb rounding drift
-        idx = np.searchsorted(ends, mids, side="left")
-        idx = np.clip(idx, 0, len(segs) - 1)
-        core_volts[:, c] = [segs[k].voltage for k in idx]
-    for q in range(len(mids)):
-        intervals.append(
-            StateInterval(length=float(grid[q + 1] - grid[q]), voltages=tuple(core_volts[q]))
+    segs: list[tuple[float, float]] = []
+    counts = []
+    for timeline in timelines:
+        core = [_segment(item) for item in timeline]
+        if not core:
+            raise ScheduleError("each core timeline needs at least one segment")
+        segs.extend(core)
+        counts.append(len(core))
+    flat = np.array(segs)
+    counts = np.array(counts)
+    return PeriodicSchedule.from_arrays(
+        *combine_timelines(
+            padded(flat[:, 0], counts), padded(flat[:, 1], counts), counts, atol
         )
-    return PeriodicSchedule(tuple(intervals))
+    )
 
 
 def constant_schedule(voltages, period: float = 1.0) -> PeriodicSchedule:
     """Single state interval: every core at a constant mode."""
-    return PeriodicSchedule(
-        (StateInterval(length=float(period), voltages=tuple(float(v) for v in voltages)),)
+    return PeriodicSchedule.from_arrays(
+        [float(period)], [[float(v) for v in voltages]]
     )
+
+
+def _per_core(*values) -> list[np.ndarray]:
+    """Per-core float arrays: scalars and length-1 inputs broadcast to N cores."""
+    arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]
+    n = max(a.size for a in arrays)
+    return [a if a.shape == (n,) else np.broadcast_to(a, n) for a in arrays]
+
+
+def _check_period(period: float) -> None:
+    if period <= 0:
+        raise ScheduleError(f"period must be > 0, got {period}")
+    if not math.isfinite(period):
+        raise ScheduleError(f"period must be finite, got {period}")
 
 
 def two_mode_schedule(
@@ -137,37 +139,43 @@ def two_mode_schedule(
     period:
         Schedule period ``t_p`` in seconds.
     """
-    v_low = np.atleast_1d(np.asarray(v_low, dtype=float))
-    v_high = np.atleast_1d(np.asarray(v_high, dtype=float))
-    ratio = np.atleast_1d(np.asarray(high_ratio, dtype=float))
-    n = max(v_low.size, v_high.size, ratio.size)
-    v_low, v_high, ratio = (
-        np.broadcast_to(v_low, n).astype(float),
-        np.broadcast_to(v_high, n).astype(float),
-        np.broadcast_to(ratio, n).astype(float),
-    )
+    v_low, v_high, ratio = _per_core(v_low, v_high, high_ratio)
+    n = v_low.size
     if np.any((ratio < -1e-12) | (ratio > 1 + 1e-12)):
         raise ScheduleError(f"high_ratio must be within [0, 1], got {ratio}")
     if np.any(v_high < v_low):
         raise ScheduleError("two_mode_schedule requires v_high >= v_low per core")
-    ratio = np.clip(ratio, 0.0, 1.0)
-    if period <= 0:
-        raise ScheduleError(f"period must be > 0, got {period}")
+    ratio = np.minimum(np.maximum(ratio, 0.0), 1.0)
+    _check_period(period)
 
-    timelines = []
-    for c in range(n):
-        t_high = ratio[c] * period
-        t_low = period - t_high
-        segs: list[tuple[float, float]] = []
-        first = (t_high, v_high[c]) if high_first else (t_low, v_low[c])
-        second = (t_low, v_low[c]) if high_first else (t_high, v_high[c])
-        for length, v in (first, second):
-            if length >= MIN_INTERVAL:
-                segs.append((length, v))
-        if not segs:  # degenerate: zero-length everything cannot happen (period > 0)
-            segs.append((period, v_low[c]))
-        timelines.append(segs)
-    return from_core_timelines(timelines)
+    # Each core plays a first and a second segment; pieces shorter than
+    # MIN_INTERVAL are dropped, and a core left with none holds v_low.
+    t_high = ratio * period
+    t_low = period - t_high
+    first, second = (t_high, t_low) if high_first else (t_low, t_high)
+    v_first, v_second = (v_high, v_low) if high_first else (v_low, v_high)
+    has_first = first >= MIN_INTERVAL
+    has_second = second >= MIN_INTERVAL
+    both = has_first & has_second
+    len0 = np.where(has_first, first, np.where(has_second, second, period))
+    v0 = np.where(has_first, v_first, np.where(has_second, v_second, v_low))
+    # Only a held v_low/v_high or a sub-MIN_INTERVAL period can be invalid.
+    used = np.concatenate((v0, v_second[both], len0 - MIN_INTERVAL))
+    if not (np.isfinite(used).all() and used.min() >= 0):
+        check_segments(
+            np.stack((len0, second), axis=1),
+            np.stack((v0, v_second), axis=1),
+            np.stack((np.ones(n, dtype=bool), both), axis=1),
+        )
+
+    # Closed form of combine_timelines for at most one cut per core.  Every
+    # core's segments sum to ``period`` to within rounding, far inside the
+    # period-mismatch tolerance, so that check cannot fire here.
+    end = float(len0[0] + second[0]) if both[0] else float(len0[0])
+    grid = cut_grid(np.minimum(len0[both], end), end)
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    volts = np.where(both & (mids[:, None] > len0), v_second, v0)
+    return PeriodicSchedule.from_arrays(np.diff(grid), volts)
 
 
 def phase_schedule(
@@ -184,45 +192,47 @@ def phase_schedule(
     period), where it runs ``v_high[c]``.  This is exactly the family swept
     in Fig. 3 and searched by PCO.
     """
-    v_low = np.atleast_1d(np.asarray(v_low, dtype=float))
-    v_high = np.atleast_1d(np.asarray(v_high, dtype=float))
-    h_len = np.atleast_1d(np.asarray(high_length, dtype=float))
-    h_start = np.atleast_1d(np.asarray(high_start, dtype=float))
-    n = max(v_low.size, v_high.size, h_len.size, h_start.size)
-    v_low = np.broadcast_to(v_low, n).astype(float)
-    v_high = np.broadcast_to(v_high, n).astype(float)
-    h_len = np.broadcast_to(h_len, n).astype(float)
-    h_start = np.broadcast_to(h_start, n).astype(float)
-    if period <= 0:
-        raise ScheduleError(f"period must be > 0, got {period}")
+    v_low, v_high, h_len, h_start = _per_core(v_low, v_high, high_length, high_start)
+    _check_period(period)
     if np.any((h_len < 0) | (h_len > period + 1e-12)):
         raise ScheduleError("high_length must lie in [0, period]")
 
-    timelines = []
-    for c in range(n):
-        start = float(h_start[c]) % period
-        length = min(float(h_len[c]), period)
-        segs: list[tuple[float, float]] = []
-        if length < MIN_INTERVAL:
-            segs = [(period, v_low[c])]
-        elif length > period - MIN_INTERVAL:
-            segs = [(period, v_high[c])]
-        else:
-            end = start + length
-            if end <= period + MIN_INTERVAL:
-                end = min(end, period)
-                if start >= MIN_INTERVAL:
-                    segs.append((start, v_low[c]))
-                segs.append((end - start, v_high[c]))
-                if period - end >= MIN_INTERVAL:
-                    segs.append((period - end, v_low[c]))
-            else:  # wraps around the period end
-                wrap = end - period
-                segs.append((wrap, v_high[c]))
-                segs.append((start - wrap, v_low[c]))
-                segs.append((period - start, v_high[c]))
-        timelines.append(segs)
-    return from_core_timelines(timelines)
+    # An infinite start wraps to NaN, as Python's float modulo does.
+    start = np.mod(np.where(np.isfinite(h_start), h_start, np.nan), period)
+    length = np.where(period < h_len, period, h_len)
+    low = length < MIN_INTERVAL
+    high = ~low & (length > period - MIN_INTERVAL)
+    burst = ~low & ~high
+    end = start + length
+    inside = burst & (end <= period + MIN_INTERVAL)
+    wrap = burst & ~inside
+    end = np.where(period < end, period, end)
+    spill = start + length - period
+
+    # Up to three segments per core: [low | high | low] for a burst inside
+    # the period, [high | low | high] for one that wraps, one otherwise.
+    seg_len = np.stack((
+        np.where(inside, start, np.where(wrap, spill, period)),
+        np.where(inside, end - start, start - spill),
+        np.where(inside, period - end, period - start),
+    ), axis=1)
+    seg_v = np.stack((
+        np.where(inside | low, v_low, v_high),
+        np.where(inside, v_high, v_low),
+        np.where(inside, v_low, v_high),
+    ), axis=1)
+    real = np.stack((
+        ~inside | (start >= MIN_INTERVAL),
+        burst,
+        wrap | (inside & (period - end >= MIN_INTERVAL)),
+    ), axis=1)
+    check_segments(seg_len, seg_v, real)
+    counts = real.sum(axis=1)
+    return PeriodicSchedule.from_arrays(
+        *combine_timelines(
+            padded(seg_len[real], counts), padded(seg_v[real], counts), counts
+        )
+    )
 
 
 def random_schedule(

@@ -9,9 +9,8 @@ voltage for some duration.  Builders convert between the two
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import ScheduleError
 
@@ -38,14 +37,14 @@ class StateInterval:
     voltages: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.length) or self.length < MIN_INTERVAL:
+        if not math.isfinite(self.length) or self.length < MIN_INTERVAL:
             raise ScheduleError(
                 f"state interval length must be >= {MIN_INTERVAL}, got {self.length}"
             )
         volts = tuple(float(v) for v in self.voltages)
         if len(volts) == 0:
             raise ScheduleError("state interval needs at least one core")
-        if any(v < 0 or not np.isfinite(v) for v in volts):
+        if any(v < 0 or not math.isfinite(v) for v in volts):
             raise ScheduleError(f"voltages must be finite and >= 0, got {volts}")
         object.__setattr__(self, "length", float(self.length))
         object.__setattr__(self, "voltages", volts)
@@ -76,11 +75,11 @@ class CoreSegment:
     voltage: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.length) or self.length < MIN_INTERVAL:
+        if not math.isfinite(self.length) or self.length < MIN_INTERVAL:
             raise ScheduleError(
                 f"segment length must be >= {MIN_INTERVAL}, got {self.length}"
             )
-        if self.voltage < 0 or not np.isfinite(self.voltage):
+        if self.voltage < 0 or not math.isfinite(self.voltage):
             raise ScheduleError(f"segment voltage must be finite >= 0, got {self.voltage}")
         object.__setattr__(self, "length", float(self.length))
         object.__setattr__(self, "voltage", float(self.voltage))

@@ -41,8 +41,8 @@ def schedule_to_dict(schedule: PeriodicSchedule) -> dict[str, Any]:
         "n_cores": schedule.n_cores,
         "period_s": schedule.period,
         "intervals": [
-            {"length_s": iv.length, "voltages": list(iv.voltages)}
-            for iv in schedule.intervals
+            {"length_s": length, "voltages": volts}
+            for length, volts in schedule.interval_rows()
         ],
     }
 
@@ -63,16 +63,19 @@ def schedule_from_dict(data: dict[str, Any]) -> PeriodicSchedule:
             f"(this library reads version {FORMAT_VERSION})"
         )
     try:
-        intervals = tuple(
-            StateInterval(
-                length=float(item["length_s"]),
-                voltages=tuple(float(v) for v in item["voltages"]),
-            )
+        parsed = [
+            (float(item["length_s"]), [float(v) for v in item["voltages"]])
             for item in data["intervals"]
-        )
+        ]
     except (KeyError, TypeError) as exc:
         raise ScheduleError(f"malformed schedule document: {exc}") from exc
-    schedule = PeriodicSchedule(intervals)
+    if any(len(row) != len(parsed[0][1]) for _, row in parsed):
+        # Ragged rows: the interval-by-interval constructor names the first
+        # problem, in document order.
+        PeriodicSchedule(StateInterval(length, tuple(row)) for length, row in parsed)
+    schedule = PeriodicSchedule.from_arrays(
+        [length for length, _ in parsed], [row for _, row in parsed]
+    )
     declared = data.get("n_cores")
     if declared is not None and declared != schedule.n_cores:
         raise ScheduleError(

@@ -14,16 +14,26 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
+import numpy as np
+
 from repro.errors import ScheduleError
-from repro.schedule.builders import from_core_timelines
-from repro.schedule.intervals import CoreSegment, StateInterval
-from repro.schedule.periodic import PeriodicSchedule, _rotate_segments
+from repro.schedule.periodic import (
+    PeriodicSchedule,
+    check_segments,
+    combine_timelines,
+    core_runs,
+    rotate_segments,
+    run_sums,
+)
 
 __all__ = [
     "step_up",
     "m_oscillate",
     "m_oscillate_core",
     "shift_core",
+    "shift_cores",
     "merge_adjacent",
 ]
 
@@ -36,12 +46,16 @@ def step_up(schedule: PeriodicSchedule) -> PeriodicSchedule:
     independently per core; the per-core timelines are then recombined
     into state intervals.
     """
-    timelines = []
-    for core in range(schedule.n_cores):
-        segs = schedule.core_timeline(core, merge=True)
-        segs = sorted(segs, key=lambda s: s.voltage)
-        timelines.append(segs)
-    return from_core_timelines(timelines)
+    seg_len, seg_v, counts = core_runs(schedule.lengths, schedule.voltage_matrix)
+    real = np.arange(seg_len.shape[1])[None, :] < counts[:, None]
+    order = np.argsort(np.where(real, seg_v, np.inf), axis=1, kind="stable")
+    return PeriodicSchedule.from_arrays(
+        *combine_timelines(
+            np.take_along_axis(seg_len, order, axis=1),
+            np.take_along_axis(seg_v, order, axis=1),
+            counts,
+        )
+    )
 
 
 def m_oscillate(schedule: PeriodicSchedule, m: int) -> PeriodicSchedule:
@@ -72,14 +86,36 @@ def m_oscillate_core(schedule: PeriodicSchedule, core: int, m: int) -> PeriodicS
     if not (0 <= core < schedule.n_cores):
         raise ScheduleError(f"core {core} out of range [0, {schedule.n_cores})")
     m = int(m)
-    timelines = []
-    for c in range(schedule.n_cores):
-        segs = schedule.core_timeline(c, merge=True)
-        if c == core and m > 1:
-            cycle = [CoreSegment(length=s.length / m, voltage=s.voltage) for s in segs]
-            segs = cycle * m
-        timelines.append(segs)
-    return from_core_timelines(timelines)
+    seg_len, seg_v, counts = core_runs(schedule.lengths, schedule.voltage_matrix)
+    if m > 1:
+        k = int(counts[core])
+        cycle_len, cycle_v = seg_len[core, :k] / m, seg_v[core, :k]
+        check_segments(cycle_len[None], cycle_v[None], np.ones((1, k), dtype=bool))
+        grow = ((0, 0), (0, max(0, k * m - seg_len.shape[1])))
+        seg_len, seg_v = np.pad(seg_len, grow), np.pad(seg_v, grow)
+        seg_len[core, : k * m] = np.tile(cycle_len, m)
+        seg_v[core, : k * m] = np.tile(cycle_v, m)
+        counts[core] = k * m
+    return PeriodicSchedule.from_arrays(*combine_timelines(seg_len, seg_v, counts))
+
+
+def _shift(
+    lengths: np.ndarray, volts: np.ndarray, core: int, offset: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`shift_core` on ``(lengths, voltage_matrix)`` arrays."""
+    z, n = volts.shape
+    rot_len, source = rotate_segments(lengths, offset)
+    k = max(z, rot_len.size)
+    seg_len = np.zeros((n, k))
+    seg_v = np.zeros((n, k))
+    seg_len[:, :z] = lengths
+    seg_v[:, :z] = volts.T
+    seg_len[core] = 0.0
+    seg_len[core, : rot_len.size] = rot_len
+    seg_v[core, : rot_len.size] = volts[source, core]
+    counts = np.full(n, z)
+    counts[core] = rot_len.size
+    return combine_timelines(seg_len, seg_v, counts)
 
 
 def shift_core(schedule: PeriodicSchedule, core: int, offset: float) -> PeriodicSchedule:
@@ -88,25 +124,30 @@ def shift_core(schedule: PeriodicSchedule, core: int, offset: float) -> Periodic
     Used by PCO to interleave high-power phases across cores spatially.
     The per-core workload (and hence throughput) is unchanged.
     """
-    if not (0 <= core < schedule.n_cores):
-        raise ScheduleError(f"core {core} out of range [0, {schedule.n_cores})")
-    timelines = []
-    for c in range(schedule.n_cores):
-        segs = schedule.core_timeline(c, merge=False)
-        if c == core:
-            segs = _rotate_segments(segs, float(offset))
-        timelines.append(segs)
-    return from_core_timelines(timelines)
+    return shift_cores(schedule, {core: offset})
+
+
+def shift_cores(
+    schedule: PeriodicSchedule, offsets: Mapping[int, float]
+) -> PeriodicSchedule:
+    """Apply :func:`shift_core` for each ``core: offset`` item, in order.
+
+    Bit-identical to chaining :func:`shift_core` calls, but the
+    intermediate schedules stay arrays and only the result is built.
+    """
+    for core in offsets:
+        if not (0 <= core < schedule.n_cores):
+            raise ScheduleError(f"core {core} out of range [0, {schedule.n_cores})")
+    lengths, volts = schedule.lengths, schedule.voltage_matrix
+    for core, offset in offsets.items():
+        lengths, volts = _shift(lengths, volts, core, float(offset))
+    return PeriodicSchedule.from_arrays(lengths, volts)
 
 
 def merge_adjacent(schedule: PeriodicSchedule) -> PeriodicSchedule:
     """Coalesce consecutive state intervals with identical voltage vectors."""
-    merged: list[StateInterval] = []
-    for iv in schedule.intervals:
-        if merged and merged[-1].voltages == iv.voltages:
-            merged[-1] = StateInterval(
-                length=merged[-1].length + iv.length, voltages=iv.voltages
-            )
-        else:
-            merged.append(iv)
-    return PeriodicSchedule(tuple(merged))
+    volts = schedule.voltage_matrix
+    split = np.ones(schedule.n_intervals, dtype=bool)
+    split[1:] = (volts[1:] != volts[:-1]).any(axis=1)
+    lengths, last = run_sums(schedule.lengths, split)
+    return PeriodicSchedule.from_arrays(lengths, volts[last])

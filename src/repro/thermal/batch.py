@@ -141,12 +141,12 @@ def _solve_stack(model: ThermalModel, schedules) -> _Stack:
     # voltage tuple before touching the model's (rounding-keyed) LRU.
     local: dict[tuple, np.ndarray] = {}
     for i, sched in enumerate(schedules):
-        for q, iv in enumerate(sched.intervals):
-            lengths[i, q] = iv.length
-            theta = local.get(iv.voltages)
+        lengths[i, : sched.n_intervals] = sched.lengths
+        for q, volts in enumerate(map(tuple, sched.voltage_matrix.tolist())):
+            theta = local.get(volts)
             if theta is None:
-                theta = model.steady_state(iv.voltages)
-                local[iv.voltages] = theta
+                theta = model.steady_state(volts)
+                local[volts] = theta
             t_inf[i, q] = theta
     mask = np.arange(z_max)[None, :] < z[:, None]
     starts = np.concatenate(

@@ -183,22 +183,25 @@ def _solve_grid(items) -> _GridStack:
     # each platform's unique vectors in one shared-Cholesky batch.
     local: dict[tuple[int, tuple], np.ndarray] = {}
     per_slot: dict[int, list[tuple]] = {}
+    row_keys = []
     for i, (model, sched) in enumerate(items):
-        for iv in sched.intervals:
-            key = (int(pidx[i]), iv.voltages)
+        slot = int(pidx[i])
+        keys = [(slot, volts) for volts in map(tuple, sched.voltage_matrix.tolist())]
+        row_keys.append(keys)
+        for key in keys:
             if key not in local:
                 local[key] = None  # type: ignore[assignment]
-                per_slot.setdefault(key[0], []).append(iv.voltages)
+                per_slot.setdefault(slot, []).append(key[1])
     for slot, volt_list in per_slot.items():
         for volts, theta in zip(
             volt_list, models[slot].steady_state_many(volt_list)
         ):
             local[(slot, volts)] = theta
-    for i, (model, sched) in enumerate(items):
+    for i, ((model, sched), keys) in enumerate(zip(items, row_keys)):
         n = model.n_nodes
-        for q, iv in enumerate(sched.intervals):
-            lengths[i, q] = iv.length
-            t_inf[i, q, :n] = local[(int(pidx[i]), iv.voltages)]
+        lengths[i, : sched.n_intervals] = sched.lengths
+        for q, key in enumerate(keys):
+            t_inf[i, q, :n] = local[key]
     mask = np.arange(z_max)[None, :] < z[:, None]
     starts = np.concatenate(
         [np.zeros((r, 1)), np.cumsum(lengths, axis=1)[:, :-1]], axis=1

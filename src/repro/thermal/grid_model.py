@@ -66,16 +66,10 @@ class RefinedModel:
 
     def expand_schedule(self, schedule: PeriodicSchedule) -> PeriodicSchedule:
         """Per-core schedule -> per-block schedule."""
-        from repro.schedule.intervals import StateInterval
-
-        intervals = tuple(
-            StateInterval(
-                length=iv.length,
-                voltages=tuple(self.expand_voltages(iv.voltages)),
-            )
-            for iv in schedule.intervals
+        return PeriodicSchedule.from_arrays(
+            schedule.lengths,
+            np.repeat(schedule.voltage_matrix, self.k * self.k, axis=1),
         )
-        return PeriodicSchedule(intervals)
 
     def core_peak(self, theta_blocks: np.ndarray) -> np.ndarray:
         """Per-core maxima over each core's blocks."""

@@ -107,11 +107,11 @@ def stepup_peak_temperature(
         from repro.thermal.matex import interval_solution
 
         t_base = 0.0
-        for q, iv in enumerate(schedule.intervals):
+        for q, (length, volts) in enumerate(schedule.interval_rows()):
             sol_q = interval_solution(
-                model, solution.boundary_temperatures[q], iv.voltages, iv.length
+                model, solution.boundary_temperatures[q], volts, length
             )
-            times = np.linspace(0.0, iv.length, max(grid, 2))
+            times = np.linspace(0.0, length, max(grid, 2))
             temps = sol_q.temperatures(times)[:, cores]
             np.maximum(core_peaks, temps.max(axis=0), out=core_peaks)
             flat = int(np.argmax(temps))
@@ -120,7 +120,7 @@ def stepup_peak_temperature(
                 best_val = float(temps[ti, ci])
                 core_idx = int(ci)
                 best_time = float(t_base + times[ti])
-            t_base += iv.length
+            t_base += length
 
     return PeakResult(
         value=best_val,
@@ -153,18 +153,19 @@ def peak_temperature(
     core_peaks = np.full(n_cores, -np.inf)
     best = (-np.inf, 0, 0.0)
     t_base = 0.0
-    for q, iv in enumerate(schedule.intervals):
-        sol_q = _interval(model, solution, q)
+    for length, sol_q in zip(
+        schedule.lengths.tolist(), solution.interval_solutions(model)
+    ):
         # Track per-core maxima over the dense grid (vectorized), then the
         # refined global peak.
-        times = np.linspace(0.0, iv.length, max(grid_per_interval, 2))
+        times = np.linspace(0.0, length, max(grid_per_interval, 2))
         temps = sol_q.temperatures(times)[:, cores]
         core_peaks = np.maximum(core_peaks, temps.max(axis=0))
         val, node, when = sol_q.peak(nodes=cores, grid=grid_per_interval, refine=refine)
         if val > best[0]:
             core_local = int(np.where(cores == node)[0][0])
             best = (val, core_local, t_base + when)
-        t_base += iv.length
+        t_base += length
 
     core_peaks = np.maximum(core_peaks, best[0] * (np.arange(n_cores) == best[1]))
     return PeakResult(
@@ -174,11 +175,3 @@ def peak_temperature(
         core_peaks=core_peaks,
     )
 
-
-def _interval(model: ThermalModel, solution, q: int):
-    from repro.thermal.matex import interval_solution
-
-    iv = solution.schedule.intervals[q]
-    return interval_solution(
-        model, solution.boundary_temperatures[q], iv.voltages, iv.length
-    )

@@ -56,14 +56,10 @@ class PeriodicSolution:
 
     def interval_solutions(self, model: ThermalModel) -> list[IntervalSolution]:
         """Closed-form solutions for each interval in the stable status."""
-        sols = []
-        for q, iv in enumerate(self.schedule.intervals):
-            sols.append(
-                interval_solution(
-                    model, self.boundary_temperatures[q], iv.voltages, iv.length
-                )
-            )
-        return sols
+        return [
+            interval_solution(model, self.boundary_temperatures[q], volts, length)
+            for q, (length, volts) in enumerate(self.schedule.interval_rows())
+        ]
 
     def boundary_peak(self, model: ThermalModel) -> float:
         """Highest *core* temperature among scheduling points."""
@@ -81,6 +77,7 @@ def periodic_steady_state(
     one dense ``expm`` product chain for ``K``, and one linear solve.
     """
     n = model.n_nodes
+    rows = schedule.interval_rows()
     # Affine part d: one period from theta(0) = 0.
     d = simulate_schedule_period(model, schedule, np.zeros(n))
 
@@ -88,16 +85,16 @@ def periodic_steady_state(
     # The per-interval factors are LRU-cached by length: optimizer loops
     # rebuild schedules over the same handful of interval durations.
     k = np.eye(n)
-    for iv in schedule.intervals:
-        k = model.eigen.expm_cached(iv.length) @ k
+    for length, _ in rows:
+        k = model.eigen.expm_cached(length) @ k
 
     theta0 = solve_linear(np.eye(n) - k, d)
 
     boundaries = np.empty((schedule.n_intervals + 1, n))
     boundaries[0] = theta0
     theta = theta0
-    for q, iv in enumerate(schedule.intervals, start=1):
-        theta = model.propagate(theta, iv.length, iv.voltages)
+    for q, (length, volts) in enumerate(rows, start=1):
+        theta = model.propagate(theta, length, volts)
         boundaries[q] = theta
     return PeriodicSolution(schedule=schedule, boundary_temperatures=boundaries)
 
@@ -115,14 +112,13 @@ def stable_trace(
     all_times: list[np.ndarray] = []
     all_temps: list[np.ndarray] = []
     t_base = 0.0
-    for q, iv in enumerate(schedule.intervals):
-        sol = interval_solution(
-            model, solution.boundary_temperatures[q], iv.voltages, iv.length
-        )
-        local = np.linspace(0.0, iv.length, max(samples_per_interval, 2))
+    for length, sol in zip(
+        schedule.lengths.tolist(), solution.interval_solutions(model)
+    ):
+        local = np.linspace(0.0, length, max(samples_per_interval, 2))
         all_times.append(t_base + local)
         all_temps.append(sol.temperatures(local))
-        t_base += iv.length
+        t_base += length
     return TraceResult(
         times=np.concatenate(all_times),
         temperatures=np.vstack(all_temps),

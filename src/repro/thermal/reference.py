@@ -50,17 +50,18 @@ def reference_simulate(
     all_times: list[np.ndarray] = []
     all_temps: list[np.ndarray] = []
     t_base = 0.0
+    rows = schedule.interval_rows()
     for _ in range(periods):
-        for iv in schedule.intervals:
-            psi = model.injection(iv.voltages)
+        for length, volts in rows:
+            psi = model.injection(volts)
 
             def rhs(_t, y, _psi=psi):
                 return inv_c * (_psi - g_eff @ y)
 
-            local = np.linspace(0.0, iv.length, max(samples_per_interval, 2))
+            local = np.linspace(0.0, length, max(samples_per_interval, 2))
             sol = solve_ivp(
                 rhs,
-                (0.0, iv.length),
+                (0.0, length),
                 theta,
                 method="LSODA",
                 t_eval=local,
@@ -72,7 +73,7 @@ def reference_simulate(
             all_times.append(t_base + sol.t)
             all_temps.append(sol.y.T)
             theta = sol.y[:, -1].copy()
-            t_base += iv.length
+            t_base += length
 
     return TraceResult(
         times=np.concatenate(all_times),

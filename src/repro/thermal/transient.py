@@ -59,8 +59,8 @@ def simulate_schedule_period(
     propagation per state interval.
     """
     theta = as_1d_float(theta0, "theta0", model.n_nodes).copy()
-    for iv in schedule.intervals:
-        theta = model.propagate(theta, iv.length, iv.voltages)
+    for length, volts in schedule.interval_rows():
+        theta = model.propagate(theta, length, volts)
     return theta
 
 
@@ -99,14 +99,15 @@ def simulate_piecewise(
     all_times: list[np.ndarray] = []
     all_temps: list[np.ndarray] = []
     t_base = 0.0
+    rows = schedule.interval_rows()
     for _ in range(periods):
-        for iv in schedule.intervals:
-            sol = interval_solution(model, theta, iv.voltages, iv.length)
-            local = np.linspace(0.0, iv.length, samples_per_interval)
+        for length, volts in rows:
+            sol = interval_solution(model, theta, volts, length)
+            local = np.linspace(0.0, length, samples_per_interval)
             all_times.append(t_base + local)
             all_temps.append(sol.temperatures(local))
             theta = sol.end_temperature()
-            t_base += iv.length
+            t_base += length
 
     return TraceResult(
         times=np.concatenate(all_times),

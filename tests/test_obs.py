@@ -197,7 +197,7 @@ class TestMetricsRegistry:
         from repro import load_platform, solve
 
         METRICS.reset()
-        platform = load_platform(n_cores=2, n_levels=2)
+        platform = load_platform("paper", n_cores=2, n_levels=2)
         solve("AO", platform, m_cap=8)
         snap = METRICS.snapshot()
         assert snap["histograms"]["engine.batch_size"]["count"] > 0
@@ -250,7 +250,7 @@ class TestEngineIntegration:
         """engine.phase() must feed both the span stream and EngineStats."""
         from repro import load_platform, solve
 
-        platform = load_platform(n_cores=2, n_levels=2)
+        platform = load_platform("paper", n_cores=2, n_levels=2)
         with capture_spans() as spans:
             result = solve("AO", platform, m_cap=8)
         names = [s.name for s in spans]
@@ -266,6 +266,6 @@ class TestEngineIntegration:
     def test_no_solve_span_while_disabled(self):
         from repro import load_platform, solve
 
-        platform = load_platform(n_cores=2, n_levels=2)
+        platform = load_platform("paper", n_cores=2, n_levels=2)
         result = solve("LNS", platform)
         assert result.feasible is not None  # ran fine without a tracer

@@ -72,7 +72,7 @@ def _deterministic(doc: dict) -> dict:
 
 def _direct_solve_doc(spec_dict: dict, solver: str, params: dict) -> dict:
     """Reference: guarded_solve on a fresh engine, as a wire document."""
-    engine = ThermalEngine(load_platform(spec_dict))
+    engine = ThermalEngine(load_platform("paper", **spec_dict))
     result = guarded_solve(get_solver(solver), engine, **params)
     return result_to_dict(result)
 
@@ -93,15 +93,15 @@ def _isolated_default_session():
 
 class TestPlatformHash:
     def test_same_content_same_hash(self):
-        a = platform_hash(load_platform(SPEC2))
-        b = platform_hash(load_platform(dict(SPEC2)))
+        a = platform_hash(load_platform("paper", **SPEC2))
+        b = platform_hash(load_platform({"name": "paper", **SPEC2}))
         assert a == b and len(a) == 32
 
     def test_physics_changes_hash(self):
-        base = platform_hash(load_platform(SPEC2))
-        assert platform_hash(load_platform(dict(SPEC2, t_max_c=55.0))) != base
-        assert platform_hash(load_platform(dict(SPEC2, n_cores=3))) != base
-        assert platform_hash(load_platform(dict(SPEC2, tau=1e-5))) != base
+        base = platform_hash(load_platform("paper", **SPEC2))
+        assert platform_hash(load_platform("paper", **dict(SPEC2, t_max_c=55.0))) != base
+        assert platform_hash(load_platform("paper", **dict(SPEC2, n_cores=3))) != base
+        assert platform_hash(load_platform("paper", **dict(SPEC2, tau=1e-5))) != base
 
     def test_big_little_never_collides_with_homogeneous(self):
         base = paper_platform(2, n_levels=2, t_max_c=65.0)
@@ -114,7 +114,7 @@ class TestPlatformHash:
 
 class TestScheduleCacheKey:
     def test_any_param_change_invalidates(self):
-        phash = platform_hash(load_platform(SPEC2))
+        phash = platform_hash(load_platform("paper", **SPEC2))
         base = schedule_cache_key(phash, "AO", {"m_cap": 8}, 0.05)
         assert schedule_cache_key(phash, "AO", {"m_cap": 16}, 0.05) != base
         assert schedule_cache_key(phash, "AO", {"m_cap": 8}, 0.01) != base
@@ -122,7 +122,7 @@ class TestScheduleCacheKey:
         assert schedule_cache_key(phash, "PCO", {"m_cap": 8}, 0.05) != base
 
     def test_param_spelling_is_canonicalized(self):
-        phash = platform_hash(load_platform(SPEC2))
+        phash = platform_hash(load_platform("paper", **SPEC2))
         a = schedule_cache_key(phash, "AO", {"shift_grid": (4, 8)}, None)
         b = schedule_cache_key(phash, "AO", {"shift_grid": [4, 8]}, None)
         assert a == b
@@ -131,7 +131,7 @@ class TestScheduleCacheKey:
         """``"shrink"`` results must not collide with plain solves, while
         the no-op spellings (None / "off") keep their pre-policy keys —
         existing on-disk caches stay valid."""
-        phash = platform_hash(load_platform(SPEC2))
+        phash = platform_hash(load_platform("paper", **SPEC2))
         base = schedule_cache_key(phash, "AO", {"m_cap": 8}, 0.05)
         off = schedule_cache_key(
             phash, "AO", {"m_cap": 8}, 0.05, margin_policy="off"
@@ -154,7 +154,7 @@ class TestScheduleCacheKey:
             "from repro.api import load_platform\n"
             "from repro.service import platform_hash, schedule_cache_key\n"
             f"spec = json.loads({spec_json!r})\n"
-            "phash = platform_hash(load_platform(spec))\n"
+            "phash = platform_hash(load_platform('paper', **spec))\n"
             "print(phash)\n"
             "print(schedule_cache_key(phash, 'AO', {'m_cap': 8}, 0.05))\n"
         )
@@ -166,7 +166,7 @@ class TestScheduleCacheKey:
         )
         assert proc.returncode == 0, proc.stderr
         phash_line, key_line = proc.stdout.split()
-        phash = platform_hash(load_platform(SPEC2))
+        phash = platform_hash(load_platform("paper", **SPEC2))
         assert phash_line == phash
         assert key_line == schedule_cache_key(phash, "AO", {"m_cap": 8}, 0.05)
 
@@ -286,7 +286,7 @@ class TestSession:
     def test_engines_are_shared_by_content(self, session):
         a = session.engine_for(SPEC2)
         b = session.engine_for(dict(SPEC2))
-        c = session.engine_for(load_platform(SPEC2))
+        c = session.engine_for(load_platform("paper", **SPEC2))
         assert a is b is c
 
     def test_shared_engine_stats_never_double_count(self, session):
@@ -335,7 +335,7 @@ class TestSession:
         second = session.solve(SPEC2, crashing, {"m_cap": 8})
         direct = guarded_solve(
             dataclasses.replace(get_solver("AO"), func=raiser),
-            ThermalEngine(load_platform(SPEC2)),
+            ThermalEngine(load_platform("paper", **SPEC2)),
             m_cap=8,
         )
         assert second.cached
@@ -357,7 +357,7 @@ class TestSession:
             list(zip((SPEC2, SPEC3), schedules))
         )
         for spec, schedule, ev in zip((SPEC2, SPEC3), schedules, batched):
-            scalar = api_evaluate(ThermalEngine(load_platform(spec)), schedule)
+            scalar = api_evaluate(ThermalEngine(load_platform("paper", **spec)), schedule)
             assert ev.peak_theta == pytest.approx(scalar.peak_theta, abs=1e-9)
             assert ev.feasible == scalar.feasible
             assert ev.throughput == scalar.throughput
@@ -500,7 +500,7 @@ class TestCoalescer:
 
         responses = asyncio.run(run())
         direct = guarded_solve(
-            lying, ThermalEngine(load_platform(SPEC2)), m_cap=16
+            lying, ThermalEngine(load_platform("paper", **SPEC2)), m_cap=16
         )
         assert direct.details["fallback"]["failure"].startswith(
             "certificate rejected"
@@ -529,7 +529,7 @@ class TestCoalescer:
 
         responses = asyncio.run(run())
         scalar = api_evaluate(
-            ThermalEngine(load_platform(SPEC2)), result.schedule
+            ThermalEngine(load_platform("paper", **SPEC2)), result.schedule
         )
         assert all(r["ok"] and r["coalesced"] == 4 for r in responses)
         for r in responses:
@@ -663,7 +663,7 @@ class TestDefaultSessionWiring:
         ).result.schedule
         engine = default_session().engine_for(SPEC2)
         mark = engine.checkpoint()
-        api_evaluate(load_platform(SPEC2), schedule)
+        api_evaluate(load_platform("paper", **SPEC2), schedule)
         # The evaluation ran on the session's engine, not a fresh one.
         assert engine.stats_since(mark).peak_evals == 1
 
