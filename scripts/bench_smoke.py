@@ -5,8 +5,9 @@ Runs two suites with reduced rounds and writes one compacted
 pytest-benchmark JSON report per suite at the repo root — a cheap
 regression tripwire for the hot paths, not a rigorous measurement:
 
-* ``BENCH_solvers.json`` — thermal kernels (``bench_solvers.py``) and
-  the single-platform batched engine (``bench_batch.py``);
+* ``BENCH_solvers.json`` — thermal kernels (``bench_solvers.py``), the
+  single-platform batched engine (``bench_batch.py``) and the
+  constant-lattice searches (``bench_ablation_exs.py``);
 * ``BENCH_grid.json`` — the cross-platform grid kernels
   (``bench_grid.py``), including the grid-vs-scalar speedup summary the
   README perf table quotes.
@@ -38,7 +39,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SUITES: tuple[tuple[str, tuple[str, ...]], ...] = (
     (
         "BENCH_solvers.json",
-        ("benchmarks/bench_solvers.py", "benchmarks/bench_batch.py"),
+        (
+            "benchmarks/bench_solvers.py",
+            "benchmarks/bench_batch.py",
+            "benchmarks/bench_ablation_exs.py",
+        ),
     ),
     ("BENCH_grid.json", ("benchmarks/bench_grid.py",)),
 )

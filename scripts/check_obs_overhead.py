@@ -52,7 +52,7 @@ def representative_solve():
     """One AO solve on the paper's 3-core platform (the Fig. 6 cell)."""
     from repro import load_platform, solve
 
-    platform = load_platform(n_cores=3, n_levels=2, t_max_c=55.0)
+    platform = load_platform("paper", n_cores=3, n_levels=2, t_max_c=55.0)
     return lambda: solve("AO", platform, m_cap=32)
 
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.algorithms.base import SchedulerResult
 from repro.algorithms.continuous import continuous_assignment
+from repro.algorithms.exs import pruned_lattice_search
 from repro.algorithms.oscillation import (
     DEFAULT_M_CAP,
     ModePlan,
@@ -50,15 +51,17 @@ def best_constant_above(
 ) -> np.ndarray | None:
     """Best feasible constant assignment strictly beating ``incumbent_sum``.
 
-    Monotonicity-pruned DFS (the :func:`repro.algorithms.exs.exs_pruned`
-    structure) over the voltage ladder, seeded with two incumbents: the
-    caller's throughput sum and the lower-neighbor floor ``plan.v_low``
-    (feasible whenever the continuous assignment was, by monotonicity).
-    With the incumbent at AO's own throughput the bound prune kills almost
-    every subtree — AO usually dominates every constant assignment — so
-    this guard costs a handful of cached steady-state solves unless a
-    constant assignment genuinely wins.  Cores the plan power-gates
-    (target voltage 0) stay gated.
+    The monotonicity-pruned lattice search
+    (:func:`repro.algorithms.exs.pruned_lattice_search`, the
+    :func:`repro.algorithms.exs.exs_pruned` search) over the voltage
+    ladder, seeded with two incumbents: the caller's throughput sum and
+    the lower-neighbor floor ``plan.v_low`` (feasible whenever the
+    continuous assignment was, by monotonicity).  With the incumbent at
+    AO's own throughput the bound prune kills almost every subtree — AO
+    usually dominates every constant assignment — so this guard costs a
+    few small batched steady-state solves unless a constant assignment
+    genuinely wins.  Cores the plan power-gates (target voltage 0) stay
+    gated.
 
     Returns the winning voltage vector, or ``None`` when nothing feasible
     beats the incumbent.
@@ -66,11 +69,6 @@ def best_constant_above(
     platform = as_platform(platform)
     model = platform.model
     theta_max = platform.theta_max
-    levels = sorted(float(v) for v in platform.ladder.levels)
-    v_min = levels[0]
-    active = np.where(plan.target_voltages > 0.0)[0]
-    n_active = active.size
-
     best_sum = float(incumbent_sum)
     best_volts: np.ndarray | None = None
 
@@ -82,39 +80,10 @@ def best_constant_above(
         best_sum = float(floor.sum())
         best_volts = floor.copy()
 
-    assignment = np.zeros(plan.n_cores)
-    assignment[active] = v_min
-
-    def feasible(volts: np.ndarray) -> bool:
-        return float(model.steady_state_cores(volts).max()) <= theta_max + 1e-9
-
-    def dfs(pos: int, partial_sum: float) -> None:
-        nonlocal best_sum, best_volts
-        remaining = n_active - pos
-        if partial_sum + remaining * levels[-1] <= best_sum + 1e-12:
-            return
-        if pos == n_active:
-            if feasible(assignment):
-                best_sum = partial_sum
-                best_volts = assignment.copy()
-            return
-        core = active[pos]
-        for lvl in reversed(levels):
-            assignment[core] = lvl
-            # Optimistic completion: all remaining active cores at v_min.
-            optimistic = assignment.copy()
-            optimistic[active[pos + 1 :]] = v_min
-            if not feasible(optimistic):
-                assignment[core] = v_min
-                continue
-            dfs(pos + 1, partial_sum + lvl)
-        assignment[core] = v_min
-
-    if n_active:
-        dfs(0, 0.0)
-    elif best_volts is None and feasible(assignment) and 0.0 > best_sum + 1e-12:
-        best_volts = assignment.copy()
-    return best_volts
+    volts, _, _ = pruned_lattice_search(
+        platform, np.flatnonzero(plan.target_voltages > 0.0), incumbent=best_sum
+    )
+    return best_volts if volts is None else volts
 
 
 def constant_floor_guard(
