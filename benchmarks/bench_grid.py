@@ -1,12 +1,11 @@
-"""Grid kernels vs the per-platform loops they replace.
+"""Grid kernels vs the per-platform scalar loop.
 
-The comparison sweep prices candidate schedules for *many* platforms;
-before the grid kernels that meant one batched call per platform (and
-before those, one scalar call per schedule).  These benchmarks pin the
-trajectory on the canonical 4-platform x 64-candidate grid: the grid
-kernel must beat the per-platform scalar loop by >= 5x, and every case
-asserts 1e-9 parity with the scalar path so the speedup is never bought
-with accuracy.
+The comparison sweep prices candidate schedules for *many* platforms.
+The grid kernels are one batched call per distinct platform, so the
+per-platform batch loop is the grid itself; the baseline here is the
+scalar loop (one call per schedule).  These benchmarks pin the canonical
+4-platform x 64-candidate grid, and every case asserts 1e-9 parity with
+the scalar path so the speedup is never bought with accuracy.
 """
 
 import numpy as np
@@ -14,10 +13,6 @@ import pytest
 
 from repro.platform import paper_platform
 from repro.schedule.builders import random_schedule, random_stepup_schedule
-from repro.thermal.batch import (
-    peak_temperature_batch,
-    stepup_peak_temperature_batch,
-)
 from repro.thermal.grid import (
     peak_temperature_grid,
     periodic_steady_state_grid,
@@ -51,13 +46,6 @@ def _build_rows(stepup_only=False, seed=23):
     return rows
 
 
-def _by_platform(rows):
-    groups: dict[int, tuple] = {}
-    for model, sched in rows:
-        groups.setdefault(id(model), (model, []))[1].append(sched)
-    return list(groups.values())
-
-
 @pytest.fixture(scope="module")
 def grid_rows():
     return _build_rows()
@@ -70,7 +58,7 @@ def stepup_rows():
 
 @pytest.mark.benchmark(group="grid-peak")
 def test_peak_grid(benchmark, grid_rows):
-    """The tensorized kernel: the whole grid in one call."""
+    """The grid kernel: the whole grid in one call."""
     results = benchmark(lambda: peak_temperature_grid(grid_rows))
     for i in (0, len(grid_rows) // 2, len(grid_rows) - 1):
         check = peak_temperature(grid_rows[i][0], grid_rows[i][1])
@@ -86,20 +74,6 @@ def test_peak_scalar_loop(benchmark, grid_rows):
     assert len(results) == len(grid_rows)
 
 
-@pytest.mark.benchmark(group="grid-peak")
-def test_peak_per_platform_batch(benchmark, grid_rows):
-    """One batched call per platform (the loop the grid kernel fuses)."""
-    groups = _by_platform(grid_rows)
-    results = benchmark(
-        lambda: [
-            r
-            for model, scheds in groups
-            for r in peak_temperature_batch(model, scheds)
-        ]
-    )
-    assert len(results) == len(grid_rows)
-
-
 @pytest.mark.benchmark(group="grid-stepup")
 def test_stepup_grid(benchmark, stepup_rows):
     """Theorem-1 fast path over the whole grid (the AO m-scan kernel)."""
@@ -110,20 +84,6 @@ def test_stepup_grid(benchmark, stepup_rows):
         stepup_rows[0][0], stepup_rows[0][1], check=False
     )
     assert results[0].value == pytest.approx(check.value, abs=1e-9)
-
-
-@pytest.mark.benchmark(group="grid-stepup")
-def test_stepup_per_platform_batch(benchmark, stepup_rows):
-    """Per-platform batched Theorem-1 loop (baseline)."""
-    groups = _by_platform(stepup_rows)
-    results = benchmark(
-        lambda: [
-            r
-            for model, scheds in groups
-            for r in stepup_peak_temperature_batch(model, scheds, check=False)
-        ]
-    )
-    assert len(results) == len(stepup_rows)
 
 
 @pytest.mark.benchmark(group="grid-steady-state")

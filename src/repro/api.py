@@ -5,8 +5,7 @@ Three verbs cover the common workflow without touching any submodule:
 * :func:`load_platform` — build a platform from a
   :class:`~repro.platforms.PlatformSpec`, a preset name
   (``"paper"``, ``"tech-16-io"``, ...) or a spec document, with keyword
-  overrides layered on top (legacy flat kwargs still work behind a
-  ``DeprecationWarning``);
+  overrides layered on top;
 * :func:`repro.algorithms.registry.solve` — run a registered scheduler
   (re-exported at the package root);
 * :func:`evaluate` — independently price an arbitrary schedule on a
@@ -20,14 +19,12 @@ cannot drift silently.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
 from repro.engine import ThermalEngine
-from repro.errors import ConfigurationError
-from repro.platform import Platform, paper_platform
+from repro.platform import Platform
 from repro.platforms import PlatformSpec
 from repro.schedule.periodic import PeriodicSchedule
 from repro.schedule.properties import throughput as schedule_throughput
@@ -52,46 +49,14 @@ def load_platform(
       <overrides>}``;
     * ``None`` — the default ``paper`` preset.
 
-    Keyword ``overrides`` are layered on top of the spec and win.  The
-    built platform carries its spec as provenance (``platform.spec``),
-    so content-addressed caches and sweep-derived copies stay in sync.
-
-    .. deprecated:: 1.0
-        Flat legacy forms — bare :func:`~repro.platform.paper_platform`
-        kwargs like ``load_platform(n_cores=3)`` or a flat dict without
-        a ``family``/``name`` key — still build the paper platform but
-        emit a ``DeprecationWarning``.  Spell them
-        ``load_platform("paper", n_cores=3)`` instead.
+    Keyword ``overrides`` are layered on top of the spec and win; a
+    flat overrides dict without a ``family``/``name`` key, or bare
+    keywords such as ``load_platform(n_cores=3)``, override the ``paper``
+    preset.  The built platform carries its spec as provenance
+    (``platform.spec``), so content-addressed caches and sweep-derived
+    copies stay in sync.
     """
-    named = isinstance(spec, (PlatformSpec, str)) or (
-        isinstance(spec, Mapping) and ("family" in spec or "name" in spec)
-    )
-    if named:
-        return PlatformSpec.coerce(spec).with_overrides(**overrides).build()
-    if spec is None and not overrides:
-        return PlatformSpec("paper").build()
-    if spec is not None and not isinstance(spec, Mapping):
-        raise ConfigurationError(
-            f"load_platform() takes a PlatformSpec, a preset name, or a "
-            f"spec document; got {type(spec).__name__}"
-        )
-    warnings.warn(
-        "passing flat paper_platform kwargs to load_platform() is "
-        "deprecated; use load_platform('paper', **overrides) or a "
-        "PlatformSpec (see repro.platforms)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    kwargs: dict[str, Any] = dict(spec or {})
-    kwargs.update(overrides)
-    try:
-        return PlatformSpec("paper", kwargs).build()
-    except ConfigurationError:
-        # Non-scalar legacy overrides (explicit PowerModel / ladder /
-        # rc_params objects) cannot ride in a spec; keep the old direct
-        # path for them, without provenance.
-        kwargs.setdefault("n_cores", 3)
-        return paper_platform(**kwargs)
+    return PlatformSpec.coerce(spec).with_overrides(**overrides).build()
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@
                 [--max-batch N]
     repro stats <run-dir>
     repro list [experiments|solvers|platforms]
-    repro legacy <experiment> ...   (deprecated alias for `run`)
 
 ``repro run`` regenerates a table/figure of the paper; ``repro solve``
 runs one registered scheduler on a freshly built paper platform and
@@ -32,9 +31,7 @@ content-addressed schedule cache, and the request coalescer;
 run-level engine counters, certificate tallies, per-span wall-time
 table); ``repro list`` enumerates the experiment, solver and platform
 registries.  The historical single-positional form
-(``repro fig6 --quick``) is retired: a bare experiment id is now an
-error, and ``repro legacy fig6 --quick`` keeps the old spelling alive
-one release longer behind an explicit :class:`DeprecationWarning`.
+(``repro fig6 --quick``) is retired: a bare experiment id is an error.
 
 ``--trace PATH`` streams observability spans (:mod:`repro.obs`) as JSON
 Lines: every traced region of the process (experiment, runner, solver
@@ -62,7 +59,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import warnings
 
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 
@@ -611,21 +607,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_legacy(args: argparse.Namespace) -> int:
-    warnings.warn(
-        "the bare `repro <experiment>` form is deprecated; "
-        "use `repro run <experiment>`",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    print(
-        "[deprecated: `repro legacy` is an alias for `repro run` and will "
-        "be removed; switch to `repro run`]",
-        file=sys.stderr,
-    )
-    return _cmd_run(args)
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
@@ -702,13 +683,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="regenerate one table/figure of the paper")
     add_run_arguments(p_run)
     p_run.set_defaults(func=_cmd_run)
-
-    p_legacy = sub.add_parser(
-        "legacy",
-        help="deprecated alias for 'run' (the historical bare-experiment form)",
-    )
-    add_run_arguments(p_legacy)
-    p_legacy.set_defaults(func=_cmd_legacy)
 
     p_solve = sub.add_parser(
         "solve", help="run one registered scheduler on a paper platform"

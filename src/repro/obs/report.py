@@ -114,21 +114,6 @@ class RunDirSummary:
             n for s, n in self.status_counts.items() if s != "ok"
         )
 
-    @staticmethod
-    def _grid_chunk_line() -> str:
-        """The dense-scan chunk budget in effect (env override surfaced)."""
-        from repro.errors import ConfigurationError
-        from repro.thermal.batch import GRID_CHUNK_ELEMENTS, grid_chunk_elements
-
-        try:
-            budget = grid_chunk_elements()
-        except ConfigurationError as exc:
-            return f"  grid chunk budget: INVALID ({exc})"
-        line = f"  grid chunk budget: {budget} elements"
-        if budget != GRID_CHUNK_ELEMENTS:
-            line += " (REPRO_GRID_CHUNK_ELEMENTS override)"
-        return line
-
     def format(self) -> str:
         created = self.manifest.get("created_at", "?")
         declared = self.manifest.get("n_units", "?")
@@ -177,7 +162,6 @@ class RunDirSummary:
                 f"{coalescer.get('coalesced_requests', 0)} request(s), "
                 f"largest batch {coalescer.get('largest_batch', 0)}"
             )
-        lines.append(self._grid_chunk_line())
         lines += [
             self.stats.format(),
             format_span_table(self.span_agg, title="unit spans"),

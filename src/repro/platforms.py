@@ -281,9 +281,7 @@ class PlatformSpec:
         (``{"family": ..., "overrides": {...}}``), a legacy flat kwargs
         dict (routed to the ``paper`` family, the shape old journal rows
         and manifests carry), or ``None`` (the default ``paper`` spec).
-        The deprecation shim for the legacy forms lives in
-        :func:`repro.api.load_platform`; internal resolvers use this
-        silent path.
+        :func:`repro.api.load_platform` is this plus keyword overrides.
         """
         if isinstance(value, cls):
             return value

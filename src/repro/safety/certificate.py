@@ -371,7 +371,7 @@ def certify_grid(
     Semantically identical to calling :func:`certify` per item — the same
     route set, checks, and tolerances (both entry points assemble through
     one shared helper) — but the analytic routes are evaluated for the
-    *whole* grid in single tensorized calls:
+    *whole* grid in one grid call each (one batch call per platform):
     :func:`repro.thermal.grid.peak_temperature_grid` for the MatEx search
     (step-up shortcut disabled, as in the scalar path) and
     :func:`repro.thermal.grid.stepup_peak_temperature_grid` for the

@@ -375,8 +375,8 @@ def perturbed_peak_batch(
     (:func:`stuck_schedule` returns the input object), so the sweep
     collapses to one grid row per *distinct* executed schedule — the
     typical fault table prices two schedules, not six — and all rows go
-    through :func:`repro.thermal.grid.peak_temperature_grid` in a single
-    tensorized evaluation.  Returns one peak per spec, in order, each
+    through one :func:`repro.thermal.grid.peak_temperature_grid` call
+    (one batch call for the platform).  Returns one peak per spec, in order, each
     offset by its own ambient drift.
     """
     from repro.thermal.grid import peak_temperature_grid

@@ -1,9 +1,9 @@
 """Request coalescing: concurrent service requests become grid calls.
 
 The serving layer's asyncio front-end accepts requests one connection at
-a time, but the thermal machinery is at its best amortized: the PR-6
-grid kernels price a whole ``(platform x schedule)`` set in single
-tensorized calls, and identical solve requests are pure duplicates of
+a time, but the thermal machinery is at its best amortized: the grid
+kernels price a whole ``(platform x schedule)`` set with one batch call
+per platform, and identical solve requests are pure duplicates of
 one cached answer.  :class:`RequestCoalescer` sits between the two —
 requests submitted while the loop is busy accumulate in a queue, and the
 drain pass executes each batch with the work regrouped:

@@ -30,17 +30,20 @@ Entry points:
 * :func:`peak_temperature_batch` — the general MatEx-style extrema
   search for arbitrary schedules, with the step-up fast path applied per
   candidate.
+
+These are the only vectorized thermal kernels: the cross-platform grid
+entry points (:mod:`repro.thermal.grid`) call them once per distinct
+model.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from repro.errors import ConfigurationError, ScheduleError
+from repro.errors import ScheduleError
 from repro.schedule.periodic import PeriodicSchedule
 from repro.schedule.properties import is_step_up
 from repro.thermal.model import ThermalModel
@@ -51,42 +54,11 @@ __all__ = [
     "periodic_steady_state_batch",
     "stepup_peak_temperature_batch",
     "peak_temperature_batch",
-    "grid_chunk_elements",
 ]
 
 #: Upper bound on the elements of one dense grid tensor ``(K, Z, G, n)``;
 #: larger batches are scanned in K-chunks to bound peak memory (~64 MB).
-#: Override per run with ``REPRO_GRID_CHUNK_ELEMENTS`` (see
-#: :func:`grid_chunk_elements`).
 GRID_CHUNK_ELEMENTS = 8_000_000
-
-
-def grid_chunk_elements() -> int:
-    """The effective chunk budget, honoring ``REPRO_GRID_CHUNK_ELEMENTS``.
-
-    The env override lets memory-constrained runs (or stress tests
-    forcing many tiny chunks) tune peak memory without editing code.
-    ``repro stats`` surfaces the effective value per run.
-
-    Raises
-    ------
-    ConfigurationError
-        If the override is set but not a positive integer.
-    """
-    raw = os.environ.get("REPRO_GRID_CHUNK_ELEMENTS", "").strip()
-    if not raw:
-        return GRID_CHUNK_ELEMENTS
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"REPRO_GRID_CHUNK_ELEMENTS must be an integer, got {raw!r}"
-        ) from exc
-    if value <= 0:
-        raise ConfigurationError(
-            f"REPRO_GRID_CHUNK_ELEMENTS must be positive, got {value}"
-        )
-    return value
 
 
 @dataclass(frozen=True)
@@ -138,16 +110,19 @@ def _solve_stack(model: ThermalModel, schedules) -> _Stack:
     lengths = np.zeros((k, z_max))
     t_inf = np.zeros((k, z_max, n))
     # Candidate sets re-use a handful of mode vectors; dedup by the exact
-    # voltage tuple before touching the model's (rounding-keyed) LRU.
-    local: dict[tuple, np.ndarray] = {}
+    # voltage tuple, then solve the distinct ones in one LRU-aware call.
+    local: dict[tuple, int] = {}
+    slots = []
     for i, sched in enumerate(schedules):
         lengths[i, : sched.n_intervals] = sched.lengths
-        for q, volts in enumerate(map(tuple, sched.voltage_matrix.tolist())):
-            theta = local.get(volts)
-            if theta is None:
-                theta = model.steady_state(volts)
-                local[volts] = theta
-            t_inf[i, q] = theta
+        slots.append([
+            local.setdefault(volts, len(local))
+            for volts in map(tuple, sched.voltage_matrix.tolist())
+        ])
+    if local:
+        thetas = np.asarray(model.steady_state_many(list(local)))
+        for i, idx in enumerate(slots):
+            t_inf[i, : len(idx)] = thetas[idx]
     mask = np.arange(z_max)[None, :] < z[:, None]
     starts = np.concatenate(
         [np.zeros((k, 1)), np.cumsum(lengths, axis=1)[:, :-1]], axis=1
@@ -250,7 +225,7 @@ def _grid_scan(
 def _grid_chunks(stack: _Stack, model: ThermalModel, grid: int):
     """Yield ``(chunk_slice, times, temps)`` bounding peak memory."""
     per_k = max(stack.n_pad * max(int(grid), 2) * model.n_nodes, 1)
-    step = max(1, grid_chunk_elements() // per_k)
+    step = max(1, GRID_CHUNK_ELEMENTS // per_k)
     for lo in range(0, stack.k, step):
         chunk = slice(lo, min(lo + step, stack.k))
         times, temps = _grid_scan(stack, model, grid, chunk)

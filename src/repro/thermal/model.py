@@ -209,9 +209,9 @@ class ThermalModel:
         all nodes, unlike :meth:`steady_state_batch`): memoized vectors
         are served from the cache, the misses share a single Cholesky
         solve, and every fresh result is memoized.  This is the
-        steady-state path of the grid kernels
-        (:mod:`repro.thermal.grid`), which dedup voltage vectors per
-        platform before calling.
+        steady-state path of the batch kernels
+        (:mod:`repro.thermal.batch`), which dedup voltage vectors
+        before calling.
         """
         out: list[np.ndarray | None] = [None] * len(voltage_list)
         keys = []

@@ -1,12 +1,26 @@
-"""Batched stable-status/peak engine vs the scalar paths, to 1e-9."""
+"""Vectorized thermal kernels vs the scalar paths, to 1e-9.
+
+One parity suite for :mod:`repro.thermal.batch` (K schedules on one
+model) and :mod:`repro.thermal.grid` (rows across platforms, one batch
+call per distinct model), plus the batch-adjacent caches and the
+optimizers rewired onto the batch kernels.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.thermal.batch as batch_mod
+import repro.thermal.grid as grid_mod
 
 from repro.algorithms.continuous import continuous_assignment
 from repro.algorithms.oscillation import choose_m, plan_modes
 from repro.algorithms.tpt import enforce_threshold, fill_headroom
 from repro.errors import ScheduleError, ThermalModelError
+from repro.floorplan import paper_floorplan
+from repro.platform import Platform, paper_platform, platform_3d
+from repro.power import TransitionOverhead, big_little_power_model, paper_ladder
 from repro.schedule.builders import (
     constant_schedule,
     random_schedule,
@@ -17,11 +31,18 @@ from repro.thermal.batch import (
     periodic_steady_state_batch,
     stepup_peak_temperature_batch,
 )
+from repro.thermal.grid import (
+    peak_temperature_grid,
+    periodic_steady_state_grid,
+    stepup_peak_temperature_grid,
+)
+from repro.thermal.model import ThermalModel
 from repro.thermal.peak import (
     peak_temperature,
     stepup_peak_temperature,
 )
 from repro.thermal.periodic import periodic_steady_state
+from repro.thermal.rc import build_single_layer_network
 from repro.util.linalg import EigenExpm
 
 PARITY = 1e-9
@@ -50,6 +71,46 @@ def wrap_distance(t_a: float, t_b: float, period: float) -> float:
     """
     d = abs(t_a - t_b) % period
     return min(d, period - d)
+
+
+def _big_little_platform(n_cores=6, t_max_c=55.0):
+    fp = paper_floorplan(n_cores)
+    pm = big_little_power_model(big_cores=list(range(n_cores // 2)), n_cores=n_cores)
+    model = ThermalModel(build_single_layer_network(fp), pm)
+    return Platform(
+        model=model,
+        ladder=paper_ladder(2),
+        overhead=TransitionOverhead(),
+        t_max_c=t_max_c,
+    )
+
+
+@pytest.fixture(scope="module")
+def hetero_models():
+    """Heterogeneous platform mix: core counts, power models, topology."""
+    return [
+        paper_platform(2, n_levels=2, t_max_c=65.0).model,
+        paper_platform(3, n_levels=3, t_max_c=55.0).model,
+        _big_little_platform().model,
+        platform_3d(2, 2, 2, n_levels=2, t_max_c=60.0).model,
+    ]
+
+
+def _mixed_rows(models, rng, per_model=6, stepup_only=False):
+    rows = []
+    for model in models:
+        for i in range(per_model):
+            segments = int(rng.integers(1, 6))
+            if stepup_only or i % 2 == 0:
+                s = random_stepup_schedule(
+                    model.n_cores, rng, max_segments=segments, period=0.02
+                )
+            else:
+                s = random_schedule(
+                    model.n_cores, rng, max_segments=segments, period=0.02
+                )
+            rows.append((model, s))
+    return rows
 
 
 class TestSteadyStateBatch:
@@ -146,6 +207,148 @@ class TestPeakBatch:
             assert b.value == pytest.approx(
                 model3.steady_state_cores(v).max(), abs=PARITY
             )
+
+
+class TestGridParity:
+    def test_steady_state_grid(self, hetero_models, rng):
+        rows = _mixed_rows(hetero_models, rng)
+        grid = periodic_steady_state_grid(rows)
+        for (model, sched), sol in zip(rows, grid):
+            check = periodic_steady_state(model, sched)
+            np.testing.assert_allclose(
+                sol.boundary_temperatures,
+                check.boundary_temperatures,
+                atol=PARITY,
+            )
+
+    def test_stepup_grid(self, hetero_models, rng):
+        rows = _mixed_rows(hetero_models, rng, stepup_only=True)
+        grid = stepup_peak_temperature_grid(rows, check=False)
+        for (model, sched), res in zip(rows, grid):
+            check = stepup_peak_temperature(model, sched, check=False)
+            assert res.value == pytest.approx(check.value, abs=PARITY)
+            np.testing.assert_allclose(
+                res.core_peaks, check.core_peaks, atol=PARITY
+            )
+
+    def test_general_grid(self, hetero_models, rng):
+        rows = _mixed_rows(hetero_models, rng)
+        grid = peak_temperature_grid(rows)
+        for (model, sched), res in zip(rows, grid):
+            check = peak_temperature(model, sched)
+            assert res.value == pytest.approx(check.value, abs=PARITY)
+            np.testing.assert_allclose(
+                res.core_peaks, check.core_peaks, atol=PARITY
+            )
+
+    def test_general_grid_no_fast_path(self, hetero_models, rng):
+        rows = _mixed_rows(hetero_models, rng, per_model=3)
+        grid = peak_temperature_grid(rows, stepup_fast_path=False)
+        for (model, sched), res in zip(rows, grid):
+            check = peak_temperature(model, sched, stepup_fast_path=False)
+            assert res.value == pytest.approx(check.value, abs=PARITY)
+
+    def test_padded_interval_edges(self, hetero_models, rng):
+        """Rows with wildly different interval counts pad correctly."""
+        m_small, m_large = hetero_models[0], hetero_models[-1]
+        rows = [
+            (m_small, constant_schedule([1.0, 1.0], period=0.02)),
+            (m_large, random_schedule(m_large.n_cores, rng, max_segments=8)),
+            (m_small, random_stepup_schedule(2, rng, max_segments=1)),
+        ]
+        grid = peak_temperature_grid(rows)
+        for (model, sched), res in zip(rows, grid):
+            check = peak_temperature(model, sched)
+            assert res.value == pytest.approx(check.value, abs=PARITY)
+
+    def test_single_row_and_empty(self, hetero_models, rng):
+        model = hetero_models[1]
+        sched = random_schedule(model.n_cores, rng)
+        [res] = peak_temperature_grid([(model, sched)])
+        assert res.value == pytest.approx(
+            peak_temperature(model, sched).value, abs=PARITY
+        )
+        assert peak_temperature_grid([]) == []
+        assert stepup_peak_temperature_grid([]) == []
+        assert periodic_steady_state_grid([]) == []
+
+    @settings(max_examples=15, deadline=None)
+    @given(perm_seed=st.integers(min_value=0, max_value=2**31 - 1))
+    def test_platform_axis_permutation_invariance(
+        self, hetero_models, perm_seed
+    ):
+        """Row order (hence platform stacking order) never changes results."""
+        rng = np.random.default_rng(7)
+        rows = _mixed_rows(hetero_models, rng, per_model=3)
+        base = peak_temperature_grid(rows)
+        perm = np.random.default_rng(perm_seed).permutation(len(rows))
+        shuffled = peak_temperature_grid([rows[i] for i in perm])
+        for k, i in enumerate(perm):
+            assert shuffled[k].value == base[i].value
+            assert shuffled[k].core == base[i].core
+
+
+class TestGridIsPerModelBatch:
+    """A grid call is one batch call per distinct model, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "grid_fn, batch_name, kwargs",
+        [
+            (periodic_steady_state_grid, "periodic_steady_state_batch", {}),
+            (stepup_peak_temperature_grid, "stepup_peak_temperature_batch",
+             {"check": False}),
+            (peak_temperature_grid, "peak_temperature_batch", {}),
+        ],
+        ids=["steady_state", "stepup", "peak"],
+    )
+    def test_grid_equals_per_model_batch(
+        self, hetero_models, rng, monkeypatch, grid_fn, batch_name, kwargs
+    ):
+        stepup_only = batch_name == "stepup_peak_temperature_batch"
+        rows = _mixed_rows(hetero_models, rng, per_model=3, stepup_only=stepup_only)
+        # Interleave platforms so grouping and scatter-back both matter.
+        rows = [rows[i] for i in np.random.default_rng(3).permutation(len(rows))]
+
+        batch_fn = getattr(batch_mod, batch_name)
+        calls = []
+
+        def spy(model, schedules, **kw):
+            calls.append(model)
+            return batch_fn(model, schedules, **kw)
+
+        monkeypatch.setattr(grid_mod, batch_name, spy)
+        grid = grid_fn(rows, **kwargs)
+
+        seen = list({id(m): m for m, _ in rows}.values())  # first-seen order
+        assert [id(m) for m in calls] == [id(m) for m in seen]
+
+        assert len(grid) == len(rows)
+        for model in seen:
+            idx = [i for i, (m, _) in enumerate(rows) if m is model]
+            ref = batch_fn(model, [rows[i][1] for i in idx], **kwargs)
+            for i, want in zip(idx, ref):
+                got = grid[i]
+                if batch_name == "periodic_steady_state_batch":
+                    assert got.schedule is rows[i][1]
+                    np.testing.assert_array_equal(
+                        got.boundary_temperatures, want.boundary_temperatures
+                    )
+                    continue
+                assert got.value == want.value
+                assert got.core == want.core
+                assert got.time == want.time
+                np.testing.assert_array_equal(got.core_peaks, want.core_peaks)
+
+
+class TestChunkBudget:
+    def test_forced_chunking_parity(self, hetero_models, rng, monkeypatch):
+        rows = _mixed_rows(hetero_models, rng, per_model=4)
+        baseline = peak_temperature_grid(rows)
+        monkeypatch.setattr(batch_mod, "GRID_CHUNK_ELEMENTS", 1000)
+        chunked = peak_temperature_grid(rows)
+        for a, b in zip(baseline, chunked):
+            assert a.value == b.value
+            assert a.core == b.core
 
 
 class TestApplyExpmMany:

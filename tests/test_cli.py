@@ -73,13 +73,6 @@ class TestMain:
         assert main(["run", "table2", "--quick"]) == 0
         assert "Table II" in capsys.readouterr().out
 
-    def test_legacy_subcommand_warns_and_runs(self, capsys):
-        with pytest.warns(DeprecationWarning, match="repro run"):
-            assert main(["legacy", "table2", "--quick"]) == 0
-        captured = capsys.readouterr()
-        assert "Table II" in captured.out
-        assert "deprecated" in captured.err
-
     def test_option_override(self, capsys):
         assert main(["run", "fig5", "--quick", "-o", "m_max=2"]) == 0
         out = capsys.readouterr().out

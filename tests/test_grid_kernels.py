@@ -1,185 +1,26 @@
-"""Cross-platform grid kernels vs the scalar paths, to 1e-9.
+"""Eigenbasis cache and the grid-batched consumers.
 
-Covers the (platform × schedule) tensorized kernels
-(:mod:`repro.thermal.grid`), the process-shared eigenbasis cache
-(:mod:`repro.util.eigcache`), the ``REPRO_GRID_CHUNK_ELEMENTS`` override,
-and the grid-batched consumers (``choose_m_grid``, ``certify_grid``,
-``perturbed_peak_batch``, the comparison batch executor).
+Covers the process-shared eigenbasis cache (:mod:`repro.util.eigcache`)
+and the consumers of the cross-platform grid kernels (``choose_m_grid``,
+``certify_grid``, ``perturbed_peak_batch``, the comparison batch
+executor) against their scalar counterparts.  The kernels' own parity
+suite is ``tests/test_batch.py``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.engine import EngineStats, ThermalEngine
-from repro.errors import ConfigurationError
-from repro.platform import Platform, paper_platform, platform_3d
-from repro.power import TransitionOverhead, big_little_power_model, paper_ladder
-from repro.floorplan import paper_floorplan
+from repro.platform import paper_platform
 from repro.schedule.builders import (
     constant_schedule,
     random_schedule,
     random_stepup_schedule,
 )
-from repro.thermal.batch import GRID_CHUNK_ELEMENTS, grid_chunk_elements
-from repro.thermal.grid import (
-    peak_temperature_grid,
-    periodic_steady_state_grid,
-    stepup_peak_temperature_grid,
-)
-from repro.thermal.model import ThermalModel
-from repro.thermal.peak import peak_temperature, stepup_peak_temperature
-from repro.thermal.periodic import periodic_steady_state
-from repro.thermal.rc import build_single_layer_network
 from repro.util import eigcache
 from repro.util.linalg import EigenExpm
 
 PARITY = 1e-9
-
-
-def _big_little_platform(n_cores=6, t_max_c=55.0):
-    fp = paper_floorplan(n_cores)
-    pm = big_little_power_model(big_cores=list(range(n_cores // 2)), n_cores=n_cores)
-    model = ThermalModel(build_single_layer_network(fp), pm)
-    return Platform(
-        model=model,
-        ladder=paper_ladder(2),
-        overhead=TransitionOverhead(),
-        t_max_c=t_max_c,
-    )
-
-
-@pytest.fixture(scope="module")
-def hetero_models():
-    """Heterogeneous platform mix: core counts, power models, topology."""
-    return [
-        paper_platform(2, n_levels=2, t_max_c=65.0).model,
-        paper_platform(3, n_levels=3, t_max_c=55.0).model,
-        _big_little_platform().model,
-        platform_3d(2, 2, 2, n_levels=2, t_max_c=60.0).model,
-    ]
-
-
-def _mixed_rows(models, rng, per_model=6, stepup_only=False):
-    rows = []
-    for model in models:
-        for i in range(per_model):
-            segments = int(rng.integers(1, 6))
-            if stepup_only or i % 2 == 0:
-                s = random_stepup_schedule(
-                    model.n_cores, rng, max_segments=segments, period=0.02
-                )
-            else:
-                s = random_schedule(
-                    model.n_cores, rng, max_segments=segments, period=0.02
-                )
-            rows.append((model, s))
-    return rows
-
-
-class TestGridParity:
-    def test_steady_state_grid(self, hetero_models, rng):
-        rows = _mixed_rows(hetero_models, rng)
-        grid = periodic_steady_state_grid(rows)
-        for (model, sched), sol in zip(rows, grid):
-            check = periodic_steady_state(model, sched)
-            np.testing.assert_allclose(
-                sol.boundary_temperatures,
-                check.boundary_temperatures,
-                atol=PARITY,
-            )
-
-    def test_stepup_grid(self, hetero_models, rng):
-        rows = _mixed_rows(hetero_models, rng, stepup_only=True)
-        grid = stepup_peak_temperature_grid(rows, check=False)
-        for (model, sched), res in zip(rows, grid):
-            check = stepup_peak_temperature(model, sched, check=False)
-            assert res.value == pytest.approx(check.value, abs=PARITY)
-            np.testing.assert_allclose(
-                res.core_peaks, check.core_peaks, atol=PARITY
-            )
-
-    def test_general_grid(self, hetero_models, rng):
-        rows = _mixed_rows(hetero_models, rng)
-        grid = peak_temperature_grid(rows)
-        for (model, sched), res in zip(rows, grid):
-            check = peak_temperature(model, sched)
-            assert res.value == pytest.approx(check.value, abs=PARITY)
-            np.testing.assert_allclose(
-                res.core_peaks, check.core_peaks, atol=PARITY
-            )
-
-    def test_general_grid_no_fast_path(self, hetero_models, rng):
-        rows = _mixed_rows(hetero_models, rng, per_model=3)
-        grid = peak_temperature_grid(rows, stepup_fast_path=False)
-        for (model, sched), res in zip(rows, grid):
-            check = peak_temperature(model, sched, stepup_fast_path=False)
-            assert res.value == pytest.approx(check.value, abs=PARITY)
-
-    def test_padded_interval_edges(self, hetero_models, rng):
-        """Rows with wildly different interval counts pad correctly."""
-        m_small, m_large = hetero_models[0], hetero_models[-1]
-        rows = [
-            (m_small, constant_schedule([1.0, 1.0], period=0.02)),
-            (m_large, random_schedule(m_large.n_cores, rng, max_segments=8)),
-            (m_small, random_stepup_schedule(2, rng, max_segments=1)),
-        ]
-        grid = peak_temperature_grid(rows)
-        for (model, sched), res in zip(rows, grid):
-            check = peak_temperature(model, sched)
-            assert res.value == pytest.approx(check.value, abs=PARITY)
-
-    def test_single_row_and_empty(self, hetero_models, rng):
-        model = hetero_models[1]
-        sched = random_schedule(model.n_cores, rng)
-        [res] = peak_temperature_grid([(model, sched)])
-        assert res.value == pytest.approx(
-            peak_temperature(model, sched).value, abs=PARITY
-        )
-        assert peak_temperature_grid([]) == []
-        assert stepup_peak_temperature_grid([]) == []
-        assert periodic_steady_state_grid([]) == []
-
-    @settings(max_examples=15, deadline=None)
-    @given(perm_seed=st.integers(min_value=0, max_value=2**31 - 1))
-    def test_platform_axis_permutation_invariance(
-        self, hetero_models, perm_seed
-    ):
-        """Row order (hence platform stacking order) never changes results."""
-        rng = np.random.default_rng(7)
-        rows = _mixed_rows(hetero_models, rng, per_model=3)
-        base = peak_temperature_grid(rows)
-        perm = np.random.default_rng(perm_seed).permutation(len(rows))
-        shuffled = peak_temperature_grid([rows[i] for i in perm])
-        for k, i in enumerate(perm):
-            assert shuffled[k].value == base[i].value
-            assert shuffled[k].core == base[i].core
-
-
-class TestChunkBudget:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GRID_CHUNK_ELEMENTS", raising=False)
-        assert grid_chunk_elements() == GRID_CHUNK_ELEMENTS
-
-    def test_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRID_CHUNK_ELEMENTS", "1234")
-        assert grid_chunk_elements() == 1234
-
-    @pytest.mark.parametrize("bad", ["nope", "1.5", "0", "-4"])
-    def test_invalid(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_GRID_CHUNK_ELEMENTS", bad)
-        with pytest.raises(ConfigurationError):
-            grid_chunk_elements()
-
-    def test_forced_chunking_parity(self, hetero_models, rng, monkeypatch):
-        rows = _mixed_rows(hetero_models, rng, per_model=4)
-        baseline = peak_temperature_grid(rows)
-        monkeypatch.setenv("REPRO_GRID_CHUNK_ELEMENTS", "1000")
-        chunked = peak_temperature_grid(rows)
-        for a, b in zip(baseline, chunked):
-            assert a.value == b.value
-            assert a.core == b.core
 
 
 class TestEigenCache:

@@ -196,20 +196,25 @@ class TestLoadPlatformShim:
             load_platform()
 
     def test_legacy_kwargs_warn_but_match(self):
-        with pytest.warns(DeprecationWarning):
+        # Bare overrides build the paper preset, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             legacy = load_platform(n_cores=2, n_levels=2, t_max_c=65.0)
         blessed = load_platform("paper", n_cores=2, n_levels=2, t_max_c=65.0)
         assert platform_hash(legacy) == platform_hash(blessed)
 
     def test_legacy_flat_dict_warns_but_matches(self):
-        with pytest.warns(DeprecationWarning):
+        # A flat overrides dict builds the paper preset, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             legacy = load_platform({"n_cores": 2, "n_levels": 2})
         assert platform_hash(legacy) == platform_hash(
             load_platform("paper", n_cores=2, n_levels=2)
         )
 
-    def test_legacy_object_overrides_still_build(self):
+    def test_object_overrides_rejected(self):
+        # Overrides must be spec scalars; objects no longer fall back to
+        # a direct paper_platform() call.
         power = big_little_power_model(big_cores=[0], n_cores=2)
-        with pytest.warns(DeprecationWarning):
-            built = load_platform(n_cores=2, power=power)
-        assert built.model.power is power and built.spec is None
+        with pytest.raises(ConfigurationError):
+            load_platform(n_cores=2, power=power)
