@@ -6,7 +6,7 @@ and batched peak kernels, and threaded them through ad-hoc
 ``peak_fn`` / ``peak_batch_fn`` keyword plumbing.  :class:`ThermalEngine`
 centralizes that choice: it owns the bound
 :class:`~repro.thermal.model.ThermalModel` (and with it the
-steady-state and expm LRU caches), exposes the scalar *and* batched peak
+steady-state LRU cache), exposes the scalar *and* batched peak
 engines behind one interface, and instruments everything — steady-state
 solves, cache hit rates, expm applications, batch sizes, and per-phase
 wall time — so every :class:`~repro.algorithms.base.SchedulerResult` can
@@ -128,9 +128,8 @@ class EngineStats:
     steady_state_batch_rows:
         Voltage vectors resolved through ``steady_state_batch`` (EXS path).
     expm_applications:
-        Vector propagations through ``expm(A t)`` (scalar and batched).
-    expm_cache_hits:
-        Dense propagator requests served from the interval-keyed LRU.
+        Vector propagations and dense propagators through ``expm(A t)``
+        (scalar and batched).
     peak_evals:
         Scalar peak evaluations (step-up or general engine).
     batch_calls / batch_candidates / max_batch:
@@ -147,7 +146,6 @@ class EngineStats:
     steady_state_cache_hits: int = 0
     steady_state_batch_rows: int = 0
     expm_applications: int = 0
-    expm_cache_hits: int = 0
     peak_evals: int = 0
     batch_calls: int = 0
     batch_candidates: int = 0
@@ -192,8 +190,7 @@ class EngineStats:
             f"(+{self.steady_state_cache_hits} cached, "
             f"hit rate {self.cache_hit_rate:.0%}, "
             f"batch rows {self.steady_state_batch_rows})",
-            f"  expm applications   : {self.expm_applications} "
-            f"(+{self.expm_cache_hits} cached propagators)",
+            f"  expm applications   : {self.expm_applications}",
             f"  peak evaluations    : {self.peak_evals} scalar, "
             f"{self.batch_calls} batched "
             f"({self.batch_candidates} candidates, max batch {self.max_batch})",
@@ -218,7 +215,6 @@ class EngineStats:
             "steady_state_cache_hits": self.steady_state_cache_hits,
             "steady_state_batch_rows": self.steady_state_batch_rows,
             "expm_applications": self.expm_applications,
-            "expm_cache_hits": self.expm_cache_hits,
             "peak_evals": self.peak_evals,
             "batch_calls": self.batch_calls,
             "batch_candidates": self.batch_candidates,
@@ -231,13 +227,17 @@ class EngineStats:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EngineStats":
-        """Rebuild stats from :meth:`as_dict` output (derived keys ignored)."""
+        """Rebuild stats from :meth:`as_dict` output.
+
+        Unknown keys are ignored: derived ones (``cache_hit_rate``) and
+        counters of older journal rows (``expm_cache_hits``), so
+        ``--resume`` and ``repro stats`` keep reading them.
+        """
         return cls(
             steady_state_solves=int(data.get("steady_state_solves", 0)),
             steady_state_cache_hits=int(data.get("steady_state_cache_hits", 0)),
             steady_state_batch_rows=int(data.get("steady_state_batch_rows", 0)),
             expm_applications=int(data.get("expm_applications", 0)),
-            expm_cache_hits=int(data.get("expm_cache_hits", 0)),
             peak_evals=int(data.get("peak_evals", 0)),
             batch_calls=int(data.get("batch_calls", 0)),
             batch_candidates=int(data.get("batch_candidates", 0)),
@@ -264,7 +264,6 @@ class EngineStats:
                 self.steady_state_batch_rows + other.steady_state_batch_rows
             ),
             expm_applications=self.expm_applications + other.expm_applications,
-            expm_cache_hits=self.expm_cache_hits + other.expm_cache_hits,
             peak_evals=self.peak_evals + other.peak_evals,
             batch_calls=self.batch_calls + other.batch_calls,
             batch_candidates=self.batch_candidates + other.batch_candidates,
@@ -546,7 +545,6 @@ class ThermalEngine:
             "ss_cache_hits": model.ss_cache_hits,
             "ss_batch_rows": model.ss_batch_rows,
             "expm_applications": eigen.expm_applications if eigen else 0,
-            "expm_cache_hits": eigen.expm_cache_hits if eigen else 0,
             "peak_evals": self._peak_evals,
             "batch_calls": self._batch_calls,
             "batch_candidates": self._batch_candidates,
@@ -571,7 +569,6 @@ class ThermalEngine:
             expm_applications=(
                 now["expm_applications"] - checkpoint["expm_applications"]
             ),
-            expm_cache_hits=now["expm_cache_hits"] - checkpoint["expm_cache_hits"],
             peak_evals=now["peak_evals"] - checkpoint["peak_evals"],
             batch_calls=now["batch_calls"] - checkpoint["batch_calls"],
             batch_candidates=now["batch_candidates"] - checkpoint["batch_candidates"],

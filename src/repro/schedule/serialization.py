@@ -11,6 +11,7 @@ so non-Python consumers (a kernel governor, a C runtime) can parse it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
@@ -100,10 +101,16 @@ def schedule_from_json(text: str) -> PeriodicSchedule:
 
 
 def _jsonable(value):
+    """JSON-native form of one detail value (dataclasses field by field)."""
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: _jsonable(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -114,17 +121,10 @@ def _jsonable(value):
 def result_to_dict(result: SchedulerResult) -> dict[str, Any]:
     """Plain-dict form of a scheduler result (schedule + metrics + details).
 
-    Detail entries are converted to JSON-safe types; entries that still
-    resist conversion are stringified rather than dropped.
+    Detail entries are converted to JSON-native types: arrays become
+    lists, numpy scalars Python scalars, and dataclasses (such as a
+    controller trace) dicts of their fields.
     """
-    details = {}
-    for key, value in result.details.items():
-        converted = _jsonable(value)
-        try:
-            json.dumps(converted)
-        except (TypeError, ValueError):
-            converted = str(value)
-        details[key] = converted
     return {
         "format": "repro.result",
         "version": FORMAT_VERSION,
@@ -134,7 +134,7 @@ def result_to_dict(result: SchedulerResult) -> dict[str, Any]:
         "feasible": result.feasible,
         "runtime_s": result.runtime_s,
         "schedule": schedule_to_dict(result.schedule),
-        "details": details,
+        "details": _jsonable(result.details),
         "stats": result.stats.as_dict() if result.stats is not None else None,
         "certificate": (
             result.certificate.as_dict()
@@ -147,10 +147,10 @@ def result_to_dict(result: SchedulerResult) -> dict[str, Any]:
 def result_from_dict(data: dict[str, Any]) -> SchedulerResult:
     """Rebuild a :class:`SchedulerResult` from its plain-dict form.
 
-    The inverse of :func:`result_to_dict` up to the lossy detail
-    conversion (arrays come back as lists, stringified leftovers stay
-    strings).  This is what lets the experiment runner journal finished
-    work units as JSON and reassemble them on ``--resume``.
+    The inverse of :func:`result_to_dict` up to the detail conversion
+    (arrays come back as lists, dataclasses as dicts of their fields).
+    This is what lets the experiment runner journal finished work units
+    as JSON and reassemble them on ``--resume``.
     """
     if data.get("format") != "repro.result":
         raise ScheduleError(f"not a repro result document: {data.get('format')!r}")

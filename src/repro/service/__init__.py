@@ -25,7 +25,6 @@ grid-batched dispatch all do.
 
 from repro.service.cache import (
     ScheduleCache,
-    cache_enabled,
     platform_hash,
     schedule_cache_key,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "SchedulerSession",
     "SolveOutcome",
     "RequestCoalescer",
-    "cache_enabled",
     "default_session",
     "platform_hash",
     "reset_default_session",

@@ -4,16 +4,14 @@ The serving layer answers the same question over and over — *what
 schedule should this platform run?* — and the answer is fully determined
 by the platform's thermal/power content, the solver, and its parameters.
 This module memoizes :func:`~repro.algorithms.registry.guarded_solve`
-outcomes behind a content hash, with the same two-layer discipline as
-the eigenbasis cache (:mod:`repro.util.eigcache`):
+outcomes behind a content hash, in two layers:
 
-* an **in-process LRU** — hits are dict lookups, and worker processes
-  forked from a warm parent inherit it;
+* an **in-process LRU** of :data:`MEMORY_SIZE` entries — hits are dict
+  lookups, and worker processes forked from a warm parent inherit it;
 * an **opt-in on-disk directory** — one JSON document per key, written
   atomically (temp file + ``os.replace``) so concurrent sessions and
   sharded-runner workers deduplicate solves across process boundaries.
-  Unlike the eigenbasis cache the values here are *results*, not
-  refactorings of the key, so the disk layer is opt-in
+  The values are *results*, so the layer is opt-in
   (``REPRO_SCHEDULE_CACHE_DIR``) and every document embeds its key and
   format version — a stale or foreign file degrades to a miss.
 
@@ -25,12 +23,8 @@ name, its canonicalized parameters and the certification tolerance via
 the runner's :func:`~repro.runner.units.canonical_json` discipline.  Two
 platforms share entries only when their physics is bitwise identical.
 
-Configuration (environment):
-
-* ``REPRO_SCHEDULE_CACHE=0`` — disable schedule caching entirely (both
-  layers); :func:`cache_enabled` is consulted per request.
-* ``REPRO_SCHEDULE_CACHE_DIR`` — enable the shared disk layer rooted at
-  the given directory.
+Configuration (environment): ``REPRO_SCHEDULE_CACHE_DIR`` enables the
+shared disk layer rooted at the given directory.
 
 Hits, misses and writes are counted in :data:`repro.obs.METRICS` under
 ``service.cache_*`` and per-instance (:meth:`ScheduleCache.stats`), from
@@ -56,7 +50,6 @@ from repro.runner.units import canonical_json
 __all__ = [
     "CACHE_FORMAT",
     "ScheduleCache",
-    "cache_enabled",
     "platform_hash",
     "schedule_cache_key",
     "schedule_cache_dir",
@@ -66,6 +59,11 @@ __all__ = [
 #: the solve path changes in a way that invalidates cached outcomes
 #: (solver semantics, certificate checks, result wire format).
 CACHE_FORMAT = 1
+
+#: Bound on the in-process layer (least-recently-used entry evicted).
+#: Outcome documents are small (a schedule plus a certificate), so this
+#: is a working-set bound, not a leak guard.
+MEMORY_SIZE = 1024
 
 #: Power-model coefficients that define the platform's physics; scalar
 #: for :class:`~repro.power.model.PowerModel`, per-core arrays for the
@@ -162,15 +160,8 @@ def schedule_cache_key(
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()[:32]
 
 
-def cache_enabled() -> bool:
-    """Whether schedule caching is on (``REPRO_SCHEDULE_CACHE=0`` kills it)."""
-    return os.environ.get("REPRO_SCHEDULE_CACHE", "").strip() != "0"
-
-
 def schedule_cache_dir() -> Path | None:
     """The shared disk directory, or ``None`` (the layer is opt-in)."""
-    if not cache_enabled():
-        return None
     override = os.environ.get("REPRO_SCHEDULE_CACHE_DIR", "").strip()
     if override:
         return Path(override)
@@ -183,26 +174,15 @@ class ScheduleCache:
     Parameters
     ----------
     directory:
-        Disk-layer root.  ``None`` (default) resolves it from
-        ``REPRO_SCHEDULE_CACHE_DIR`` at construction time; pass a path
-        to pin it explicitly, or ``directory=False``-like empty string
-        never arises — use ``ScheduleCache(directory=None)`` with the
-        env var unset for a memory-only cache.
-    memory_size:
-        Bound on the in-process layer (least-recently-used entry
-        evicted).  Outcome documents are small (a schedule plus a
-        certificate), so this is a working-set knob, not a leak guard.
+        Disk-layer root.  A path pins it explicitly; ``None`` (default)
+        reads ``REPRO_SCHEDULE_CACHE_DIR`` at construction time, and with
+        that variable unset the cache is memory-only.
     """
 
-    def __init__(
-        self,
-        directory: str | os.PathLike | None = None,
-        memory_size: int = 1024,
-    ) -> None:
+    def __init__(self, directory: str | os.PathLike | None = None) -> None:
         self.directory = (
             Path(directory) if directory is not None else schedule_cache_dir()
         )
-        self.memory_size = int(memory_size)
         self._memory: OrderedDict[str, dict[str, Any]] = OrderedDict()
         self.memory_hits = 0
         self.disk_hits = 0
@@ -220,7 +200,7 @@ class ScheduleCache:
         if key in self._memory:
             self._memory.move_to_end(key)
             return
-        while len(self._memory) >= self.memory_size:
+        while len(self._memory) >= MEMORY_SIZE:
             self._memory.popitem(last=False)
         self._memory[key] = doc
 

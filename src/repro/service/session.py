@@ -4,9 +4,9 @@ A :class:`SchedulerSession` is the long-lived object the serving layer
 (and every in-process consumer) routes thermal work through.  It owns:
 
 * one :class:`~repro.engine.ThermalEngine` per platform content hash,
-  LRU-bounded, so repeated requests for the same physics share the
-  model's steady-state/expm/eigenbasis caches instead of rebuilding
-  them per call;
+  LRU-bounded (:data:`MAX_ENGINES`), so repeated requests for the same
+  physics share the model's steady-state and eigenbasis caches instead
+  of rebuilding them per call;
 * a content-addressed :class:`~repro.service.cache.ScheduleCache`
   mapping ``(platform, solver, params, tolerance)`` to finished solve
   outcomes — a warm repeat request never touches the solver at all;
@@ -44,7 +44,6 @@ from repro.obs import METRICS, span
 from repro.platform import Platform
 from repro.service.cache import (
     ScheduleCache,
-    cache_enabled,
     platform_hash,
     schedule_cache_key,
 )
@@ -55,6 +54,11 @@ __all__ = [
     "default_session",
     "reset_default_session",
 ]
+
+#: Bound on the per-platform engine LRU.  Each engine pins its platform's
+#: thermal model (and caches); sweeps touch a handful of platforms, so
+#: this is a working-set bound.
+MAX_ENGINES = 8
 
 #: Bound on canonical-spec -> platform-hash memoization (strings only).
 _SPEC_MEMO_SIZE = 4096
@@ -154,22 +158,13 @@ class SchedulerSession:
 
     Parameters
     ----------
-    max_engines:
-        Bound on the per-platform engine LRU.  Each engine pins its
-        platform's thermal model (and caches); sweeps touch a handful of
-        platforms, so the default is a working-set knob.
     cache:
         Inject a :class:`ScheduleCache` (tests, custom disk roots);
         defaults to a fresh one resolving its disk layer from the
         environment.
     """
 
-    def __init__(
-        self,
-        max_engines: int = 8,
-        cache: ScheduleCache | None = None,
-    ) -> None:
-        self.max_engines = int(max_engines)
+    def __init__(self, cache: ScheduleCache | None = None) -> None:
         self.cache = cache if cache is not None else ScheduleCache()
         self._engines: OrderedDict[str, ThermalEngine] = OrderedDict()
         self._spec_memo: OrderedDict[str, str] = OrderedDict()
@@ -245,7 +240,7 @@ class SchedulerSession:
             if built is None:
                 built = spec.build()
             engine = ThermalEngine(built)
-        while len(self._engines) >= self.max_engines:
+        while len(self._engines) >= MAX_ENGINES:
             self._engines.popitem(last=False)
             self.engines_evicted += 1
             METRICS.counter("service.engines_evicted").inc()
@@ -269,7 +264,6 @@ class SchedulerSession:
         *,
         certify_tolerance: float | None = None,
         margin_policy: str | None = None,
-        use_cache: bool = True,
     ) -> SolveOutcome:
         """One guarded, certified, cached solve request.
 
@@ -278,7 +272,8 @@ class SchedulerSession:
         a malformed request is a client error, not a solver failure to
         degrade through the fallback chain.  ``margin_policy`` is part
         of the cache key: a shrink-policy result is never served for a
-        plain request or vice versa.
+        plain request or vice versa.  A caller who wants a fresh solve
+        of a cached key uses a fresh session.
         """
         from repro.algorithms.registry import get_solver
         from repro.errors import SolverError
@@ -300,21 +295,19 @@ class SchedulerSession:
         cache_key = schedule_cache_key(
             key, spec.name, params, certify_tolerance, margin_policy
         )
-        caching = use_cache and cache_enabled()
-        if caching:
-            value = self.cache.get(cache_key)
-            if value is not None:
-                self.cache_hits += 1
-                METRICS.counter("service.cache_hits").inc()
-                return _outcome_from_value(
-                    value, cached=True, platform_key=key, cache_key=cache_key
-                )
+        value = self.cache.get(cache_key)
+        if value is not None:
+            self.cache_hits += 1
+            METRICS.counter("service.cache_hits").inc()
+            return _outcome_from_value(
+                value, cached=True, platform_key=key, cache_key=cache_key
+            )
 
         return self._solve_uncached(
             platform, spec, params,
             certify_tolerance=certify_tolerance,
             margin_policy=margin_policy,
-            platform_key=key, cache_key=cache_key, store=caching,
+            platform_key=key, cache_key=cache_key,
         )
 
     def _solve_uncached(
@@ -327,7 +320,6 @@ class SchedulerSession:
         margin_policy: str | None = None,
         platform_key: str,
         cache_key: str,
-        store: bool,
     ) -> SolveOutcome:
         from repro.algorithms.registry import guarded_solve
         from repro.errors import InfeasibleError
@@ -352,8 +344,7 @@ class SchedulerSession:
         METRICS.histogram("service.solve_seconds").observe(
             time.perf_counter() - t0
         )
-        if store:
-            self.cache.put(cache_key, _cache_value(status, result, detail))
+        self.cache.put(cache_key, _cache_value(status, result, detail))
         return SolveOutcome(
             status=status,
             result=result,

@@ -107,12 +107,12 @@ class ThermalModel:
     def eigen(self) -> EigenExpm:
         """Cached eigendecomposition of ``A`` (real negative spectrum).
 
-        Resolved through the process-shared content-keyed eigenbasis cache
+        Resolved through the process-wide content-keyed eigenbasis memo
         (:mod:`repro.util.eigcache`): models built for bitwise-identical
         system matrices — e.g. sharded-runner units sweeping ``t_max`` or
         power levels on one floorplan — reuse the factors instead of
-        re-running the O(n^3) decomposition.  Counters distinguish hits
-        (memory or disk) from fresh decompositions.
+        re-running the O(n^3) decomposition.  Counters distinguish memo
+        hits from fresh decompositions.
         """
         from repro.util.eigcache import shared_eigen
 

@@ -82,11 +82,9 @@ def periodic_steady_state(
     d = simulate_schedule_period(model, schedule, np.zeros(n))
 
     # Monodromy matrix K = Phi_z ... Phi_1 (dense; n is small: 2N+1 nodes).
-    # The per-interval factors are LRU-cached by length: optimizer loops
-    # rebuild schedules over the same handful of interval durations.
     k = np.eye(n)
     for length, _ in rows:
-        k = model.eigen.expm_cached(length) @ k
+        k = model.eigen.expm(length) @ k
 
     theta0 = solve_linear(np.eye(n) - k, d)
 

@@ -1,33 +1,18 @@
-"""Process-shared, content-keyed cache of eigenbasis factors.
+"""Process-wide, content-keyed memo of eigenbasis factors.
 
 Every :class:`~repro.thermal.model.ThermalModel` pays one O(n^3)
 symmetric eigendecomposition when its ``eigen`` property first resolves.
-The sweeps built on the sharded runner construct the *same* platforms
-over and over — one fresh model per work unit, one unit per worker
-process — so identical decompositions are recomputed dozens of times per
-run.  This module memoizes the factors ``(lam, W, W^{-1})`` behind a
-content hash of the system matrix, with two layers:
-
-* an **in-process dict** — hits are free, and worker processes forked
-  from a warm parent inherit it;
-* a **shared on-disk directory** — serialized ``.npz`` factor files
-  written atomically (write-to-temp then ``os.replace``), so concurrent
-  sharded-runner workers deduplicate work across process boundaries.
-  The directory reuses the runner's content-hash discipline: the file
-  name *is* the identity, and a raced double-write is harmless because
-  both writers produce the same bytes.
+Sweeps and served requests construct the *same* platforms over and over
+— one fresh model per work unit or engine — so this module memoizes the
+factors ``(lam, W, W^{-1})`` in an in-process dict behind a content hash
+of the system matrix.  Worker processes forked from a warm parent
+inherit it.
 
 Keys cover the full float64 bytes of ``A`` (and ``c_diag``), so two
 platforms share an entry only when their thermal systems are bitwise
 identical — which is exactly the case for the comparison grid, where
 cells differ in ``n_levels`` / ``t_max_c`` but share the RC network.
-
-Configuration (environment):
-
-* ``REPRO_EIG_CACHE_DIR`` — override the shared directory (default:
-  ``$TMPDIR/repro-eigcache-<uid>``).
-* ``REPRO_EIG_CACHE=0`` — disable the disk layer (the in-process layer
-  always runs; it cannot produce stale results by construction).
+The memo cannot serve a stale result by construction.
 
 Hits and misses are counted in :data:`repro.obs.METRICS` (``eigcache.*``)
 and per-model (:attr:`ThermalModel.eig_cache_hits`), from where they flow
@@ -39,9 +24,6 @@ stats`` can aggregate one truthful hit rate per run via
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -50,7 +32,6 @@ from repro.util.linalg import EigenExpm
 
 __all__ = [
     "eigen_cache_key",
-    "eigen_cache_dir",
     "shared_eigen",
     "clear_memory_cache",
 ]
@@ -73,19 +54,8 @@ def eigen_cache_key(a: np.ndarray, c_diag: np.ndarray | None = None) -> str:
     return h.hexdigest()[:32]
 
 
-def eigen_cache_dir() -> Path | None:
-    """The shared directory, or ``None`` when the disk layer is disabled."""
-    if os.environ.get("REPRO_EIG_CACHE", "").strip() == "0":
-        return None
-    override = os.environ.get("REPRO_EIG_CACHE_DIR", "").strip()
-    if override:
-        return Path(override)
-    uid = os.getuid() if hasattr(os, "getuid") else 0
-    return Path(tempfile.gettempdir()) / f"repro-eigcache-{uid}"
-
-
 def clear_memory_cache() -> None:
-    """Drop the in-process layer (tests; the disk layer is content-keyed)."""
+    """Drop every memoized decomposition (tests)."""
     _MEMORY.clear()
 
 
@@ -97,52 +67,15 @@ def _remember(key: str, factors: dict[str, np.ndarray]) -> None:
     _MEMORY[key] = factors
 
 
-def _load_disk(path: Path, a: np.ndarray) -> dict[str, np.ndarray] | None:
-    """Load one factor file, verifying it matches the requested matrix.
-
-    Any failure — missing file, truncated write from a dead worker, a
-    matrix mismatch — degrades to a miss rather than an error.
-    """
-    try:
-        with np.load(path) as npz:
-            factors = {name: np.array(npz[name]) for name in
-                       ("a", "eigenvalues", "w", "w_inv")}
-    except (OSError, KeyError, ValueError):
-        return None
-    if factors["a"].shape != a.shape or not np.array_equal(factors["a"], a):
-        return None
-    return factors
-
-
-def _store_disk(path: Path, factors: dict[str, np.ndarray]) -> None:
-    """Atomic write: temp file in the same directory, then ``os.replace``."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.stem, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, **factors)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError:
-        # A read-only or full cache directory must never fail the solve.
-        METRICS.counter("eigcache.disk_write_errors").inc()
-
-
 def shared_eigen(
     a: np.ndarray,
     c_diag: np.ndarray | None = None,
 ) -> tuple[EigenExpm, str]:
-    """Resolve the eigendecomposition of ``a`` through the shared cache.
+    """Resolve the eigendecomposition of ``a`` through the memo.
 
-    Returns ``(eigen, origin)`` with ``origin`` one of ``"memory"``,
-    ``"disk"`` or ``"miss"``.  The returned :class:`EigenExpm` is a fresh
-    instance (own counters, own expm LRU) wrapping possibly shared
-    read-only factor arrays.
+    Returns ``(eigen, origin)`` with ``origin`` either ``"memory"`` or
+    ``"miss"``.  The returned :class:`EigenExpm` is a fresh instance (own
+    counters) wrapping possibly shared read-only factor arrays.
     """
     a = np.asarray(a, dtype=float)
     key = eigen_cache_key(a, c_diag)
@@ -152,19 +85,8 @@ def shared_eigen(
         METRICS.counter("eigcache.memory_hits").inc()
         return EigenExpm.from_factors(**factors), "memory"
 
-    directory = eigen_cache_dir()
-    path = directory / f"{key}.npz" if directory is not None else None
-    if path is not None:
-        factors = _load_disk(path, a)
-        if factors is not None:
-            METRICS.counter("eigcache.disk_hits").inc()
-            _remember(key, factors)
-            return EigenExpm.from_factors(**factors), "disk"
-
     METRICS.counter("eigcache.misses").inc()
     eigen = EigenExpm(a, c_diag=c_diag)
     factors = {name: np.array(arr) for name, arr in eigen.factors().items()}
     _remember(key, factors)
-    if path is not None:
-        _store_disk(path, factors)
     return eigen, "miss"

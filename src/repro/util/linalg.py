@@ -13,8 +13,6 @@ All solves go through :func:`solve_linear` (LU with a conditioning check)
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 import scipy.linalg
 
@@ -101,15 +99,7 @@ class EigenExpm:
         expm(A t) @ x = W @ (exp(lam * t) * (W^{-1} @ x))
 
     so after the one-time O(n^3) setup, each propagation costs O(n^2).
-
-    Dense ``expm(A t)`` matrices requested through :meth:`expm_cached` are
-    memoized per interval length (LRU): schedule solvers re-use the same
-    handful of interval durations thousands of times inside optimizer
-    loops.
     """
-
-    #: Capacity of the per-instance interval-keyed ``expm`` LRU cache.
-    EXPM_CACHE_SIZE = 512
 
     def __init__(self, a: np.ndarray, c_diag: np.ndarray | None = None) -> None:
         a = np.asarray(a, dtype=float)
@@ -148,21 +138,14 @@ class EigenExpm:
                 f"(max eigenvalue {np.max(self.eigenvalues):.3e} >= 0)"
             )
 
-        self._init_runtime_state()
-
-    def _init_runtime_state(self) -> None:
-        """Per-instance caches and counters (never shared across instances)."""
-        self._expm_cache: OrderedDict[float, np.ndarray] = OrderedDict()
         #: Instrumentation: vector propagations through ``expm(A t)``
         #: (scalar applications count 1, batched ones count per row).
         self.expm_applications = 0
-        #: Instrumentation: dense propagators served from the LRU.
-        self.expm_cache_hits = 0
 
     def factors(self) -> dict[str, np.ndarray]:
         """The serializable decomposition factors ``(A, lam, W, W^{-1})``.
 
-        This is what the process-shared eigenbasis cache persists
+        This is what the process-wide eigenbasis memo keeps
         (:mod:`repro.util.eigcache`); :meth:`from_factors` is the inverse.
         """
         return {
@@ -186,8 +169,8 @@ class EigenExpm:
         factorization itself is trusted — callers must only feed factors
         produced by :meth:`factors` for the *same* matrix (the eigenbasis
         cache guarantees this by content-hashing ``a``).  The returned
-        instance has fresh counters and an empty ``expm`` LRU; the factor
-        arrays themselves may be shared read-only across instances.
+        instance has fresh counters; the factor arrays themselves may be
+        shared read-only across instances.
         """
         a = np.asarray(a, dtype=float)
         eigenvalues = np.asarray(eigenvalues, dtype=float)
@@ -212,7 +195,7 @@ class EigenExpm:
         obj.eigenvalues = eigenvalues
         obj.w = w
         obj.w_inv = w_inv
-        obj._init_runtime_state()
+        obj.expm_applications = 0
         return obj
 
     @property
@@ -226,24 +209,6 @@ class EigenExpm:
             raise ValueError(f"time must be non-negative, got {t}")
         self.expm_applications += 1
         return (self.w * np.exp(self.eigenvalues * t)[None, :]) @ self.w_inv
-
-    def expm_cached(self, t: float) -> np.ndarray:
-        """LRU-memoized :meth:`expm` keyed by the interval length ``t``.
-
-        Returns a shared read-only array; callers must not mutate it.
-        """
-        key = float(t)
-        cached = self._expm_cache.get(key)
-        if cached is not None:
-            self.expm_cache_hits += 1
-            self._expm_cache.move_to_end(key)
-            return cached
-        mat = self.expm(key)
-        mat.setflags(write=False)
-        if len(self._expm_cache) >= self.EXPM_CACHE_SIZE:
-            self._expm_cache.popitem(last=False)
-        self._expm_cache[key] = mat
-        return mat
 
     def apply_expm(self, t: float, x: np.ndarray) -> np.ndarray:
         """Compute ``expm(A t) @ x`` without forming the matrix."""

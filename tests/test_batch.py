@@ -43,7 +43,6 @@ from repro.thermal.peak import (
 )
 from repro.thermal.periodic import periodic_steady_state
 from repro.thermal.rc import build_single_layer_network
-from repro.util.linalg import EigenExpm
 
 PARITY = 1e-9
 
@@ -378,23 +377,6 @@ class TestApplyExpmMany:
     def test_negative_time_raises(self, model3):
         with pytest.raises(ValueError):
             model3.eigen.apply_expm_many([-0.1], np.zeros((1, model3.n_nodes)))
-
-
-class TestExpmCache:
-    def test_cached_matches_direct(self, model3):
-        mat = model3.eigen.expm_cached(0.0123)
-        np.testing.assert_array_equal(mat, model3.eigen.expm(0.0123))
-        assert model3.eigen.expm_cached(0.0123) is mat  # hit, same object
-        assert not mat.flags.writeable
-
-    def test_lru_eviction(self, monkeypatch, model3):
-        monkeypatch.setattr(EigenExpm, "EXPM_CACHE_SIZE", 3)
-        eigen = EigenExpm(model3.eigen.a, c_diag=None)
-        for t in (0.01, 0.02, 0.03):
-            eigen.expm_cached(t)
-        eigen.expm_cached(0.01)  # refresh: 0.02 is now the oldest
-        eigen.expm_cached(0.04)  # evicts 0.02
-        assert set(eigen._expm_cache) == {0.01, 0.03, 0.04}
 
 
 class TestSteadyStateLRU:

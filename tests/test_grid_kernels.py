@@ -1,6 +1,6 @@
 """Eigenbasis cache and the grid-batched consumers.
 
-Covers the process-shared eigenbasis cache (:mod:`repro.util.eigcache`)
+Covers the process-wide eigenbasis memo (:mod:`repro.util.eigcache`)
 and the consumers of the cross-platform grid kernels (``choose_m_grid``,
 ``certify_grid``, ``perturbed_peak_batch``, the comparison batch
 executor) against their scalar counterparts.  The kernels' own parity
@@ -18,7 +18,6 @@ from repro.schedule.builders import (
     random_stepup_schedule,
 )
 from repro.util import eigcache
-from repro.util.linalg import EigenExpm
 
 PARITY = 1e-9
 
@@ -31,8 +30,7 @@ class TestEigenCache:
         k3 = eigcache.eigen_cache_key(model3.a * 1.0000001, model3.c_diag)
         assert k3 != k1
 
-    def test_memory_hit(self, model3, monkeypatch):
-        monkeypatch.setenv("REPRO_EIG_CACHE", "0")  # memory layer only
+    def test_memory_hit(self, model3):
         eigcache.clear_memory_cache()
         eig1, origin1 = eigcache.shared_eigen(model3.a, c_diag=model3.c_diag)
         eig2, origin2 = eigcache.shared_eigen(model3.a, c_diag=model3.c_diag)
@@ -40,21 +38,7 @@ class TestEigenCache:
         np.testing.assert_array_equal(eig1.eigenvalues, eig2.eigenvalues)
         assert eig1 is not eig2  # fresh wrapper, shared factors
 
-    def test_disk_roundtrip(self, model3, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_EIG_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_EIG_CACHE_DIR", str(tmp_path))
-        eigcache.clear_memory_cache()
-        _, origin1 = eigcache.shared_eigen(model3.a, c_diag=model3.c_diag)
-        assert origin1 == "miss"
-        assert list(tmp_path.glob("*.npz"))  # written through
-        eigcache.clear_memory_cache()  # simulate a fresh worker process
-        eig, origin2 = eigcache.shared_eigen(model3.a, c_diag=model3.c_diag)
-        assert origin2 == "disk"
-        check = EigenExpm(model3.a, c_diag=model3.c_diag)
-        np.testing.assert_allclose(eig.eigenvalues, check.eigenvalues)
-
-    def test_factors_read_only(self, model3, monkeypatch):
-        monkeypatch.setenv("REPRO_EIG_CACHE", "0")
+    def test_factors_read_only(self, model3):
         eigcache.clear_memory_cache()
         eigcache.shared_eigen(model3.a, c_diag=model3.c_diag)
         eig, origin = eigcache.shared_eigen(model3.a, c_diag=model3.c_diag)
@@ -62,8 +46,7 @@ class TestEigenCache:
         with pytest.raises(ValueError):
             eig.eigenvalues[0] = 0.0
 
-    def test_model_counters(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_EIG_CACHE_DIR", str(tmp_path))
+    def test_model_counters(self):
         eigcache.clear_memory_cache()
         m1 = paper_platform(3, n_levels=2, t_max_c=55.0).model
         _ = m1.eigen
@@ -72,8 +55,7 @@ class TestEigenCache:
         _ = m2.eigen
         assert (m2.eig_cache_hits, m2.eig_cache_misses) == (1, 0)
 
-    def test_stats_flow(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_EIG_CACHE_DIR", str(tmp_path))
+    def test_stats_flow(self):
         eigcache.clear_memory_cache()
         engine = ThermalEngine(paper_platform(2, n_levels=2, t_max_c=65.0))
         mark = engine.checkpoint()
@@ -91,6 +73,11 @@ class TestEigenCache:
         assert "eigenbasis cache" in combined.format()
         roundtrip = EngineStats.from_dict(combined.as_dict())
         assert roundtrip.eigen_cache_hits == 3
+        # Journal rows written before the expm LRU was removed still
+        # carry its counter; they load, and the counter is dropped.
+        old_row = dict(combined.as_dict(), expm_cache_hits=7)
+        assert EngineStats.from_dict(old_row) == roundtrip
+        assert "expm_cache_hits" not in roundtrip.as_dict()
 
 
 class TestGridConsumers:

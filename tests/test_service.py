@@ -44,12 +44,12 @@ from repro.service import (
     ScheduleCache,
     ScheduleServer,
     SchedulerSession,
-    cache_enabled,
     platform_hash,
     reset_default_session,
     schedule_cache_key,
     send_requests,
 )
+from repro.service import cache as service_cache, session as service_session
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -183,8 +183,9 @@ class TestScheduleCache:
         assert stats["memory_hits"] == 1 and stats["misses"] == 1
         assert stats["writes"] == 1 and stats["directory"] is None
 
-    def test_memory_lru_bound(self):
-        cache = ScheduleCache(directory=None, memory_size=2)
+    def test_memory_lru_bound(self, monkeypatch):
+        monkeypatch.setattr(service_cache, "MEMORY_SIZE", 2)
+        cache = ScheduleCache(directory=None)
         for i in range(4):
             cache.put(f"key{i}", dict(self.DOC, detail=str(i)))
         assert len(cache) == 2
@@ -228,12 +229,6 @@ class TestScheduleCache:
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
 
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULE_CACHE", "0")
-        assert not cache_enabled()
-        monkeypatch.delenv("REPRO_SCHEDULE_CACHE")
-        assert cache_enabled()
-
 
 class TestSession:
     def test_solve_matches_direct_guarded_solve(self, session):
@@ -253,6 +248,17 @@ class TestSession:
         assert result_to_dict(second.result) == result_to_dict(first.result)
         assert second.stats is None  # no thermal work ran
         assert session.cache_hits == 1
+        # Closed-loop traces are dataclasses of arrays; the cache stores
+        # them field by field, so a hit returns the same numbers.
+        for solver in ("integral", "reactive"):
+            first = session.solve(SPEC2, solver, {"horizon": 0.02})
+            second = session.solve(SPEC2, solver, {"horizon": 0.02})
+            assert second.cached and not first.cached
+            assert result_to_dict(second.result) == result_to_dict(first.result)
+            assert (
+                second.result.details["trace"]["levels"]
+                == first.result.details["trace"].levels.tolist()
+            )
 
     def test_param_change_misses_the_cache(self, session):
         session.solve(SPEC2, "AO", {"m_cap": 8})
@@ -274,10 +280,9 @@ class TestSession:
         # counted, nothing was cached.
         assert session.solve_requests == 0 and len(session.cache) == 0
 
-    def test_engine_lru_is_bounded(self):
-        session = SchedulerSession(
-            max_engines=2, cache=ScheduleCache(directory=None)
-        )
+    def test_engine_lru_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(service_session, "MAX_ENGINES", 2)
+        session = SchedulerSession(cache=ScheduleCache(directory=None))
         for n in (2, 3, 6):
             session.engine_for({"n_cores": n, "n_levels": 2, "t_max_c": 65.0})
         assert session.n_engines == 2
@@ -293,9 +298,9 @@ class TestSession:
         """Satellite: per-request ``stats_since`` checkpointing — the sum
         of per-request stats equals the engine's total work."""
         outcomes = [
-            session.solve(SPEC2, "AO", {"m_cap": 8}, use_cache=False),
-            session.solve(SPEC2, "AO", {"m_cap": 16}, use_cache=False),
-            session.solve(SPEC2, "PCO", {"m_cap": 8}, use_cache=False),
+            session.solve(SPEC2, "AO", {"m_cap": 8}),
+            session.solve(SPEC2, "AO", {"m_cap": 16}),
+            session.solve(SPEC2, "PCO", {"m_cap": 8}),
         ]
         engine = session.engine_for(SPEC2)
         total = engine.stats()
@@ -316,13 +321,6 @@ class TestSession:
         session.solve(SPEC2, "AO", {"m_cap": 8})
         since = engine.stats_since(mark)
         assert since.peak_evals == 0 and since.steady_state_solves == 0
-
-    def test_cache_disabled_by_env(self, session, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULE_CACHE", "0")
-        session.solve(SPEC2, "AO", {"m_cap": 8})
-        again = session.solve(SPEC2, "AO", {"m_cap": 8})
-        assert not again.cached and session.cache_hits == 0
-        assert len(session.cache) == 0
 
     def test_fallback_outcome_survives_the_cache(self, session):
         """A degraded solve caches its fallback record and certificate."""
