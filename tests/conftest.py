@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from repro.platform import paper_platform
 from repro.power.model import PowerModel
 from repro.thermal.model import ThermalModel
 from repro.thermal.rc import build_rc_network, build_single_layer_network
+
+RESULTS = Path(__file__).resolve().parents[1] / "results"
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +58,30 @@ def platform3_no_overhead():
 def rng() -> np.random.Generator:
     """Deterministic RNG for workload generation."""
     return np.random.default_rng(20160816)
+
+
+@pytest.fixture(scope="session")
+def committed_result():
+    """Regenerate a committed experiment and check it against ``results/``.
+
+    Returns a function ``check(name)`` that runs experiment ``name`` at
+    its defaults, asserts that its ``headline()`` equals the parsed
+    ``results/<name>.json`` exactly and that ``format()`` reproduces
+    ``results/<name>.txt`` byte for byte, and returns the committed
+    document.  JSON is compared parsed, not as bytes: the committed
+    files do not all share one indentation.
+    """
+    from repro.experiments.registry import run_experiment
+
+    def check(name: str) -> dict:
+        result = run_experiment(name)
+        committed = json.loads((RESULTS / f"{name}.json").read_text())
+        assert json.loads(json.dumps(result.headline())) == committed
+        text = (RESULTS / f"{name}.txt").read_text(encoding="utf-8")
+        assert result.format() + "\n" == text
+        return committed
+
+    return check
 
 
 @pytest.fixture(autouse=True)

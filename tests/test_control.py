@@ -267,3 +267,8 @@ class TestSeededRNGAudit:
         a = control_experiment(intensities=(0.0, 1.0), horizon=0.05, m_cap=8)
         b = control_experiment(intensities=(0.0, 1.0), horizon=0.05, m_cap=8)
         assert a.headline() == b.headline()
+
+
+def test_committed_results_match_regeneration(committed_result):
+    doc = committed_result("control")
+    assert doc["experiment"] == "control"

@@ -451,9 +451,8 @@ class TestRealtimeExperiment:
         b = realtime_experiment(**kwargs).headline()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_committed_results_match_regeneration(self):
-        committed = Path(__file__).resolve().parents[1] / "results"
-        doc = json.loads((committed / "realtime.json").read_text())
+    def test_committed_results_match_regeneration(self, committed_result):
+        doc = committed_result("realtime")
         assert doc["experiment"] == "realtime"
         assert doc["mean_schedulability_gap"] > 0
         for row in doc["rows"]:

@@ -213,6 +213,10 @@ class TestScalingExperiment:
             assert unit.payload["seed"] == 123
         assert units[1].payload["params"]["max_dark"] == 1
 
+    def test_committed_results_match_regeneration(self, committed_result):
+        doc = committed_result("scaling")
+        assert doc["experiment"] == "scaling"
+
     def test_registered_with_runner_support(self):
         from repro.experiments.registry import EXPERIMENTS
 
