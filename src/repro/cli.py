@@ -62,7 +62,7 @@ import time
 
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
 
 #: ``repro solve`` option keys consumed by the platform builder rather
 #: than the solver.  ``platform`` names a
@@ -607,8 +607,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser (subcommands bound to handlers)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -804,9 +804,13 @@ def main(argv: list[str] | None = None) -> int:
         help="restrict the listing to one registry (default: all)",
     )
     p_list.set_defaults(func=_cmd_list)
+    return parser
 
-    argv = list(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    parser = build_parser()
+    args = parser.parse_args(list(sys.argv[1:] if argv is None else argv))
     if getattr(args, "func", None) is None:
         parser.print_help()
         return 2

@@ -5,8 +5,8 @@ feasibility and wall-clock time per cell.  The grid decomposes into one
 work unit per ``(cell, algo)`` pair and executes through the
 fault-tolerant sharded runner (:mod:`repro.runner`): sequentially by
 default, fanned out over worker processes with per-unit timeout and
-retry when ``parallel=True`` (or a custom
-:class:`~repro.runner.RunnerConfig` is given).  With a ``run_dir``,
+retry under a ``RunnerConfig(parallel=True)``
+(:class:`~repro.runner.RunnerConfig`).  With a ``run_dir``,
 finished units are journaled to disk as they settle and
 ``resume=True`` continues an interrupted sweep, re-running only the
 missing units; either way each worker rebuilds its platform from the
@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
+from itertools import product
 from typing import Any
 
 import numpy as np
@@ -31,8 +32,8 @@ from repro.errors import InfeasibleError
 from repro.obs import METRICS, span
 from repro.platform import Platform
 from repro.runner import RunnerConfig, RunReport, comparison_units, run as run_units
+from repro.runner.runner import TERMINAL_STATUSES
 from repro.runner.units import WorkUnit
-from repro.schedule.serialization import result_from_dict
 
 __all__ = [
     "CellResult",
@@ -192,41 +193,36 @@ def _assemble_cells(
     core_counts,
     level_counts,
     t_max_values,
-    approaches: tuple[str, ...],
-    tau: float,
-    common: Mapping[str, Any],
-    records: Mapping[str, Mapping[str, Any]],
+    n_approaches: int,
+    units: Sequence[WorkUnit],
+    report: RunReport,
 ) -> tuple[CellResult, ...]:
     """Regroup per-unit journal rows into per-cell results, in grid order.
 
-    A unit whose row is missing, infeasible, or an error row simply
-    leaves its approach absent from the cell (the same contract
-    :func:`run_cell` uses for infeasible approaches), so a partially
-    failed sweep still yields a complete grid.
+    ``units`` is the :func:`~repro.runner.comparison_units` list: cell
+    by cell, ``n_approaches`` units each.  A unit that came back
+    infeasible or as an error row leaves its approach absent from the
+    cell (the same contract :func:`run_cell` uses for infeasible
+    approaches), so a partially failed sweep still yields a complete
+    grid.
     """
-    cells: list[CellResult] = []
-    for n in core_counts:
-        for lv in level_counts:
-            for tm in t_max_values:
-                units = comparison_units(
-                    (n,), (lv,), (tm,), approaches, common, tau=tau
-                )
-                results: dict[str, SchedulerResult] = {}
-                for unit in units:
-                    row = records.get(unit.unit_id)
-                    if row is None or row.get("status") != "ok":
-                        continue
-                    result = result_from_dict(row["result"])
-                    results[result.name] = result
-                cells.append(
-                    CellResult(
-                        n_cores=int(n),
-                        n_levels=int(lv),
-                        t_max_c=float(tm),
-                        results=results,
-                    )
-                )
-    return tuple(cells)
+    out: list[CellResult] = []
+    cells = product(core_counts, level_counts, t_max_values)
+    for i, (n, lv, tm) in enumerate(cells):
+        results: dict[str, SchedulerResult] = {}
+        for unit in units[i * n_approaches:(i + 1) * n_approaches]:
+            status, result = report.outcome(unit, accept=TERMINAL_STATUSES)
+            if status == "ok":
+                results[result.name] = result
+        out.append(
+            CellResult(
+                n_cores=int(n),
+                n_levels=int(lv),
+                t_max_c=float(tm),
+                results=results,
+            )
+        )
+    return tuple(out)
 
 
 def grid_batch_executor(
@@ -340,8 +336,6 @@ def build_grid(
     m_step: int = 1,
     shift_grid: int = 8,
     tau: float = 5e-6,
-    parallel: bool = False,
-    max_workers: int | None = None,
     runner: RunnerConfig | None = None,
     run_dir: str | os.PathLike | None = None,
     resume: bool = False,
@@ -351,9 +345,9 @@ def build_grid(
     """Run the comparison over a (cores x levels x T_max) grid.
 
     The grid decomposes into one work unit per ``(cell, approach)`` pair
-    and executes through the sharded runner.  ``parallel`` /
-    ``max_workers`` build a default :class:`~repro.runner.RunnerConfig`;
-    pass ``runner`` explicitly for timeout/retry control.  With
+    and executes through the sharded runner; ``runner`` (a
+    :class:`~repro.runner.RunnerConfig`) sets workers, timeout and
+    retries.  With
     ``run_dir`` every finished unit is journaled so ``resume=True``
     continues an interrupted sweep.  Cell order — and therefore the
     emitted grid — is identical in all modes, and a unit that fails
@@ -365,7 +359,7 @@ def build_grid(
     one cross-platform grid kernel call; results are identical to
     per-unit execution, and any batching failure falls back to it.
     """
-    config = runner or RunnerConfig(parallel=parallel, max_workers=max_workers)
+    config = runner or RunnerConfig()
     if grid_dispatch and not config.parallel and config.batch_executor is None:
         config = replace(config, batch_executor=grid_batch_executor)
     common = {
@@ -397,8 +391,8 @@ def build_grid(
             },
         )
         cells = _assemble_cells(
-            core_counts, level_counts, t_max_values, tuple(approaches), tau,
-            common, report.records,
+            core_counts, level_counts, t_max_values, len(approaches), units,
+            report,
         )
     return ComparisonGrid(cells=cells, report=report)
 

@@ -32,21 +32,23 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.experiments.reporting import ascii_plot, ascii_table
 from repro.platform import paper_platform
 from repro.safety.faults import FaultSpec
-from repro.runner import RunnerConfig, RunReport, run as run_units
-from repro.runner.units import WorkUnit
-from repro.schedule.serialization import result_from_dict
+from repro.runner import (
+    RunnerConfig,
+    RunReport,
+    WorkUnit,
+    run as run_units,
+    solve_cell_unit,
+    spawn_seeds,
+)
 
 __all__ = [
     "ControlRow",
     "ControlResult",
     "control_experiment",
     "control_units",
-    "spawn_fault_seeds",
 ]
 
 #: Default fault-intensity sweep (0 = clean loop).
@@ -55,17 +57,6 @@ DEFAULT_INTENSITIES: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)
 #: Sensor-noise sigma (K) and dropout probability per unit of intensity.
 SIGMA_PER_INTENSITY = 0.5
 DROPOUT_PER_INTENSITY = 0.15
-
-
-def spawn_fault_seeds(seed: int, count: int) -> tuple[int, ...]:
-    """Per-scenario fault seeds, spawned deterministically from ``seed``.
-
-    ``SeedSequence.spawn`` gives statistically independent child streams;
-    collapsing each child to one ``uint32`` keeps the seeds JSON-able so
-    they travel inside work-unit payloads and journal rows.
-    """
-    children = np.random.SeedSequence(seed).spawn(count)
-    return tuple(int(child.generate_state(1)[0]) for child in children)
 
 
 @dataclass(frozen=True)
@@ -225,11 +216,7 @@ def control_units(
         "tau": float(tau),
     }
     units = [
-        WorkUnit(
-            kind="solve_cell",
-            payload={**cell, "algo": "AO", "params": {"m_cap": int(m_cap)}},
-            label=f"AO@cores={n_cores}",
-        )
+        solve_cell_unit(cell, "AO", {"m_cap": int(m_cap)}, f"AO@cores={n_cores}")
     ]
     for intensity, child_seed in zip(intensities, seeds):
         faults = None
@@ -243,37 +230,29 @@ def control_units(
                 sensor_dropout_prob=DROPOUT_PER_INTENSITY * intensity,
                 seed=int(child_seed),
             ).as_dict()
+        loop = {
+            "sensor_period": float(sensor_period),
+            "horizon": float(horizon),
+            "faults": faults,
+        }
         units.append(
-            WorkUnit(
-                kind="solve_cell",
-                payload={
-                    **cell,
-                    "algo": "integral",
-                    "params": {
-                        "gain_scale": float(gain_scale),
-                        "reference_offset": float(guard_band),
-                        "sensor_period": float(sensor_period),
-                        "horizon": float(horizon),
-                        "faults": faults,
-                    },
+            solve_cell_unit(
+                cell,
+                "integral",
+                {
+                    "gain_scale": float(gain_scale),
+                    "reference_offset": float(guard_band),
+                    **loop,
                 },
-                label=f"integral@i={intensity:g}",
+                f"integral@i={intensity:g}",
             )
         )
         units.append(
-            WorkUnit(
-                kind="solve_cell",
-                payload={
-                    **cell,
-                    "algo": "reactive",
-                    "params": {
-                        "guard_band": float(guard_band),
-                        "sensor_period": float(sensor_period),
-                        "horizon": float(horizon),
-                        "faults": faults,
-                    },
-                },
-                label=f"reactive@i={intensity:g}",
+            solve_cell_unit(
+                cell,
+                "reactive",
+                {"guard_band": float(guard_band), **loop},
+                f"reactive@i={intensity:g}",
             )
         )
     return units
@@ -303,7 +282,7 @@ def control_experiment(
         Multipliers on the sensor-fault knobs; 0 is the clean loop.
     seed:
         Master seed; per-intensity fault seeds are spawned from it
-        (:func:`spawn_fault_seeds`), making the whole result — fault
+        (:func:`~repro.runner.spawn_seeds`), making the whole result — fault
         realizations included — a pure function of this integer.
     guard_band:
         Kelvin below ``T_max`` both loops aim for: the reactive
@@ -316,14 +295,14 @@ def control_experiment(
         what makes its fault response graceful.
     """
     intensities = tuple(float(i) for i in intensities)
-    seeds = spawn_fault_seeds(int(seed), len(intensities))
+    seeds = spawn_seeds(int(seed), len(intensities))
     units = control_units(
         n_cores, n_levels, t_max_c, intensities, seeds,
         sensor_period, guard_band, gain_scale, horizon, m_cap,
     )
     report = run_units(
         units,
-        config=runner or RunnerConfig(),
+        config=runner,
         run_dir=run_dir,
         resume=resume,
         progress=progress,
@@ -337,23 +316,14 @@ def control_experiment(
         },
     )
 
-    def result_of(unit: WorkUnit):
-        row = report.records.get(unit.unit_id)
-        if row is None or row.get("status") != "ok":
-            raise RuntimeError(
-                f"control experiment unit {unit.label!r} did not complete: "
-                f"{None if row is None else row.get('status')}"
-            )
-        return result_from_dict(row["result"])
-
     theta_max = float(
         paper_platform(n_cores, n_levels=n_levels, t_max_c=t_max_c).theta_max
     )
-    ao = result_of(units[0])
+    ao = report.outcome(units[0])[1]
     rows = []
     for k, (intensity, child_seed) in enumerate(zip(intensities, seeds)):
-        r_int = result_of(units[1 + 2 * k])
-        r_re = result_of(units[2 + 2 * k])
+        r_int = report.outcome(units[1 + 2 * k])[1]
+        r_re = report.outcome(units[2 + 2 * k])[1]
         rows.append(
             ControlRow(
                 intensity=intensity,

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 from repro.algorithms.registry import get_solver
 from repro.engine import ThermalEngine
-from repro.experiments.control import spawn_fault_seeds
 from repro.experiments.reporting import ascii_table
 from repro.platform import paper_platform
+from repro.runner import spawn_seeds
 from repro.safety.certificate import SafetyCertificate
 from repro.safety.faults import (
     FaultSpec,
@@ -216,7 +216,7 @@ def faults_experiment(
 
     # Price AO's schedule under every scenario in one grid call (sensor-
     # only scenarios share a row — the executed schedule is unchanged).
-    child_seeds = spawn_fault_seeds(int(seed), len(scenarios))
+    child_seeds = spawn_seeds(int(seed), len(scenarios))
     specs = [
         FaultSpec(**{"seed": child, **kwargs})
         for child, (_, kwargs) in zip(child_seeds, scenarios)
@@ -259,7 +259,7 @@ def faults_experiment(
         )
         stacked_theta_max = float(stacked_engine.theta_max)
         r_stack = ao_spec.solve(stacked_engine, m_cap=m_cap)
-        stack_seeds = spawn_fault_seeds(int(seed) + 1, len(stacked_scenarios))
+        stack_seeds = spawn_seeds(int(seed) + 1, len(stacked_scenarios))
         for child, (label, kwargs) in zip(stack_seeds, stacked_scenarios):
             spec = FaultSpec(**{"seed": child, **kwargs})
             peak = stacked_perturbed_peak(

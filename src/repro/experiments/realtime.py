@@ -43,12 +43,16 @@ from typing import Any
 
 import numpy as np
 
-from repro.experiments.control import spawn_fault_seeds
 from repro.experiments.reporting import ascii_plot, ascii_table
 from repro.platforms import PlatformSpec
 from repro.realtime import FrameWorkload
-from repro.runner import RunnerConfig, RunReport, run as run_units
-from repro.runner.units import WorkUnit
+from repro.runner import (
+    RunnerConfig,
+    RunReport,
+    WorkUnit,
+    run as run_units,
+    spawn_seeds,
+)
 from repro.safety.faults import CoreFailure, FaultSpec
 
 __all__ = [
@@ -254,7 +258,7 @@ def realtime_units(
         for util in utilizations
         for idx in range(n_sets)
     ]
-    child_seeds = spawn_fault_seeds(int(seed), 2 * len(scenarios))
+    child_seeds = spawn_seeds(int(seed), 2 * len(scenarios))
     units: list[WorkUnit] = []
     for i, (k, intensity, util, idx) in enumerate(scenarios):
         workload_seed, fault_seed = child_seeds[2 * i], child_seeds[2 * i + 1]
@@ -349,7 +353,7 @@ def realtime_experiment(
     )
     report = run_units(
         units,
-        config=runner or RunnerConfig(),
+        config=runner,
         run_dir=run_dir,
         resume=resume,
         progress=progress,
@@ -364,26 +368,19 @@ def realtime_experiment(
         },
     )
 
-    by_id = report.records
     rows = []
     # Aggregate by the *requested* cell, parsed back from the unit
     # labels ("<policy>@k=..,f=..,u=..,s=..") — the drawn utilization
     # varies per set, the requested grid value is the row key.
     agg: dict[tuple[int, int, float], dict[str, list]] = {}
     for unit in units:
-        row = by_id.get(unit.unit_id)
-        if row is None or row.get("status") not in ("ok", "infeasible"):
-            raise RuntimeError(
-                f"realtime unit {unit.label!r} did not complete: "
-                f"{None if row is None else row.get('status')}"
-            )
+        _, result = report.outcome(unit, accept=("ok", "infeasible"))
         policy, rest = unit.label.split("@", 1)
         fields = dict(part.split("=") for part in rest.split(","))
         key = (int(fields["k"]), int(fields["f"]), float(fields["u"]))
-        if row.get("status") == "infeasible" or row.get("result") is None:
+        if result is None:
             flags = (False, False)
         else:
-            result = row["result"]
             flags = (
                 bool(result.get("schedulable")),
                 bool(result.get("recovery", {}).get("safe")),

@@ -10,6 +10,7 @@ scale-reducing parameters (see each module's docstring).
 
 from __future__ import annotations
 
+import inspect
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
@@ -48,18 +49,22 @@ class ExperimentSpec:
         One-line summary for ``repro list``.
     quick:
         Keyword overrides for a seconds-scale smoke run (``--quick``).
-    accepts_runner:
-        Whether the experiment function takes the sharded-runner keyword
-        arguments (``runner``, ``run_dir``, ``resume``, ``progress``) —
-        i.e. whether the CLI's ``--parallel`` / ``--timeout`` /
-        ``--retries`` / ``--run-dir`` / ``--resume`` flags apply.
     """
 
     name: str
     run: Callable
     description: str
     quick: Mapping[str, object] = field(default_factory=dict)
-    accepts_runner: bool = False
+
+    @property
+    def accepts_runner(self) -> bool:
+        """Whether ``run`` takes the sharded-runner keyword arguments.
+
+        Those are ``runner``, ``run_dir``, ``resume`` and ``progress``;
+        the CLI's ``--parallel`` / ``--timeout`` / ``--retries`` /
+        ``--run-dir`` / ``--resume`` flags apply only then.
+        """
+        return "runner" in inspect.signature(self.run).parameters
 
 
 #: All registered experiments, keyed by artifact id.
@@ -105,7 +110,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             run=fig6,
             description="throughput comparison over cores x ladder levels",
             quick={"core_counts": (2, 3), "level_counts": (2, 3), "m_cap": 16},
-            accepts_runner=True,
         ),
         ExperimentSpec(
             name="fig7",
@@ -116,14 +120,12 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "t_max_values": (55.0, 65.0),
                 "m_cap": 16,
             },
-            accepts_runner=True,
         ),
         ExperimentSpec(
             name="table5",
             run=table5,
             description="algorithm wall-clock cost comparison (Table V)",
             quick={"core_counts": (2, 3), "level_counts": (2, 3), "m_cap": 16},
-            accepts_runner=True,
         ),
         ExperimentSpec(
             name="headline",
@@ -135,7 +137,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "t_max_values": (55.0, 65.0),
                 "m_cap": 16,
             },
-            accepts_runner=True,
         ),
         ExperimentSpec(
             name="comparison",
@@ -148,7 +149,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "approaches": ("LNS", "EXS", "AO"),
                 "m_cap": 16,
             },
-            accepts_runner=True,
         ),
         ExperimentSpec(
             name="tsp",
@@ -195,7 +195,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "n_levels": 3,
                 "m_cap": 16,
             },
-            accepts_runner=True,
         ),
         ExperimentSpec(
             name="realtime",
@@ -210,7 +209,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "n_frames": 4,
                 "steps_per_frame": 4,
             },
-            accepts_runner=True,
         ),
         ExperimentSpec(
             name="control",
@@ -222,7 +220,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "horizon": 0.2,
                 "m_cap": 16,
             },
-            accepts_runner=True,
         ),
     )
 }

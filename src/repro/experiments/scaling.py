@@ -45,10 +45,15 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.experiments.control import spawn_fault_seeds
 from repro.experiments.reporting import ascii_plot, ascii_table, to_csv
-from repro.runner import RunnerConfig, RunReport, run as run_units
-from repro.runner.units import WorkUnit
+from repro.runner import (
+    RunnerConfig,
+    RunReport,
+    WorkUnit,
+    run as run_units,
+    solve_cell_unit,
+    spawn_seeds,
+)
 from repro.scaling.tables import TECH_NODES, frequency_ghz, vdd_v
 
 __all__ = [
@@ -88,8 +93,7 @@ def scaling_units(
     Payloads carry the platform as a :class:`~repro.platforms.PlatformSpec`
     document plus the cell's spawned seed, so journal rows are
     self-describing and resumable across processes.  ``common_params``
-    is filtered per solver through the registry's declared ``params``
-    whitelist, as in :func:`~repro.runner.units.comparison_units`.
+    is filtered per solver by :func:`~repro.runner.solve_cell_unit`.
     """
     from repro.algorithms.registry import get_solver
     from repro.platforms import PlatformSpec
@@ -111,38 +115,24 @@ def scaling_units(
         tag = f"{node}nm-{scenario}-{style}-L{layers}"
         n_total = int(n_cores) * int(layers)
         for name in approaches:
-            solver = get_solver(str(name))
-            params = {
-                k: v for k, v in common_params.items() if k in solver.params
-            }
+            name = get_solver(str(name)).name
             units.append(
-                WorkUnit(
-                    kind="solve_cell",
-                    payload={
-                        "platform": spec_doc,
-                        "algo": solver.name,
-                        "params": params,
-                        "seed": int(cell_seed),
-                    },
-                    label=f"{solver.name}@{tag}",
+                solve_cell_unit(
+                    {"platform": spec_doc}, name, common_params,
+                    f"{name}@{tag}", seed=int(cell_seed),
                 )
             )
-        dark = get_solver("dark")
         for floor in utilization_floors:
-            params = {
-                k: v for k, v in common_params.items() if k in dark.params
-            }
-            params["max_dark"] = _max_dark(n_total, float(floor))
             units.append(
-                WorkUnit(
-                    kind="solve_cell",
-                    payload={
-                        "platform": spec_doc,
-                        "algo": dark.name,
-                        "params": params,
-                        "seed": int(cell_seed),
+                solve_cell_unit(
+                    {"platform": spec_doc},
+                    "dark",
+                    {
+                        **common_params,
+                        "max_dark": _max_dark(n_total, float(floor)),
                     },
-                    label=f"dark(u>={float(floor):g})@{tag}",
+                    f"dark(u>={float(floor):g})@{tag}",
+                    seed=int(cell_seed),
                 )
             )
     return units
@@ -383,23 +373,15 @@ class ScalingResult:
 
 def _contender_outcome(report: RunReport, unit: WorkUnit) -> dict[str, Any]:
     """One journal row -> the outcome dict a :class:`ScalingRow` stores."""
-    from repro.schedule.serialization import result_from_dict
-
-    row = report.records.get(unit.unit_id)
-    if row is None or row.get("status") not in ("ok", "infeasible"):
-        raise RuntimeError(
-            f"scaling experiment unit {unit.label!r} did not complete: "
-            f"{None if row is None else row.get('status')}"
-        )
-    if row["status"] == "infeasible":
+    status, result = report.outcome(unit, accept=("ok", "infeasible"))
+    if status == "infeasible":
         return {
             "throughput": None,
             "feasible": False,
             "peak_theta": None,
             "fallback": None,
-            "detail": row.get("detail"),
+            "detail": report.records[unit.unit_id].get("detail"),
         }
-    result = result_from_dict(row["result"])
     fallback = (result.details or {}).get("fallback")
     out: dict[str, Any] = {
         "throughput": float(result.throughput),
@@ -448,7 +430,7 @@ def scaling_experiment(
         Oscillation-count cap shared by every contender that takes it.
     seed:
         Master seed; per-cell seeds are spawned from it
-        (:func:`~repro.experiments.control.spawn_fault_seeds`) and ride
+        (:func:`~repro.runner.spawn_seeds`) and ride
         in the unit payloads, so journals are self-describing and the
         result is a pure function of this integer.
     """
@@ -459,14 +441,14 @@ def scaling_experiment(
         for layers in layer_counts
         for node in nodes
     ]
-    seeds = spawn_fault_seeds(int(seed), len(cells))
+    seeds = spawn_seeds(int(seed), len(cells))
     units = scaling_units(
         cells, seeds, n_cores, n_levels, t_max_c,
         approaches, utilization_floors, {"m_cap": int(m_cap)},
     )
     report = run_units(
         units,
-        config=runner or RunnerConfig(),
+        config=runner,
         run_dir=run_dir,
         resume=resume,
         progress=progress,

@@ -1,7 +1,6 @@
 """Power models: voltage-cubic dynamic power + temperature-dependent leakage."""
 
 from repro.power.model import PowerModel
-from repro.power.mcpat import mcpat_like_power_model, TECHNOLOGY_TABLES
 from repro.power.heterogeneous import HeterogeneousPowerModel, big_little_power_model
 from repro.power.dvfs import (
     VoltageLadder,
@@ -15,8 +14,6 @@ __all__ = [
     "PowerModel",
     "HeterogeneousPowerModel",
     "big_little_power_model",
-    "mcpat_like_power_model",
-    "TECHNOLOGY_TABLES",
     "VoltageLadder",
     "TransitionOverhead",
     "PAPER_LADDERS",

@@ -25,6 +25,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.util.sampling import uunifast
 
 __all__ = ["RTTask", "FrameWorkload"]
 
@@ -163,17 +164,10 @@ class FrameWorkload:
             )
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
-        for _ in range(1000):
-            shares = []
-            remaining = total_utilization
-            for i in range(n_tasks - 1):
-                next_sum = remaining * rng.random() ** (1.0 / (n_tasks - 1 - i))
-                shares.append(remaining - next_sum)
-                remaining = next_sum
-            shares.append(remaining)
-            if max(shares) <= max_task_utilization:
-                break
-        else:  # pragma: no cover - vanishingly unlikely at sane caps
+        shares = uunifast(
+            n_tasks, total_utilization, rng, max_task_utilization, 1000
+        )
+        if shares is None:  # pragma: no cover - vanishingly unlikely at sane caps
             raise ConfigurationError(
                 "could not draw a workload under the per-task cap"
             )

@@ -20,6 +20,8 @@ from repro.runner.units import (
     WorkUnit,
     comparison_units,
     execute_unit,
+    solve_cell_unit,
+    spawn_seeds,
     units_hash,
 )
 
@@ -35,6 +37,8 @@ __all__ = [
     "print_progress",
     "read_manifest",
     "run",
+    "solve_cell_unit",
+    "spawn_seeds",
     "units_hash",
     "write_manifest",
 ]

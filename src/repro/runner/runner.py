@@ -28,7 +28,7 @@ import os
 import sys
 import time
 from collections import deque
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -149,6 +149,35 @@ class RunReport:
     def failures(self) -> int:
         """Units whose final journal row is an error row."""
         return self.errors
+
+    def outcome(
+        self, unit: WorkUnit, accept: Collection[str] = ("ok",)
+    ) -> tuple[str, Any]:
+        """``(status, result)`` of a settled unit.
+
+        A ``solve_cell`` result is decoded into its
+        :class:`~repro.algorithms.base.SchedulerResult`; other kinds
+        return the journaled result document.  A row without a result
+        (``infeasible``, ``error``) returns ``None``.
+
+        Raises
+        ------
+        RunnerError
+            When the unit has no row or its status is not in ``accept``.
+        """
+        row = self.records.get(unit.unit_id)
+        status = None if row is None else row.get("status")
+        if status not in accept:
+            raise RunnerError(
+                f"unit {unit.label or unit.unit_id!r} did not complete: "
+                f"{status}"
+            )
+        result = row.get("result")
+        if result is not None and unit.kind == "solve_cell":
+            from repro.schedule.serialization import result_from_dict
+
+            result = result_from_dict(result)
+        return status, result
 
     def summary(self) -> str:
         """One-paragraph digest for the CLI."""

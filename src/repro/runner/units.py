@@ -27,6 +27,8 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 __all__ = [
     "WorkUnit",
     "EXECUTORS",
@@ -34,7 +36,9 @@ __all__ = [
     "solve_cell_outcome",
     "solve_cell_platform",
     "realtime_cell_outcome",
+    "solve_cell_unit",
     "comparison_units",
+    "spawn_seeds",
     "canonical_json",
     "units_hash",
 ]
@@ -356,6 +360,46 @@ def execute_unit(unit_doc: Mapping[str, Any]) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 
 
+def spawn_seeds(seed: int, count: int) -> tuple[int, ...]:
+    """``count`` child seeds, spawned deterministically from ``seed``.
+
+    ``SeedSequence.spawn`` gives statistically independent child streams;
+    collapsing each child to one ``uint32`` keeps the seeds JSON-able so
+    they travel inside work-unit payloads and journal rows.
+    """
+    children = np.random.SeedSequence(seed).spawn(count)
+    return tuple(int(child.generate_state(1)[0]) for child in children)
+
+
+def solve_cell_unit(
+    platform: Mapping[str, Any],
+    algo: str,
+    params: Mapping[str, Any],
+    label: str,
+    **extra: Any,
+) -> WorkUnit:
+    """One ``solve_cell`` unit: registered solver ``algo`` on ``platform``.
+
+    ``platform`` holds the payload's platform keys: either
+    ``{"platform": <PlatformSpec document or preset name>}`` or the flat
+    ``n_cores``/``n_levels``/``t_max_c``/``tau`` keys of the comparison
+    grids (see :func:`solve_cell_platform`).  ``params`` is filtered
+    through the solver's registry ``params`` whitelist, so a unit's
+    content hash only covers parameters the solver consumes.  ``extra``
+    keys (a cell seed, say) go into the payload as given.
+    """
+    from repro.algorithms.registry import get_solver
+
+    spec = get_solver(algo)
+    payload = {
+        **platform,
+        "algo": spec.name,
+        "params": {k: v for k, v in params.items() if k in spec.params},
+        **extra,
+    }
+    return WorkUnit(kind="solve_cell", payload=payload, label=label)
+
+
 def comparison_units(
     core_counts: Sequence[int],
     level_counts: Sequence[int],
@@ -367,40 +411,30 @@ def comparison_units(
     """Decompose a comparison grid into one unit per ``(cell, algo)`` pair.
 
     ``common_params`` is the shared solver parameter pool (period, m_cap,
-    ...); it is filtered per solver through the registry's declared
-    ``params`` whitelist *here*, so a unit's content hash only covers
-    parameters the solver actually consumes.
+    ...), filtered per solver by :func:`solve_cell_unit`.
     """
     from repro.algorithms.registry import get_solver
 
-    units: list[WorkUnit] = []
-    for n in core_counts:
-        for lv in level_counts:
-            for tm in t_max_values:
-                for name in approaches:
-                    try:
-                        spec = get_solver(name)
-                    except KeyError as exc:
-                        raise ValueError(f"unknown approach {name!r}") from exc
-                    params = {
-                        k: v for k, v in common_params.items() if k in spec.params
-                    }
-                    payload = {
-                        "n_cores": int(n),
-                        "n_levels": int(lv),
-                        "t_max_c": float(tm),
-                        "tau": float(tau),
-                        "algo": spec.name,
-                        "params": params,
-                    }
-                    units.append(
-                        WorkUnit(
-                            kind="solve_cell",
-                            payload=payload,
-                            label=(
-                                f"{spec.name}@cores={n},levels={lv},"
-                                f"tmax={float(tm):g}"
-                            ),
-                        )
-                    )
-    return units
+    names = []
+    for name in approaches:
+        try:
+            names.append(get_solver(name).name)
+        except KeyError as exc:
+            raise ValueError(f"unknown approach {name!r}") from exc
+    return [
+        solve_cell_unit(
+            {
+                "n_cores": int(n),
+                "n_levels": int(lv),
+                "t_max_c": float(tm),
+                "tau": float(tau),
+            },
+            name,
+            common_params,
+            f"{name}@cores={n},levels={lv},tmax={float(tm):g}",
+        )
+        for n in core_counts
+        for lv in level_counts
+        for tm in t_max_values
+        for name in names
+    ]

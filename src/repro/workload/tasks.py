@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.util.sampling import uunifast
 
 __all__ = ["PeriodicTask", "TaskSet"]
 
@@ -119,24 +120,13 @@ class TaskSet:
                 f"{n_tasks} tasks of at most {max_task_utilization} each"
             )
 
-        def uunifast() -> np.ndarray:
-            # UUniFast (Bini & Buttazzo): unbiased utilization split.
-            utils = []
-            remaining = total_utilization
-            for i in range(n_tasks - 1):
-                nxt = remaining * rng.random() ** (1.0 / (n_tasks - 1 - i))
-                utils.append(remaining - nxt)
-                remaining = nxt
-            utils.append(remaining)
-            return np.asarray(utils)
-
-        utils = uunifast()
-        for _ in range(max_attempts):
-            if utils.max() <= max_task_utilization:
-                break
-            utils = uunifast()
-        else:
-            # Clamp and push the excess onto the unclamped tasks.
+        utils = uunifast(
+            n_tasks, total_utilization, rng, max_task_utilization, max_attempts
+        )
+        if utils is None:
+            # Clamp one more draw and push the excess onto the unclamped
+            # tasks.
+            utils = uunifast(n_tasks, total_utilization, rng)
             utils = np.minimum(utils, max_task_utilization)
             deficit = total_utilization - utils.sum()
             room = max_task_utilization - utils

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import shlex
+from pathlib import Path
+
 import pytest
 
-from repro.cli import PLATFORM_KEYS, _parse_option, main
+from repro.cli import PLATFORM_KEYS, _parse_option, build_parser, main
 from repro.experiments.registry import EXPERIMENTS
 
 
@@ -95,6 +98,64 @@ class TestMain:
         assert main(["run", "fig2", "--csv", str(out)]) == 0
         assert not out.exists()
         assert "ignored" in capsys.readouterr().err
+
+
+REGENERATE = (
+    Path(__file__).resolve().parents[1] / "scripts" / "regenerate_results.sh"
+)
+
+
+def _regenerate_calls() -> list[tuple[str, list[str]]]:
+    """``("cli", argv)`` / ``("experiment", [id])`` per script invocation.
+
+    Reads ``scripts/regenerate_results.sh`` line by line: ``repro ...``
+    lines are CLI calls, ``$exp`` expands over the enclosing ``for exp
+    in ...`` list, and a loop that feeds ``$exp`` to an inline program
+    calls ``run_experiment(exp)``.  Inline program bodies are skipped.
+    """
+    calls: list[tuple[str, list[str]]] = []
+    loop: list[str] = []
+    heredoc = None
+    for line in REGENERATE.read_text().splitlines():
+        if heredoc is not None:
+            if line.strip() == heredoc:
+                heredoc = None
+            continue
+        words = shlex.split(line, comments=True)
+        if words[:3] == ["for", "exp", "in"]:
+            loop = [w.rstrip(";") for w in words[3:] if w != "do"]
+        elif words == ["done"]:
+            loop = []
+        elif words[:1] == ["repro"]:
+            argv = words[1:words.index("|")] if "|" in words else words[1:]
+            for exp in loop or [None]:
+                calls.append(
+                    ("cli", [exp if w == "$exp" else w for w in argv])
+                )
+        elif any(w.startswith("<<") for w in words):
+            heredoc = words[-1].lstrip("<")
+            if "$exp" in words:
+                calls.extend(("experiment", [exp]) for exp in loop)
+    return calls
+
+
+class TestRegenerateScript:
+    def test_every_call_parses(self):
+        calls = _regenerate_calls()
+        cli = [argv for kind, argv in calls if kind == "cli"]
+        experiments = [argv[0] for kind, argv in calls if kind == "experiment"]
+        assert ["run", "table2"] in cli
+        assert ["run", "fig3", "-o", "step=0.2"] in cli
+        assert experiments == ["control", "realtime", "scaling"]
+        parser = build_parser()
+        for argv in cli:
+            args = parser.parse_args(argv)
+            assert args.command == "run", argv
+            assert args.experiment in EXPERIMENTS, argv
+        for name in experiments:
+            assert name in EXPERIMENTS
+        covered = {argv[1] for argv in cli} | set(experiments)
+        assert not {"fig6", "headline", "control"} - covered
 
 
 class TestTraceAndStats:

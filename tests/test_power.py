@@ -1,4 +1,4 @@
-"""Unit tests for the power model, McPAT tables, and DVFS machinery."""
+"""Unit tests for the power model and DVFS machinery."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.power.dvfs import (
     full_ladder,
     paper_ladder,
 )
-from repro.power.mcpat import TECHNOLOGY_TABLES, mcpat_like_power_model
 from repro.power.model import PowerModel
 
 
@@ -87,25 +86,6 @@ class TestPowerModel:
     def test_psi_inverse_negative_raises(self, power_model):
         with pytest.raises(PowerModelError):
             power_model.psi_inverse(-1.0)
-
-
-class TestMcPAT:
-    def test_all_nodes_buildable(self):
-        for node in TECHNOLOGY_TABLES:
-            pm = mcpat_like_power_model(node)
-            assert pm.gamma > 0
-
-    def test_65nm_matches_calibration(self):
-        pm = mcpat_like_power_model(65)
-        assert pm == PowerModel()
-
-    def test_unknown_node_raises(self):
-        with pytest.raises(PowerModelError):
-            mcpat_like_power_model(130)
-
-    def test_leakage_share_grows_as_node_shrinks(self):
-        betas = [TECHNOLOGY_TABLES[n]["beta"] for n in sorted(TECHNOLOGY_TABLES, reverse=True)]
-        assert betas == sorted(betas)
 
 
 class TestVoltageLadder:

@@ -24,10 +24,13 @@ from repro.experiments.comparison import build_grid
 from repro.runner import (
     Journal,
     RunnerConfig,
+    RunReport,
     WorkUnit,
     comparison_units,
     read_manifest,
     run,
+    solve_cell_unit,
+    spawn_seeds,
     units_hash,
 )
 
@@ -77,6 +80,56 @@ class TestWorkUnit:
         assert set(by_algo) == {"LNS", "AO"}
         assert "m_cap" not in by_algo["LNS"].payload["params"]
         assert by_algo["AO"].payload["params"]["m_cap"] == 8
+
+    def test_comparison_units_reject_unknown_approach(self):
+        with pytest.raises(ValueError, match="unknown approach 'XYZ'"):
+            comparison_units((2,), (2,), (55.0,), ("AO", "XYZ"), {})
+
+    def test_solve_cell_unit_filters_params_and_keeps_extra_keys(self):
+        unit = solve_cell_unit(
+            {"platform": "paper"}, "ao",
+            {"m_cap": 8, "guard_band": 2.0}, "AO@paper", seed=3,
+        )
+        assert unit.kind == "solve_cell"
+        assert unit.label == "AO@paper"
+        assert dict(unit.payload) == {
+            "platform": "paper",
+            "algo": "AO",
+            "params": {"m_cap": 8},
+            "seed": 3,
+        }
+
+
+class TestSweepHelpers:
+    def test_spawn_seeds_is_pinned(self):
+        assert spawn_seeds(2016, 4) == (
+            2882448306, 2728114380, 490678385, 2571254172,
+        )
+        assert spawn_seeds(2016, 2) == spawn_seeds(2016, 4)[:2]
+
+    def test_outcome_returns_status_and_result(self):
+        unit = probe("ok", value=7)
+        report = run([unit])
+        assert report.outcome(unit) == ("ok", {"value": 7})
+
+    def test_outcome_decodes_solve_cell_results(self):
+        unit = solve_cell_unit(
+            {"n_cores": 2, "n_levels": 2, "t_max_c": 55.0}, "LNS", {},
+            "LNS@cores=2",
+        )
+        status, result = run([unit]).outcome(unit)
+        assert status == "ok"
+        assert result.name == "LNS" and result.feasible
+
+    def test_outcome_enforces_the_accepted_statuses(self):
+        settled = probe("raise")
+        report = run([settled], RunnerConfig(retries=0))
+        with pytest.raises(RunnerError, match="did not complete: error"):
+            report.outcome(settled)
+        assert report.outcome(settled, accept=("error",)) == ("error", None)
+        missing = probe("ok", value=1)
+        with pytest.raises(RunnerError, match="did not complete: None"):
+            RunReport(run_dir=None, total=0).outcome(missing)
 
 
 class TestJournal:

@@ -67,6 +67,32 @@ class TestTaskSet:
             )
             assert ts.utilizations().max() <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize(
+        "total,cap,expected",
+        [
+            # Accepted UUniFast draw.
+            (2.0, 0.8, [
+                (0.02318412520017256, 0.050552218670845944),
+                (0.014834380705629549, 0.08697996884304321),
+                (0.12263213286210768, 0.19535560356233586),
+                (0.014608820508429288, 0.019659418189408695),
+            ]),
+            # Every draw breaks the cap: the 65th is clamped and
+            # renormalized.
+            (3.95, 1.0, [
+                (0.10610718576792472, 0.10610718576792472),
+                (0.027052114513142357, 0.027052114513142357),
+                (0.04320879293056322, 0.043564781625921506),
+                (0.08094769311181188, 0.08448142622841985),
+            ]),
+        ],
+    )
+    def test_random_is_pinned(self, total, cap, expected):
+        ts = TaskSet.random(
+            4, total, np.random.default_rng(2016), max_task_utilization=cap
+        )
+        assert [(t.wcec, t.period_s) for t in ts.tasks] == expected
+
     def test_random_impossible_split_rejected(self, rng):
         with pytest.raises(ConfigurationError):
             TaskSet.random(3, total_utilization=4.0, rng=rng)  # 3 tasks of <=1
