@@ -15,11 +15,13 @@ Steps (section V):
 
 Every intermediate schedule is step-up, so peaks are exact and cheap —
 this is what buys the orders-of-magnitude speedup over EXS at scale.
+:func:`ao_core` stops after step 4; PCO starts from it.
 """
 
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +42,9 @@ from repro.engine import ThermalEngine, as_platform, engine_entrypoint
 from repro.platform import Platform
 from repro.schedule.builders import constant_schedule
 from repro.schedule.periodic import PeriodicSchedule
+from repro.thermal.peak import PeakResult
 
-__all__ = ["ao", "best_constant_above", "constant_floor_guard"]
+__all__ = ["AOCore", "ao", "ao_core", "best_constant_above", "constant_floor_guard"]
 
 
 def best_constant_above(
@@ -117,40 +120,34 @@ def constant_floor_guard(
     return floor_sched, floor_peak, floor_throughput, floor_volts
 
 
-@engine_entrypoint("AO")
-def ao(
+class AOCore(NamedTuple):
+    """Algorithm 2 up to the TPT loop: what :func:`ao` and PCO build on."""
+
+    plan: ModePlan
+    m_opt: int
+    ratios: np.ndarray
+    schedule: PeriodicSchedule
+    peak: PeakResult  # the schedule's scalar Theorem-1 peak
+    tpt_iterations: int
+    details: dict
+    runtime_s: float
+
+
+def ao_core(
     engine: ThermalEngine,
-    period: float = 0.02,
+    period: float,
     m_cap: int = DEFAULT_M_CAP,
     m_step: int = 1,
     t_unit: float | None = None,
-    fill: bool = True,
     adaptive: bool = True,
     active_mask=None,
-) -> SchedulerResult:
-    """Run Algorithm 2 (AO) on the platform.
+) -> AOCore:
+    """Ideal speeds, mode planning, the m scan and the TPT loop (steps 1-4).
 
-    Parameters
-    ----------
-    period:
-        The base schedule period ``t_p`` before oscillation (the paper's
-        motivation example uses 20 ms).
-    m_cap, m_step:
-        Bounds/stride of the linear m scan.
-    t_unit:
-        TPT time quantum (default: cycle/200).
-    fill:
-        Consume leftover headroom by growing ratios after the TPT loop.
-    adaptive:
-        Batch TPT quanta via local linearity (same fixed point, far fewer
-        iterations); disable for the paper-literal loop.
-    active_mask:
-        Optional boolean mask of cores allowed to run; the rest are
-        power-gated (dark silicon — see
-        :func:`repro.algorithms.dark.dark_silicon_ao`).
+    No headroom fill, verification or constant-floor guard; parameters
+    as for :func:`ao`.
     """
     platform = engine.platform
-    mark = engine.checkpoint()
     t0 = time.perf_counter()
     with engine.phase("ao/continuous"):
         cont = continuous_assignment(platform, active_mask=active_mask)
@@ -191,32 +188,76 @@ def ao(
                 engine, plan, ratios, period, m_opt,
                 t_unit=t_unit, adaptive=adaptive,
             )
+    return AOCore(
+        plan=plan,
+        m_opt=m_opt,
+        ratios=ratios,
+        schedule=sched,
+        peak=peak,
+        tpt_iterations=tpt_iters,
+        details=details,
+        runtime_s=time.perf_counter() - t0,
+    )
+
+
+@engine_entrypoint("AO")
+def ao(
+    engine: ThermalEngine,
+    period: float = 0.02,
+    m_cap: int = DEFAULT_M_CAP,
+    m_step: int = 1,
+    t_unit: float | None = None,
+    fill: bool = True,
+    adaptive: bool = True,
+    active_mask=None,
+) -> SchedulerResult:
+    """Run Algorithm 2 (AO) on the platform.
+
+    Parameters
+    ----------
+    period:
+        The base schedule period ``t_p`` before oscillation (the paper's
+        motivation example uses 20 ms).
+    m_cap, m_step:
+        Bounds/stride of the linear m scan.
+    t_unit:
+        TPT time quantum (default: cycle/200).
+    fill:
+        Consume leftover headroom by growing ratios after the TPT loop.
+    adaptive:
+        Batch TPT quanta via local linearity (same fixed point, far fewer
+        iterations); disable for the paper-literal loop.
+    active_mask:
+        Optional boolean mask of cores allowed to run; the rest are
+        power-gated (dark silicon — see
+        :func:`repro.algorithms.dark.dark_silicon_ao`).
+    """
+    platform = engine.platform
+    mark = engine.checkpoint()
+    t0 = time.perf_counter()
+    core = ao_core(
+        engine, period, m_cap=m_cap, m_step=m_step, t_unit=t_unit,
+        adaptive=adaptive, active_mask=active_mask,
+    )
+    plan, m_opt, ratios, sched, peak = (
+        core.plan, core.m_opt, core.ratios, core.schedule, core.peak
+    )
+    details = core.details
 
     fill_iters = 0
     if fill and peak.value < platform.theta_max - 1e-6 and plan.oscillating.any():
         with engine.phase("ao/fill"):
             ratios, sched, peak, fill_iters = fill_headroom(
                 engine, plan, ratios, period, m_opt,
-                t_unit=t_unit, adaptive=adaptive,
+                t_unit=t_unit, adaptive=adaptive, start=(sched, peak),
             )
 
-    # Final safety verification with the exact engine: the step-up fast
-    # path's grid scan can under-resolve a wrap-continuation hump by a few
-    # hundredths of a Kelvin.  If the refined peak tops T_max, run one more
-    # TPT pass priced with the exact engine.
+    # The reported peak is the final schedule's scalar Theorem-1 price (the
+    # same engine and 24-sample wrap scan the TPT loop used): the fill's
+    # last single-quantum move carries its batch price, which can differ
+    # from the scalar one in the last bits.
     with engine.phase("ao/verify"):
-        exact = engine.general_peak(sched, grid_per_interval=96)
-        if exact.value > platform.theta_max + 1e-6 and plan.oscillating.any():
-            exact_fn, exact_batch_fn = engine.peak_fns(
-                general=True, grid_per_interval=96
-            )
-            ratios, sched, exact, extra = enforce_threshold(
-                engine, plan, ratios, period, m_opt,
-                t_unit=t_unit, adaptive=adaptive,
-                peak_fn=exact_fn, peak_batch_fn=exact_batch_fn,
-            )
-            tpt_iters += extra
-    peak_value = float(exact.value)
+        peak_value = float(engine.stepup_peak(sched).value)
 
     # Restore the paper's AO >= EXS ordering: ratio adjustment can end
     # marginally below the best feasible constant assignment, in which
@@ -231,7 +272,7 @@ def ao(
         {
             "m_opt": m_opt,
             "final_high_ratio": ratios,
-            "tpt_iterations": tpt_iters,
+            "tpt_iterations": core.tpt_iterations,
             "fill_iterations": fill_iters,
         }
     )

@@ -9,6 +9,8 @@ Pipeline (mirroring Algorithm 2's first half):
    oscillation cycle to pay for the DVFS clock-halt ``tau`` (section V).
 3. :func:`build_oscillating_schedule` — emit the m-oscillating *step-up*
    schedule: per cycle (period ``t_p / m``), every core runs low then high.
+   :func:`oscillating_rows` builds a whole candidate set of them as
+   stacked arrays for the batch kernel, without a schedule object each.
 4. :func:`choose_m` — linear scan ``m = 1 .. M`` (the overhead bound of
    :class:`~repro.power.dvfs.TransitionOverhead`), evaluating each
    candidate's stable peak through the Theorem-1 fast path, and keeping
@@ -24,16 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine import ThermalEngine, as_platform
-from repro.errors import SolverError
+from repro.errors import ScheduleError, SolverError
 from repro.platform import Platform
-from repro.schedule.builders import two_mode_schedule
+from repro.schedule.builders import two_mode_rows, two_mode_schedule
 from repro.schedule.periodic import PeriodicSchedule
+from repro.thermal.batch import Rows
 
 __all__ = [
     "ModePlan",
     "plan_modes",
     "adjusted_high_ratios",
     "build_oscillating_schedule",
+    "oscillating_rows",
     "choose_m",
     "choose_m_grid",
     "effective_throughput",
@@ -160,49 +164,61 @@ def build_oscillating_schedule(
     return two_mode_schedule(plan.v_low, plan.v_high, np.asarray(high_ratio), cycle)
 
 
+def oscillating_rows(plan: ModePlan, high_ratios, period: float, m) -> Rows:
+    """:func:`build_oscillating_schedule` for K ratio rows at once, as arrays.
+
+    ``high_ratios`` is ``(K, n_cores)`` and ``m`` a scalar or ``(K,)``.
+    Row k holds exactly the lengths and voltage matrix of
+    ``build_oscillating_schedule(plan, high_ratios[k], period, m[k])``
+    (:func:`~repro.schedule.builders.two_mode_rows`), padded to the
+    widest row.
+    """
+    ratios = np.asarray(high_ratios, dtype=float)
+    m = np.broadcast_to(np.asarray(m), ratios.shape[:1])
+    if m.size and m.min() < 1:
+        raise SolverError(f"m must be >= 1, got {m.min()}")
+    if np.any((ratios < -1e-12) | (ratios > 1 + 1e-12)):
+        raise ScheduleError(f"high_ratio must be within [0, 1], got {ratios}")
+    return Rows(*two_mode_rows(plan.v_low, plan.v_high, ratios, period / m))
+
+
 def choose_m(
     platform: Platform | ThermalEngine,
     plan: ModePlan,
     period: float,
     m_cap: int = DEFAULT_M_CAP,
     m_step: int = 1,
-    batch: bool = True,
 ) -> tuple[int, PeriodicSchedule, list[tuple[int, float]]]:
     """Linear scan over m; return the peak-minimizing oscillation count.
 
     Returns ``(m_opt, schedule_at_m_opt, history)`` where history holds
     the scanned ``(m, peak)`` pairs for diagnostics and Fig. 5-style plots.
-
-    With ``batch`` (default) the whole sweep is priced through the batched
-    stable-status engine in one call; ``batch=False`` keeps the scalar
-    per-candidate loop (the two paths select the same m).
+    The whole sweep is priced as one batch of candidate rows; only the
+    chosen m's schedule is built.
     """
     engine = ThermalEngine.ensure(platform)
     m_max = max_m_bound(engine, plan, period, cap=m_cap)
-    candidates = list(range(1, m_max + 1, max(1, m_step)))
-    schedules = [
-        build_oscillating_schedule(
-            plan, adjusted_high_ratios(engine, plan, m, period), period, m
-        )
-        for m in candidates
-    ]
-    if batch:
-        peaks = [r.value for r in engine.stepup_peak_batch(schedules)]
-    else:
-        peaks = [engine.stepup_peak(sched).value for sched in schedules]
-    return _select_m(candidates, schedules, peaks)
+    candidates = np.arange(1, m_max + 1, max(1, m_step))
+    ratios = np.array(
+        [adjusted_high_ratios(engine, plan, int(m), period) for m in candidates]
+    )
+    peaks = engine.stepup_peak_rows(
+        oscillating_rows(plan, ratios, period, candidates)
+    ).value.tolist()
+    best, history = _select_m(candidates.tolist(), peaks)
+    m_opt = int(candidates[best])
+    return m_opt, build_oscillating_schedule(plan, ratios[best], period, m_opt), history
 
 
-def _select_m(candidates, schedules, peaks):
-    """Shared selection rule: first m whose peak strictly improves."""
+def _select_m(candidates, peaks) -> tuple[int, list[tuple[int, float]]]:
+    """Shared selection rule: index of the first m whose peak strictly improves."""
     history: list[tuple[int, float]] = []
-    best_m, best_peak, best_sched = 1, np.inf, None
-    for m, sched, peak in zip(candidates, schedules, peaks):
+    best, best_peak = 0, np.inf
+    for i, (m, peak) in enumerate(zip(candidates, peaks)):
         history.append((m, peak))
         if peak < best_peak - 1e-12:
-            best_m, best_peak, best_sched = m, peak, sched
-    assert best_sched is not None
-    return best_m, best_sched, history
+            best, best_peak = i, peak
+    return best, history
 
 
 def choose_m_grid(
@@ -255,7 +271,8 @@ def choose_m_grid(
     for _engine, candidates, schedules in spans:
         span_peaks = peaks[offset : offset + len(schedules)]
         offset += len(schedules)
-        out.append(_select_m(candidates, schedules, span_peaks))
+        best, history = _select_m(candidates, span_peaks)
+        out.append((candidates[best], schedules[best], history))
     return out
 
 

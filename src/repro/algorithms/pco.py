@@ -2,10 +2,11 @@
 
 AO constrains every candidate to be a step-up schedule so the peak is
 cheap to verify; the price is purely *temporal* interleaving.  PCO starts
-from AO's output and additionally interleaves *spatially*: each core's
-cycle is phase-shifted so that neighbours' high-power bursts avoid
-coinciding, which lowers the peak and frees headroom that a final ratio
-fill converts back into throughput.
+from AO's schedule after the TPT loop (:func:`~repro.algorithms.ao.ao_core`)
+and additionally interleaves *spatially*: each core's cycle is
+phase-shifted so that neighbours' high-power bursts avoid coinciding,
+which lowers the peak and frees headroom that a final ratio fill converts
+back into throughput.
 
 Shifted schedules are no longer step-up, so every candidate is priced with
 the general MatEx-style peak search — this is why Table V shows PCO
@@ -16,19 +17,13 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
-from repro.algorithms.ao import ao, constant_floor_guard
+from repro.algorithms.ao import ao_core, constant_floor_guard
 from repro.algorithms.base import SchedulerResult
-from repro.algorithms.oscillation import (
-    DEFAULT_M_CAP,
-    build_oscillating_schedule,
-    effective_throughput,
-    plan_modes,
-)
+from repro.algorithms.oscillation import DEFAULT_M_CAP, effective_throughput
 from repro.algorithms.tpt import fill_headroom
 from repro.engine import ThermalEngine, engine_entrypoint
-from repro.schedule.transforms import shift_core
+from repro.schedule.transforms import shift_core, shift_core_arrays
+from repro.thermal.batch import stack_rows
 
 __all__ = ["pco"]
 
@@ -50,45 +45,41 @@ def pco(
     shift_grid:
         Number of candidate phase offsets per core (evenly spaced over the
         oscillation cycle).
-    Other parameters are forwarded to :func:`repro.algorithms.ao.ao`.
+    Other parameters are forwarded to :func:`repro.algorithms.ao.ao_core`.
     """
     platform = engine.platform
     mark = engine.checkpoint()
     t0 = time.perf_counter()
-    base = ao(
-        engine,
-        period=period,
-        m_cap=m_cap,
-        m_step=m_step,
-        t_unit=t_unit,
-        fill=False,
+    base = ao_core(
+        engine, period, m_cap=m_cap, m_step=m_step, t_unit=t_unit,
         adaptive=adaptive,
     )
-    m_opt = base.details["m_opt"]
-    ratios = np.asarray(base.details["final_high_ratio"], dtype=float)
-    plan = plan_modes(platform, np.asarray(base.details["continuous_voltages"]))
+    plan, m_opt, ratios = base.plan, base.m_opt, base.ratios
     cycle = period / m_opt
 
-    general_peak, general_peak_batch = engine.peak_fns(general=True)
-
     # Greedy sequential phase search: shift one core at a time, keep the
-    # offset that minimizes the (general) stable peak.  Each core's whole
-    # offset grid is priced as one batch.
-    sched = build_oscillating_schedule(plan, ratios, period, m_opt)
-    peak = general_peak(sched)
+    # offset that minimizes the (general) stable peak.  It starts from
+    # AO's schedule and its scalar peak; each core's whole offset grid is
+    # priced as one batch of rows, and each accepted shift once, scalar.
+    sched, peak = base.schedule, base.peak
     shifts = [0.0] * platform.n_cores
     candidates = [k * cycle / shift_grid for k in range(shift_grid)]
     with engine.phase("pco/phase_search"):
         for core in range(platform.n_cores):
             best_off, best_val = 0.0, peak.value
-            trials = [shift_core(sched, core, off) for off in candidates[1:]]
-            for off, trial_peak in zip(candidates[1:], general_peak_batch(trials)):
-                if trial_peak.value < best_val - 1e-12:
-                    best_off, best_val = off, trial_peak.value
+            trials = engine.general_peak_rows(
+                stack_rows(
+                    shift_core_arrays(sched.lengths, sched.voltage_matrix, core, off)
+                    for off in candidates[1:]
+                )
+            )
+            for off, val in zip(candidates[1:], trials.value.tolist()):
+                if val < best_val - 1e-12:
+                    best_off, best_val = off, val
             if best_off > 0.0:
                 sched = shift_core(sched, core, best_off)
                 shifts[core] = best_off
-                peak = general_peak(sched)
+                peak = engine.general_peak(sched)
 
     # Refill the headroom the interleaving created (ratios grow under the
     # general peak engine, with the shifts re-applied on every rebuild).
@@ -97,9 +88,8 @@ def pco(
         with engine.phase("pco/fill"):
             ratios, sched, peak, fill_iters = fill_headroom(
                 engine, plan, ratios, period, m_opt,
-                t_unit=t_unit, peak_fn=general_peak,
-                peak_batch_fn=general_peak_batch, adaptive=adaptive,
-                shifts=shifts,
+                t_unit=t_unit, adaptive=adaptive, shifts=shifts,
+                start=(sched, peak),
             )
 
     throughput = float(effective_throughput(sched, platform))
@@ -114,8 +104,11 @@ def pco(
     details = dict(base.details)
     details.update(
         {
-            "shifts": shifts,
+            "m_opt": m_opt,
+            "final_high_ratio": base.ratios,
+            "tpt_iterations": base.tpt_iterations,
             "fill_iterations": fill_iters,
+            "shifts": shifts,
             "ao_runtime_s": base.runtime_s,
         }
     )

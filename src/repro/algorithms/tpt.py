@@ -15,6 +15,11 @@ ratio a valid knob for any other core's temperature.
 always picking the core with the most throughput gained per degree of
 headroom consumed.
 
+Each iteration prices its candidate set — one single-quantum move per
+core — as stacked rows on the batch kernel
+(:func:`~repro.algorithms.oscillation.oscillating_rows`); only the
+schedule a loop accepts is built.
+
 Both loops support an adaptive step: the thermal response is locally
 linear in the ratio perturbation, so we extrapolate how many ``t_unit``
 quanta are needed and apply them in one batch, then re-verify — the
@@ -27,15 +32,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.oscillation import ModePlan, build_oscillating_schedule
-from repro.engine import PeakBatchFn, PeakFn, ThermalEngine
+from repro.algorithms.oscillation import (
+    ModePlan,
+    build_oscillating_schedule,
+    oscillating_rows,
+)
+from repro.engine import ThermalEngine
 from repro.errors import ConvergenceError
 from repro.platform import Platform
 from repro.schedule.periodic import PeriodicSchedule
-from repro.schedule.transforms import shift_cores
+from repro.schedule.transforms import shift_core_arrays, shift_cores
+from repro.thermal.batch import PeakRows, Rows, stack_rows
 from repro.thermal.peak import PeakResult
 
 __all__ = ["enforce_threshold", "fill_headroom"]
+
+
+def _moved(ratios: np.ndarray, movers: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """Trial ratio rows: row i is ``ratios`` with core ``movers[i]`` at ``moved[i]``."""
+    trials = np.repeat(ratios[None, :], movers.size, axis=0)
+    trials[np.arange(movers.size), movers] = moved
+    return trials
 
 
 def enforce_threshold(
@@ -45,12 +62,14 @@ def enforce_threshold(
     period: float,
     m: int,
     t_unit: float | None = None,
-    peak_fn: PeakFn | None = None,
-    peak_batch_fn: PeakBatchFn | None = None,
     adaptive: bool = True,
     max_iter: int = 100_000,
 ) -> tuple[np.ndarray, PeriodicSchedule, PeakResult, int]:
     """Shrink high ratios until the stable peak respects ``T_max``.
+
+    Every schedule here is step-up, so peaks come from the Theorem-1
+    engine: each accepted schedule on the scalar kernel, each iteration's
+    trials as one batch of rows.
 
     Parameters
     ----------
@@ -61,13 +80,6 @@ def enforce_threshold(
     t_unit:
         Ratio quantum expressed in seconds of the *cycle* (default:
         cycle/200).
-    peak_fn:
-        Peak engine (default: the Theorem-1 step-up fast path).
-    peak_batch_fn:
-        Batched peak engine pricing a whole candidate set per call
-        (default: the batched Theorem-1 engine when ``peak_fn`` is unset,
-        else a per-candidate loop over ``peak_fn``).  Every iteration
-        submits all single-quantum trials as one batch.
     adaptive:
         Batch multiple quanta per move using local linearity.
 
@@ -82,7 +94,6 @@ def enforce_threshold(
         runs out of iterations.
     """
     engine = ThermalEngine.ensure(platform)
-    peak_fn, peak_batch_fn = engine.resolve_peak_fns(peak_fn, peak_batch_fn)
     cycle = period / m
     if t_unit is None:
         t_unit = cycle / 200.0
@@ -91,9 +102,10 @@ def enforce_threshold(
 
     ratios = np.asarray(ratios, dtype=float).copy()
     movable = plan.v_high > plan.v_low + 1e-12
+    swing = plan.v_high - plan.v_low
 
     sched = build_oscillating_schedule(plan, ratios, period, m)
-    peak = peak_fn(sched)
+    peak = engine.stepup_peak(sched)
     iterations = 0
 
     while peak.value > theta_max + 1e-9:
@@ -102,24 +114,20 @@ def enforce_threshold(
                 f"TPT loop exceeded {max_iter} iterations "
                 f"(peak {peak.value:.3f} > {theta_max:.3f} K)"
             )
-        hottest = peak.core
-        best_j, best_tpt, best_drop = -1, -np.inf, 0.0
-        movers = np.where(movable & (ratios > 1e-12))[0]
-        trials = []
-        for j in movers:
-            trial = ratios.copy()
-            trial[j] = max(0.0, trial[j] - unit_ratio)
-            trials.append(build_oscillating_schedule(plan, trial, period, m))
-        for j, trial_peak in zip(movers, peak_batch_fn(trials)):
-            drop = peak.core_peaks[hottest] - trial_peak.core_peaks[hottest]
-            tpt = drop / ((plan.v_high[j] - plan.v_low[j]) * t_unit)
-            if tpt > best_tpt:
-                best_j, best_tpt, best_drop = int(j), tpt, drop
-        if best_j < 0:
+        movers = np.flatnonzero(movable & (ratios > 1e-12))
+        if not movers.size:
             raise ConvergenceError(
                 "no adjustable core left but the peak still exceeds T_max; "
                 "the platform is infeasible even at the low modes"
             )
+        trials = _moved(ratios, movers, np.maximum(0.0, ratios[movers] - unit_ratio))
+        trial_peaks = engine.stepup_peak_rows(
+            oscillating_rows(plan, trials, period, m)
+        )
+        hottest = peak.core
+        drops = peak.core_peaks[hottest] - trial_peaks.core_peaks[:, hottest]
+        best = int(np.argmax(drops / (swing[movers] * t_unit)))
+        best_j, best_drop = int(movers[best]), drops[best]
 
         steps = 1
         if adaptive and best_drop > 1e-12:
@@ -137,10 +145,21 @@ def enforce_threshold(
             )
         ratios[best_j] = max(0.0, ratios[best_j] - steps * unit_ratio)
         sched = build_oscillating_schedule(plan, ratios, period, m)
-        peak = peak_fn(sched)
+        peak = engine.stepup_peak(sched)
         iterations += 1
 
     return ratios, sched, peak, iterations
+
+
+def _shift_rows(rows: Rows, offsets: dict[int, float]) -> Rows:
+    """Every row with each ``core: offset`` of ``offsets`` applied, in order."""
+    shifted = []
+    for z, lengths, volts in zip(*rows):
+        lengths, volts = lengths[:z], volts[:z]
+        for core, offset in offsets.items():
+            lengths, volts = shift_core_arrays(lengths, volts, core, float(offset))
+        shifted.append((lengths, volts))
+    return stack_rows(shifted)
 
 
 def fill_headroom(
@@ -150,30 +169,24 @@ def fill_headroom(
     period: float,
     m: int,
     t_unit: float | None = None,
-    peak_fn: PeakFn | None = None,
-    peak_batch_fn: PeakBatchFn | None = None,
     adaptive: bool = True,
     max_iter: int = 100_000,
     shifts: list[float] | None = None,
+    start: tuple[PeriodicSchedule, PeakResult] | None = None,
 ) -> tuple[np.ndarray, PeriodicSchedule, PeakResult, int]:
     """Grow high ratios while the stable peak stays under ``T_max``.
 
     The symmetric move to :func:`enforce_threshold`: consumes thermal
     headroom for throughput, picking the core with the largest throughput
     gain per degree.  ``shifts`` (per-core phase offsets, used by PCO) are
-    applied after rebuilding each candidate schedule; shifted schedules
-    are no longer step-up, so supplying shifts without a ``peak_fn``
-    falls back to the general peak engine (scalar and batched)
-    automatically.  Candidate moves of one iteration are priced as a
-    single batch through ``peak_batch_fn``.
+    applied after rebuilding each candidate; shifted schedules are no
+    longer step-up, so any positive shift selects the general peak engine.
+    Candidate moves of one iteration are priced as a single batch of rows;
+    a multi-quantum move is priced on the scalar kernel.  ``start`` is the
+    schedule that ``ratios`` and ``shifts`` build and its scalar peak, when
+    the caller has already priced it; it is not priced again.
     """
     engine = ThermalEngine.ensure(platform)
-    # Shifted schedules are no longer step-up, so shifts without an
-    # explicit peak engine select the general MatEx-style pair.
-    needs_general = shifts is not None and any(off > 0 for off in shifts)
-    peak_fn, peak_batch_fn = engine.resolve_peak_fns(
-        peak_fn, peak_batch_fn, general=needs_general
-    )
     cycle = period / m
     if t_unit is None:
         t_unit = cycle / 200.0
@@ -182,6 +195,7 @@ def fill_headroom(
 
     ratios = np.asarray(ratios, dtype=float).copy()
     movable = plan.v_high > plan.v_low + 1e-12
+    swing = plan.v_high - plan.v_low
 
     offsets = {core: off for core, off in enumerate(shifts or ()) if off > 0}
 
@@ -191,31 +205,35 @@ def fill_headroom(
             sched = shift_cores(sched, offsets)
         return sched
 
-    sched = rebuild(ratios)
-    peak = peak_fn(sched)
+    def price(sched: PeriodicSchedule) -> PeakResult:
+        if offsets:
+            return engine.general_peak(sched)
+        return engine.stepup_peak(sched)
+
+    def price_rows(trials: np.ndarray) -> PeakRows:
+        rows = oscillating_rows(plan, trials, period, m)
+        if offsets:
+            return engine.general_peak_rows(_shift_rows(rows, offsets))
+        return engine.stepup_peak_rows(rows)
+
+    if start is None:
+        sched = rebuild(ratios)
+        start = sched, price(sched)
+    sched, peak = start
     iterations = 0
 
     while peak.value <= theta_max - 1e-9 and iterations < max_iter:
-        best_j, best_gain_rate, best_rise, best_trial = -1, -np.inf, 0.0, None
-        movers = np.where(movable & (ratios < 1 - 1e-12))[0]
-        trial_ratios, trial_scheds = [], []
-        for j in movers:
-            trial = ratios.copy()
-            trial[j] = min(1.0, trial[j] + unit_ratio)
-            trial_ratios.append(trial)
-            trial_scheds.append(rebuild(trial))
-        for j, trial, trial_sched, trial_peak in zip(
-            movers, trial_ratios, trial_scheds, peak_batch_fn(trial_scheds)
-        ):
-            if trial_peak.value > theta_max + 1e-9:
-                continue
-            rise = max(trial_peak.value - peak.value, 1e-15)
-            gain_rate = (plan.v_high[j] - plan.v_low[j]) / rise
-            if gain_rate > best_gain_rate:
-                best_j, best_gain_rate = int(j), gain_rate
-                best_rise, best_trial = rise, (trial, trial_sched, trial_peak)
-        if best_j < 0:
+        movers = np.flatnonzero(movable & (ratios < 1 - 1e-12))
+        if not movers.size:
+            break
+        trials = _moved(ratios, movers, np.minimum(1.0, ratios[movers] + unit_ratio))
+        trial_peaks = price_rows(trials)
+        feasible = trial_peaks.value <= theta_max + 1e-9
+        if not feasible.any():
             break  # no single-quantum move stays feasible
+        rise = np.maximum(trial_peaks.value - peak.value, 1e-15)
+        best = int(np.argmax(np.where(feasible, swing[movers] / rise, -np.inf)))
+        best_j, best_rise = int(movers[best]), rise[best]
 
         steps = 1
         if adaptive and best_rise > 1e-12:
@@ -226,17 +244,20 @@ def fill_headroom(
                 int((1.0 - ratios[best_j]) / unit_ratio),
                 max(1, int(0.125 / unit_ratio)),
             )
-        if steps <= 1:
-            ratios, sched, peak = best_trial[0], best_trial[1], best_trial[2]
-        else:
+        if steps > 1:
             trial = ratios.copy()
             trial[best_j] = min(1.0, trial[best_j] + steps * unit_ratio)
             trial_sched = rebuild(trial)
-            trial_peak = peak_fn(trial_sched)
-            if trial_peak.value <= theta_max + 1e-9:
-                ratios, sched, peak = trial, trial_sched, trial_peak
-            else:
-                ratios, sched, peak = best_trial[0], best_trial[1], best_trial[2]
+            trial_peak = price(trial_sched)
+            if trial_peak.value > theta_max + 1e-9:
+                steps = 1  # fall back to the single-quantum move
+        if steps > 1:
+            ratios, sched, peak = trial, trial_sched, trial_peak
+        else:
+            # The single-quantum trial keeps the price it got in the batch.
+            ratios = trials[best].copy()
+            sched = rebuild(ratios)
+            peak = trial_peaks.result(best)
         iterations += 1
 
     return ratios, sched, peak, iterations

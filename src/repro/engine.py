@@ -6,11 +6,12 @@ and batched peak kernels, and threaded them through ad-hoc
 ``peak_fn`` / ``peak_batch_fn`` keyword plumbing.  :class:`ThermalEngine`
 centralizes that choice: it owns the bound
 :class:`~repro.thermal.model.ThermalModel` (and with it the
-steady-state LRU cache), exposes the scalar *and* batched peak
-engines behind one interface, and instruments everything — steady-state
-solves, cache hit rates, expm applications, batch sizes, and per-phase
-wall time — so every :class:`~repro.algorithms.base.SchedulerResult` can
-report how much thermal work it cost (its ``stats`` field).
+steady-state LRU cache), exposes the scalar peak engines and the
+batched ones (for schedules and for stacked candidate rows) behind one
+interface, and instruments everything — steady-state solves, cache hit
+rates, expm applications, batch sizes, and per-phase wall time — so
+every :class:`~repro.algorithms.base.SchedulerResult` can report how
+much thermal work it cost (its ``stats`` field).
 
 Solver bodies take a ``ThermalEngine`` directly; the
 :func:`engine_entrypoint` decorator is the single coercion point that
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import time
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
@@ -43,8 +44,12 @@ from repro.obs import METRICS, TRACER, span as obs_span
 from repro.platform import Platform
 from repro.schedule.periodic import PeriodicSchedule
 from repro.thermal.batch import (
+    PeakRows,
+    Rows,
+    peak_rows,
     peak_temperature_batch,
     periodic_steady_state_batch,
+    stepup_peak_rows,
     stepup_peak_temperature_batch,
 )
 from repro.thermal.model import ThermalModel
@@ -52,15 +57,10 @@ from repro.thermal.peak import PeakResult, peak_temperature, stepup_peak_tempera
 
 __all__ = [
     "EngineStats",
-    "PeakBatchFn",
-    "PeakFn",
     "ThermalEngine",
     "as_platform",
     "engine_entrypoint",
 ]
-
-PeakFn = Callable[[PeriodicSchedule], PeakResult]
-PeakBatchFn = Callable[[Sequence[PeriodicSchedule]], "list[PeakResult]"]
 
 
 def as_platform(platform_or_engine: "Platform | ThermalEngine") -> Platform:
@@ -391,7 +391,7 @@ class ThermalEngine:
         return peak_temperature(self.model, schedule, **kwargs)
 
     # ------------------------------------------------------------------
-    # peak evaluation — batched (PR 1 kernels)
+    # peak evaluation — batched
     # ------------------------------------------------------------------
 
     def _count_batch(self, k: int) -> None:
@@ -421,6 +421,16 @@ class ThermalEngine:
         schedules = tuple(schedules)
         self._count_batch(len(schedules))
         return periodic_steady_state_batch(self.model, schedules)
+
+    def stepup_peak_rows(self, rows: Rows) -> PeakRows:
+        """Theorem-1 stable peaks of K step-up candidate rows in one pass."""
+        self._count_batch(len(rows.z))
+        return stepup_peak_rows(self.model, rows)
+
+    def general_peak_rows(self, rows: Rows) -> PeakRows:
+        """General stable peaks of K candidate rows in one pass."""
+        self._count_batch(len(rows.z))
+        return peak_rows(self.model, rows)
 
     # ------------------------------------------------------------------
     # precomputation hints
@@ -453,63 +463,6 @@ class ThermalEngine:
         if not stack:
             del self._hints[(key, params_key)]
         return value
-
-    # ------------------------------------------------------------------
-    # peak-engine selection
-    # ------------------------------------------------------------------
-
-    def peak_fns(self, general: bool = False,
-                 grid_per_interval: int | None = None) -> tuple[PeakFn, PeakBatchFn]:
-        """The (scalar, batched) peak engine pair of the requested kind.
-
-        ``general=False`` returns the Theorem-1 step-up fast path;
-        ``general=True`` the MatEx-style search valid for arbitrary
-        schedules (optionally at a custom ``grid_per_interval``).
-        """
-        if general:
-            kwargs = {}
-            if grid_per_interval is not None:
-                kwargs["grid_per_interval"] = grid_per_interval
-
-            def scalar(sched: PeriodicSchedule) -> PeakResult:
-                return self.general_peak(sched, **kwargs)
-
-            def batch(scheds) -> list[PeakResult]:
-                return self.general_peak_batch(scheds, **kwargs)
-
-            return scalar, batch
-
-        def scalar_stepup(sched: PeriodicSchedule) -> PeakResult:
-            return self.stepup_peak(sched, check=False)
-
-        def batch_stepup(scheds) -> list[PeakResult]:
-            return self.stepup_peak_batch(scheds, check=False)
-
-        return scalar_stepup, batch_stepup
-
-    def resolve_peak_fns(
-        self,
-        peak_fn: PeakFn | None = None,
-        peak_batch_fn: PeakBatchFn | None = None,
-        general: bool = False,
-        grid_per_interval: int | None = None,
-    ) -> tuple[PeakFn, PeakBatchFn]:
-        """Fill in whichever of the scalar / batched peak engines is missing.
-
-        With neither given, returns :meth:`peak_fns` of the requested
-        kind.  A custom scalar ``peak_fn`` without a batched counterpart
-        falls back to a per-candidate loop, so callers that only know how
-        to price one schedule keep working unchanged.
-        """
-        if peak_fn is None and peak_batch_fn is None:
-            return self.peak_fns(general=general, grid_per_interval=grid_per_interval)
-        if peak_fn is None:
-            assert peak_batch_fn is not None
-            return (lambda sched: peak_batch_fn([sched])[0]), peak_batch_fn
-        if peak_batch_fn is None:
-            scalar = peak_fn
-            return scalar, (lambda scheds: [scalar(s) for s in scheds])
-        return peak_fn, peak_batch_fn
 
     # ------------------------------------------------------------------
     # instrumentation

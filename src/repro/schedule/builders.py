@@ -6,7 +6,8 @@ all switch instants and emit one state interval per gap — the canonical
 state-interval representation the thermal solvers consume.  Its array
 core, :func:`~repro.schedule.periodic.combine_timelines`, also serves
 :func:`phase_schedule` and the transforms; :func:`two_mode_schedule` uses
-a closed form of it.
+a closed form of it (:func:`two_mode_rows`, which also builds whole
+candidate sets as stacked arrays).
 
 On top of it we provide the shapes the paper uses:
 
@@ -32,7 +33,6 @@ from repro.schedule.periodic import (
     PeriodicSchedule,
     check_segments,
     combine_timelines,
-    cut_grid,
     padded,
 )
 
@@ -40,6 +40,7 @@ __all__ = [
     "from_core_timelines",
     "constant_schedule",
     "two_mode_schedule",
+    "two_mode_rows",
     "phase_schedule",
     "random_schedule",
     "random_stepup_schedule",
@@ -140,13 +141,34 @@ def two_mode_schedule(
         Schedule period ``t_p`` in seconds.
     """
     v_low, v_high, ratio = _per_core(v_low, v_high, high_ratio)
-    n = v_low.size
     if np.any((ratio < -1e-12) | (ratio > 1 + 1e-12)):
         raise ScheduleError(f"high_ratio must be within [0, 1], got {ratio}")
     if np.any(v_high < v_low):
         raise ScheduleError("two_mode_schedule requires v_high >= v_low per core")
-    ratio = np.minimum(np.maximum(ratio, 0.0), 1.0)
     _check_period(period)
+    _, lengths, volts = two_mode_rows(v_low, v_high, ratio[None], period, high_first)
+    return PeriodicSchedule.from_arrays(lengths[0], volts[0])
+
+
+def two_mode_rows(
+    v_low: np.ndarray,
+    v_high: np.ndarray,
+    high_ratio: np.ndarray,
+    period,
+    high_first: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`two_mode_schedule` for K ratio rows at once, as stacked arrays.
+
+    ``v_low``/``v_high`` are ``(n,)``, ``high_ratio`` is ``(K, n)`` and
+    ``period`` a scalar or ``(K,)``; the inputs are not range-checked.
+    Returns ``(z, lengths, volts)``: row k's first ``z[k]`` intervals are
+    the lengths and voltage matrix of ``two_mode_schedule(v_low, v_high,
+    high_ratio[k], period[k], high_first)``, bit for bit, zero-padded to
+    the widest row.
+    """
+    ratio = np.minimum(np.maximum(high_ratio, 0.0), 1.0)
+    k = ratio.shape[0]
+    period = np.asarray(period, dtype=float).reshape(-1, 1)
 
     # Each core plays a first and a second segment; pieces shorter than
     # MIN_INTERVAL are dropped, and a core left with none holds v_low.
@@ -160,22 +182,39 @@ def two_mode_schedule(
     len0 = np.where(has_first, first, np.where(has_second, second, period))
     v0 = np.where(has_first, v_first, np.where(has_second, v_second, v_low))
     # Only a held v_low/v_high or a sub-MIN_INTERVAL period can be invalid.
-    used = np.concatenate((v0, v_second[both], len0 - MIN_INTERVAL))
-    if not (np.isfinite(used).all() and used.min() >= 0):
+    used = np.stack((v0, np.where(both, v_second, v0), len0 - MIN_INTERVAL))
+    if used.size and not (np.isfinite(used).all() and used.min() >= 0):
         check_segments(
-            np.stack((len0, second), axis=1),
-            np.stack((v0, v_second), axis=1),
-            np.stack((np.ones(n, dtype=bool), both), axis=1),
+            np.stack((len0, second), axis=2).reshape(-1, 2),
+            np.stack((v0, np.broadcast_to(v_second, v0.shape)), axis=2).reshape(-1, 2),
+            np.stack((np.ones_like(both), both), axis=2).reshape(-1, 2),
         )
 
-    # Closed form of combine_timelines for at most one cut per core.  Every
-    # core's segments sum to ``period`` to within rounding, far inside the
-    # period-mismatch tolerance, so that check cannot fire here.
-    end = float(len0[0] + second[0]) if both[0] else float(len0[0])
-    grid = cut_grid(np.minimum(len0[both], end), end)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    volts = np.where(both & (mids[:, None] > len0), v_second, v0)
-    return PeriodicSchedule.from_arrays(np.diff(grid), volts)
+    # Closed form of combine_timelines for at most one cut per core, row by
+    # row.  Every core's segments sum to the period to within rounding, far
+    # inside the period-mismatch tolerance, so that check cannot fire here.
+    # Core 0's timeline closes the period; a core without a cut adds one
+    # more copy of ``end`` to cut_grid's input, which it drops as a
+    # duplicate.
+    end = np.where(both[:, :1], len0[:, :1] + second[:, :1], len0[:, :1])
+    cuts = np.where(both, np.minimum(len0, end), end)
+    grid = np.sort(np.concatenate((np.zeros((k, 1)), end, cuts), axis=1), axis=1)
+    keep = np.ones(grid.shape, dtype=bool)
+    np.greater(np.diff(grid, axis=1), MIN_INTERVAL, out=keep[:, 1:])
+    n_kept = keep.sum(axis=1)
+    # Dropped points become ``end`` and sort after the kept ones.  Past
+    # its kept points each row so holds its period: re-appended where
+    # cut_grid's rule dropped it, then as padding (zero-length intervals).
+    grid = np.sort(np.where(keep, grid, end), axis=1)
+    z = n_kept - 1 + (grid[np.arange(k), n_kept - 1] < end[:, 0] - MIN_INTERVAL)
+
+    width = int(z.max()) if k else 0
+    real = np.arange(width) < z[:, None]
+    lengths = np.where(real, np.diff(grid, axis=1)[:, :width], 0.0)
+    mids = 0.5 * (grid[:, :width] + grid[:, 1 : width + 1])
+    second_now = both[:, None] & (mids[:, :, None] > len0[:, None])
+    volts = np.where(second_now, v_second, v0[:, None])
+    return z, lengths, volts
 
 
 def phase_schedule(

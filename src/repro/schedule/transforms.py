@@ -34,6 +34,7 @@ __all__ = [
     "m_oscillate_core",
     "shift_core",
     "shift_cores",
+    "shift_core_arrays",
     "merge_adjacent",
 ]
 
@@ -99,10 +100,10 @@ def m_oscillate_core(schedule: PeriodicSchedule, core: int, m: int) -> PeriodicS
     return PeriodicSchedule.from_arrays(*combine_timelines(seg_len, seg_v, counts))
 
 
-def _shift(
+def shift_core_arrays(
     lengths: np.ndarray, volts: np.ndarray, core: int, offset: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`shift_core` on ``(lengths, voltage_matrix)`` arrays."""
+    """:func:`shift_core` on ``(lengths, voltage_matrix)`` arrays (unchecked)."""
     z, n = volts.shape
     rot_len, source = rotate_segments(lengths, offset)
     k = max(z, rot_len.size)
@@ -140,7 +141,7 @@ def shift_cores(
             raise ScheduleError(f"core {core} out of range [0, {schedule.n_cores})")
     lengths, volts = schedule.lengths, schedule.voltage_matrix
     for core, offset in offsets.items():
-        lengths, volts = _shift(lengths, volts, core, float(offset))
+        lengths, volts = shift_core_arrays(lengths, volts, core, float(offset))
     return PeriodicSchedule.from_arrays(lengths, volts)
 
 

@@ -16,20 +16,29 @@ the eigenbasis of ``A``:
 So K candidates that differ only in their interval lengths and ``t_inf``
 vectors reduce to stacked elementwise recurrences over a ``(K, Z, n)``
 tensor plus two dense basis changes for the whole batch.  This module
-stacks candidate schedules (padding to the longest interval count — a
-zero-length interval is the identity), resolves all stable states at
-once, and mirrors the scalar peak searches of :mod:`repro.thermal.peak`
-grid-for-grid so results match the scalar path to solver precision.
+takes candidates as :class:`Rows` — stacked ``(z, lengths, volts)``
+arrays, padded to the longest interval count (a zero-length interval is
+the identity) — resolves all stable states at once, and mirrors the
+scalar peak searches of :mod:`repro.thermal.peak` grid-for-grid so
+results match the scalar path to solver precision.
 
-Entry points:
+Entry points on rows (the solvers build their candidates as rows and
+never as schedule objects):
+
+* :func:`stepup_peak_rows` — Theorem-1 peaks (plus the wrap-refine grid)
+  for K step-up rows.
+* :func:`peak_rows` — the general MatEx-style extrema search, with the
+  step-up fast path applied per row.
+
+Entry points on schedules, which stack them with :func:`stack_rows` and
+call the row kernels:
 
 * :func:`periodic_steady_state_batch` — eq. (4) fixed points for K
   schedules, one vectorized pass.
-* :func:`stepup_peak_temperature_batch` — Theorem-1 peaks (plus the
-  wrap-refine grid) for K step-up schedules.
-* :func:`peak_temperature_batch` — the general MatEx-style extrema
-  search for arbitrary schedules, with the step-up fast path applied per
-  candidate.
+* :func:`stepup_peak_temperature_batch` — Theorem-1 peaks for K step-up
+  schedules.
+* :func:`peak_temperature_batch` — general peaks for arbitrary
+  schedules.
 
 These are the only vectorized thermal kernels: the cross-platform grid
 entry points (:mod:`repro.thermal.grid`) call them once per distinct
@@ -39,18 +48,23 @@ model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
 
 from repro.errors import ScheduleError
-from repro.schedule.periodic import PeriodicSchedule
 from repro.schedule.properties import is_step_up
 from repro.thermal.model import ThermalModel
 from repro.thermal.peak import PeakResult
 from repro.thermal.periodic import PeriodicSolution
 
 __all__ = [
+    "Rows",
+    "PeakRows",
+    "stack_rows",
+    "stepup_peak_rows",
+    "peak_rows",
     "periodic_steady_state_batch",
     "stepup_peak_temperature_batch",
     "peak_temperature_batch",
@@ -61,16 +75,80 @@ __all__ = [
 GRID_CHUNK_ELEMENTS = 8_000_000
 
 
+class Rows(NamedTuple):
+    """K candidate schedules as stacked arrays, zero-padded to ``Z = max(z)``.
+
+    A padding interval has zero length (an identity propagator), so the
+    recurrences pass through it unchanged; its voltages are never read.
+    """
+
+    z: np.ndarray  # (K,) true interval counts
+    lengths: np.ndarray  # (K, Z) interval lengths
+    volts: np.ndarray  # (K, Z, n_cores) interval voltages
+
+    def take(self, idx) -> "Rows":
+        """The rows at ``idx``, padded only to their own widest row."""
+        z = self.z[idx]
+        width = int(z.max()) if z.size else 0
+        return Rows(z, self.lengths[idx, :width], self.volts[idx, :width])
+
+
+def stack_rows(pairs) -> Rows:
+    """Stack ``(lengths, voltage_matrix)`` pairs into :class:`Rows`."""
+    pairs = [(np.asarray(ls), np.asarray(vs)) for ls, vs in pairs]
+    z = np.array([ls.size for ls, _ in pairs], dtype=int)
+    width = int(z.max()) if z.size else 0
+    n = pairs[0][1].shape[1] if pairs else 0
+    lengths = np.zeros((len(pairs), width))
+    volts = np.zeros((len(pairs), width, n))
+    for i, (ls, vs) in enumerate(pairs):
+        lengths[i, : ls.size] = ls
+        volts[i, : ls.size] = vs
+    return Rows(z, lengths, volts)
+
+
+def _stack_schedules(schedules) -> Rows:
+    return stack_rows((s.lengths, s.voltage_matrix) for s in schedules)
+
+
+def _stepup_mask(rows: Rows, atol: float = 1e-12) -> np.ndarray:
+    """Per row, :func:`~repro.schedule.properties.is_step_up` of its schedule."""
+    rise = rows.volts[:, 1:] - rows.volts[:, :-1]
+    real = np.arange(1, rows.lengths.shape[1])[None, :] < rows.z[:, None]
+    return np.all((rise >= -atol) | ~real[:, :, None], axis=(1, 2))
+
+
+@dataclass(frozen=True)
+class PeakRows:
+    """Stable-status peaks of K rows, as arrays (one entry per row)."""
+
+    value: np.ndarray  # (K,)
+    core: np.ndarray  # (K,) hottest core
+    time: np.ndarray  # (K,) peak instant within the period
+    core_peaks: np.ndarray  # (K, n_cores)
+
+    def result(self, i: int) -> PeakResult:
+        """Row ``i`` as a :class:`~repro.thermal.peak.PeakResult`."""
+        return PeakResult(
+            value=float(self.value[i]),
+            core=int(self.core[i]),
+            time=float(self.time[i]),
+            core_peaks=self.core_peaks[i].copy(),
+        )
+
+    def results(self) -> list[PeakResult]:
+        return [self.result(i) for i in range(self.value.shape[0])]
+
+
 @dataclass(frozen=True)
 class _Stack:
-    """Stacked stable-status solution of K candidate schedules.
+    """Stacked stable-status solution of K candidate rows.
 
     All arrays are padded along the interval axis to ``Z = max(z_k)``;
     padding intervals have zero length (identity propagators) so the
     recurrences pass through them unchanged.
     """
 
-    schedules: tuple[PeriodicSchedule, ...]
     z: np.ndarray  # (K,) true interval counts
     lengths: np.ndarray  # (K, Z) interval lengths, 0-padded
     starts: np.ndarray  # (K, Z) interval start offsets within the period
@@ -83,7 +161,7 @@ class _Stack:
 
     @property
     def k(self) -> int:
-        return len(self.schedules)
+        return self.z.shape[0]
 
     @property
     def n_pad(self) -> int:
@@ -98,27 +176,24 @@ class _Stack:
         return self.y_bound[:, :-1, :] - self.g
 
 
-def _solve_stack(model: ThermalModel, schedules) -> _Stack:
-    """Stack K schedules and resolve every stable status in one pass."""
-    schedules = tuple(schedules)
-    k = len(schedules)
+def _solve_stack(model: ThermalModel, rows: Rows) -> _Stack:
+    """Resolve the stable status of every stacked row in one pass."""
+    z, lengths = rows.z, rows.lengths
+    k, z_max = lengths.shape
     n = model.n_nodes
     lam = model.eigen.eigenvalues
-    z = np.array([s.n_intervals for s in schedules], dtype=int)
-    z_max = int(z.max()) if k else 0
 
-    lengths = np.zeros((k, z_max))
     t_inf = np.zeros((k, z_max, n))
     # Candidate sets re-use a handful of mode vectors; dedup by the exact
     # voltage tuple, then solve the distinct ones in one LRU-aware call.
     local: dict[tuple, int] = {}
-    slots = []
-    for i, sched in enumerate(schedules):
-        lengths[i, : sched.n_intervals] = sched.lengths
-        slots.append([
+    slots = [
+        [
             local.setdefault(volts, len(local))
-            for volts in map(tuple, sched.voltage_matrix.tolist())
-        ])
+            for volts in map(tuple, rows.volts[i, : z[i]].tolist())
+        ]
+        for i in range(k)
+    ]
     if local:
         thetas = np.asarray(model.steady_state_many(list(local)))
         for i, idx in enumerate(slots):
@@ -147,7 +222,6 @@ def _solve_stack(model: ThermalModel, schedules) -> _Stack:
     theta_bound = y_bound @ model.eigen.w.T
 
     return _Stack(
-        schedules=schedules,
         z=z,
         lengths=lengths,
         starts=starts,
@@ -182,16 +256,15 @@ def periodic_steady_state_batch(
     a ``(K, max_z, n)`` tensor instead of K dense monodromy chains and K
     linear solves.
     """
-    stack = _solve_stack(model, schedules)
-    out = []
-    for i, sched in enumerate(stack.schedules):
-        out.append(
-            PeriodicSolution(
-                schedule=sched,
-                boundary_temperatures=stack.theta_bound[i, : stack.z[i] + 1].copy(),
-            )
+    schedules = tuple(schedules)
+    stack = _solve_stack(model, _stack_schedules(schedules))
+    return [
+        PeriodicSolution(
+            schedule=sched,
+            boundary_temperatures=stack.theta_bound[i, : stack.z[i] + 1].copy(),
         )
-    return out
+        for i, sched in enumerate(schedules)
+    ]
 
 
 def _grid_scan(
@@ -232,31 +305,20 @@ def _grid_chunks(stack: _Stack, model: ThermalModel, grid: int):
         yield chunk, times, temps
 
 
-def stepup_peak_temperature_batch(
+def stepup_peak_rows(
     model: ThermalModel,
-    schedules,
-    check: bool = True,
+    rows: Rows,
     wrap_refine: bool = True,
     grid: int = 24,
-) -> list[PeakResult]:
-    """Theorem-1 stable peaks of K step-up schedules in one pass.
+) -> PeakRows:
+    """Theorem-1 stable peaks of K step-up rows in one pass.
 
-    Mirrors :func:`repro.thermal.peak.stepup_peak_temperature` candidate
-    by candidate — period-end boundary temperatures plus the vectorized
+    Mirrors :func:`repro.thermal.peak.stepup_peak_temperature` row by
+    row — period-end boundary temperatures plus the vectorized
     wrap-continuation grid — with the grid evaluated for the whole batch
-    at once.
+    at once.  Rows are assumed step-up (not checked).
     """
-    schedules = tuple(schedules)
-    if check:
-        for sched in schedules:
-            if not is_step_up(sched):
-                raise ScheduleError(
-                    "stepup_peak_temperature requires a step-up schedule; "
-                    "use peak_temperature for arbitrary schedules"
-                )
-    if not schedules:
-        return []
-    stack = _solve_stack(model, schedules)
+    stack = _solve_stack(model, rows)
     cores = model.network.core_nodes
     k = stack.k
 
@@ -264,7 +326,8 @@ def stepup_peak_temperature_batch(
     core_peaks = end.copy()
     best_core = np.argmax(end, axis=1)
     best_val = end[np.arange(k), best_core]
-    best_time = np.array([s.period for s in schedules])
+    # Left-to-right period sums, as PeriodicSchedule.period adds them.
+    best_time = np.cumsum(stack.lengths, axis=1)[:, -1] if k else np.zeros(0)
 
     if wrap_refine:
         for chunk, times, temps in _grid_chunks(stack, model, grid):
@@ -283,24 +346,43 @@ def stepup_peak_temperature_batch(
             better = vals > best_val[chunk]
             if better.any():
                 qi, gi, ci = np.unravel_index(arg, (zc, gc, cc))
-                rows = np.arange(kc)
-                when = stack.starts[chunk][rows, qi] + times[rows, qi, gi]
+                rows_c = np.arange(kc)
+                when = stack.starts[chunk][rows_c, qi] + times[rows_c, qi, gi]
                 sub = np.where(better)[0]
                 base = chunk.start if chunk.start else 0
-                for j in sub:
-                    best_val[base + j] = vals[j]
-                    best_core[base + j] = ci[j]
-                    best_time[base + j] = when[j]
+                best_val[base + sub] = vals[sub]
+                best_core[base + sub] = ci[sub]
+                best_time[base + sub] = when[sub]
 
-    return [
-        PeakResult(
-            value=float(best_val[i]),
-            core=int(best_core[i]),
-            time=float(best_time[i]),
-            core_peaks=core_peaks[i].copy(),
-        )
-        for i in range(k)
-    ]
+    return PeakRows(
+        value=best_val, core=best_core, time=best_time, core_peaks=core_peaks
+    )
+
+
+def stepup_peak_temperature_batch(
+    model: ThermalModel,
+    schedules,
+    check: bool = True,
+    wrap_refine: bool = True,
+    grid: int = 24,
+) -> list[PeakResult]:
+    """Theorem-1 stable peaks of K step-up schedules in one pass.
+
+    Stacks the schedules and calls :func:`stepup_peak_rows`.
+    """
+    schedules = tuple(schedules)
+    if check:
+        for sched in schedules:
+            if not is_step_up(sched):
+                raise ScheduleError(
+                    "stepup_peak_temperature requires a step-up schedule; "
+                    "use peak_temperature for arbitrary schedules"
+                )
+    if not schedules:
+        return []
+    return stepup_peak_rows(
+        model, _stack_schedules(schedules), wrap_refine=wrap_refine, grid=grid
+    ).results()
 
 
 def _refine_interval_best(
@@ -373,41 +455,19 @@ def _refine_interval_best(
     return out
 
 
-def peak_temperature_batch(
+def _general_peak_rows(
     model: ThermalModel,
-    schedules,
-    grid_per_interval: int = 64,
-    refine: bool = True,
-    stepup_fast_path: bool = True,
-) -> list[PeakResult]:
-    """Stable-status peaks of K arbitrary schedules in one vectorized pass.
-
-    The batched counterpart of :func:`repro.thermal.peak.peak_temperature`:
-    candidates that are step-up take the Theorem-1 fast path (batched),
-    the rest get the dense-grid + Brent extrema search with the grids for
-    the whole batch evaluated at once.  Results land in input order.
-    """
-    schedules = tuple(schedules)
-    if not schedules:
-        return []
-
-    results: list[PeakResult | None] = [None] * len(schedules)
-    general_idx = list(range(len(schedules)))
-    if stepup_fast_path:
-        stepup_idx = [i for i in general_idx if is_step_up(schedules[i])]
-        general_idx = [i for i in general_idx if i not in set(stepup_idx)]
-        if stepup_idx:
-            fast = stepup_peak_temperature_batch(
-                model, [schedules[i] for i in stepup_idx], check=False
-            )
-            for i, res in zip(stepup_idx, fast):
-                results[i] = res
-    if not general_idx:
-        return results  # type: ignore[return-value]
-
-    subset = tuple(schedules[i] for i in general_idx)
-    stack = _solve_stack(model, subset)
+    rows: Rows,
+    grid_per_interval: int,
+    refine: bool,
+) -> PeakRows:
+    """Dense-grid + Brent extrema search of K arbitrary rows."""
+    stack = _solve_stack(model, rows)
     n_cores = model.network.core_nodes.shape[0]
+    value = np.empty(stack.k)
+    core = np.empty(stack.k, dtype=int)
+    when = np.empty(stack.k)
+    all_core_peaks = np.empty((stack.k, n_cores))
 
     for chunk, times, temps in _grid_chunks(stack, model, grid_per_interval):
         masked = np.where(stack.mask[chunk][:, :, None, None], temps, -np.inf)
@@ -438,13 +498,75 @@ def peak_temperature_batch(
                         cand[1],
                         stack.starts[base + i, q] + cand[2],
                     )
-            core_peaks = np.maximum(
+            all_core_peaks[base + i] = np.maximum(
                 core_peaks, best[0] * (np.arange(n_cores) == best[1])
             )
-            results[general_idx[base + i]] = PeakResult(
-                value=float(best[0]),
-                core=int(best[1]),
-                time=float(best[2]),
-                core_peaks=core_peaks,
-            )
-    return results  # type: ignore[return-value]
+            value[base + i], core[base + i], when[base + i] = best
+    return PeakRows(value=value, core=core, time=when, core_peaks=all_core_peaks)
+
+
+def peak_rows(
+    model: ThermalModel,
+    rows: Rows,
+    grid_per_interval: int = 64,
+    refine: bool = True,
+    stepup_fast_path: bool = True,
+) -> PeakRows:
+    """Stable-status peaks of K arbitrary rows in one vectorized pass.
+
+    The row form of :func:`repro.thermal.peak.peak_temperature`: rows
+    that are step-up take the Theorem-1 fast path (batched), the rest get
+    the dense-grid + Brent extrema search with the grids for the whole
+    batch evaluated at once.  Each subset is padded only to its own widest
+    row.  Results land in input order.
+    """
+    k = rows.z.shape[0]
+    fast = _stepup_mask(rows) if stepup_fast_path else np.zeros(k, dtype=bool)
+    if fast.all():
+        return stepup_peak_rows(model, rows)
+    if not fast.any():
+        return _general_peak_rows(model, rows, grid_per_interval, refine)
+
+    n_cores = model.network.core_nodes.shape[0]
+    out = PeakRows(
+        value=np.empty(k),
+        core=np.empty(k, dtype=int),
+        time=np.empty(k),
+        core_peaks=np.empty((k, n_cores)),
+    )
+    for idx, part in (
+        (np.flatnonzero(fast), stepup_peak_rows(model, rows.take(fast))),
+        (
+            np.flatnonzero(~fast),
+            _general_peak_rows(model, rows.take(~fast), grid_per_interval, refine),
+        ),
+    ):
+        out.value[idx] = part.value
+        out.core[idx] = part.core
+        out.time[idx] = part.time
+        out.core_peaks[idx] = part.core_peaks
+    return out
+
+
+def peak_temperature_batch(
+    model: ThermalModel,
+    schedules,
+    grid_per_interval: int = 64,
+    refine: bool = True,
+    stepup_fast_path: bool = True,
+) -> list[PeakResult]:
+    """Stable-status peaks of K arbitrary schedules in one vectorized pass.
+
+    The batched counterpart of :func:`repro.thermal.peak.peak_temperature`:
+    stacks the schedules and calls :func:`peak_rows`.
+    """
+    schedules = tuple(schedules)
+    if not schedules:
+        return []
+    return peak_rows(
+        model,
+        _stack_schedules(schedules),
+        grid_per_interval=grid_per_interval,
+        refine=refine,
+        stepup_fast_path=stepup_fast_path,
+    ).results()

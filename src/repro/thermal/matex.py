@@ -137,6 +137,7 @@ def interval_solution(
     theta0: np.ndarray,
     voltages,
     length: float,
+    t_inf: np.ndarray | None = None,
 ) -> IntervalSolution:
     """Build the closed-form solution for one state interval.
 
@@ -150,11 +151,15 @@ def interval_solution(
         Per-core supply voltages held constant over the interval.
     length:
         Interval duration in seconds.
+    t_inf:
+        The node steady state of ``voltages``, when the caller already
+        has it (skips the model's lookup).
     """
     if length < 0:
         raise ThermalModelError(f"interval length must be >= 0, got {length}")
     theta0 = as_1d_float(theta0, "theta0", model.n_nodes)
-    t_inf = model.steady_state(voltages)
+    if t_inf is None:
+        t_inf = model.steady_state(voltages)
     modal = model.eigen.modal_coefficients(theta0 - t_inf)
     return IntervalSolution(
         t_inf=t_inf,

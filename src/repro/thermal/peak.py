@@ -104,13 +104,10 @@ def stepup_peak_temperature(
     best_time = schedule.period
 
     if wrap_refine:
-        from repro.thermal.matex import interval_solution
-
         t_base = 0.0
-        for q, (length, volts) in enumerate(schedule.interval_rows()):
-            sol_q = interval_solution(
-                model, solution.boundary_temperatures[q], volts, length
-            )
+        for length, sol_q in zip(
+            schedule.lengths.tolist(), solution.interval_solutions(model)
+        ):
             times = np.linspace(0.0, length, max(grid, 2))
             temps = sol_q.temperatures(times)[:, cores]
             np.maximum(core_peaks, temps.max(axis=0), out=core_peaks)

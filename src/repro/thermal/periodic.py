@@ -14,14 +14,14 @@ period) and solve rather than invert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.schedule.periodic import PeriodicSchedule
 from repro.thermal.matex import IntervalSolution, interval_solution
 from repro.thermal.model import ThermalModel
-from repro.thermal.transient import TraceResult, simulate_schedule_period
+from repro.thermal.transient import TraceResult
 from repro.util.linalg import solve_linear
 
 __all__ = ["PeriodicSolution", "periodic_steady_state", "stable_trace"]
@@ -39,10 +39,16 @@ class PeriodicSolution:
         ``(z + 1, n_nodes)`` stable-status temperatures at every scheduling
         point ``t_0 = 0 .. t_z = t_p`` (first and last rows are equal by
         construction).
+    steady_states:
+        The node steady state of every interval's voltages, when the
+        solver already looked them up (``None`` otherwise).
     """
 
     schedule: PeriodicSchedule
     boundary_temperatures: np.ndarray
+    steady_states: tuple[np.ndarray, ...] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def start_temperature(self) -> np.ndarray:
@@ -56,9 +62,14 @@ class PeriodicSolution:
 
     def interval_solutions(self, model: ThermalModel) -> list[IntervalSolution]:
         """Closed-form solutions for each interval in the stable status."""
+        t_infs = self.steady_states or (None,) * self.schedule.n_intervals
         return [
-            interval_solution(model, self.boundary_temperatures[q], volts, length)
-            for q, (length, volts) in enumerate(self.schedule.interval_rows())
+            interval_solution(
+                model, self.boundary_temperatures[q], volts, length, t_inf=t_inf
+            )
+            for q, ((length, volts), t_inf) in enumerate(
+                zip(self.schedule.interval_rows(), t_infs)
+            )
         ]
 
     def boundary_peak(self, model: ThermalModel) -> float:
@@ -75,26 +86,39 @@ def periodic_steady_state(
 
     Cost: one closed-form propagation per interval to get the affine part,
     one dense ``expm`` product chain for ``K``, and one linear solve.
+    Each interval's steady state is looked up once and kept on the
+    solution for :meth:`PeriodicSolution.interval_solutions`.
     """
     n = model.n_nodes
+    eigen = model.eigen
     rows = schedule.interval_rows()
+    t_infs = tuple(model.steady_state(volts) for _, volts in rows)
+
+    def propagate(theta: np.ndarray, length: float, t_inf: np.ndarray) -> np.ndarray:
+        # ThermalModel.propagate with the steady state already in hand.
+        return t_inf + eigen.apply_expm(length, theta - t_inf)
+
     # Affine part d: one period from theta(0) = 0.
-    d = simulate_schedule_period(model, schedule, np.zeros(n))
+    d = np.zeros(n)
+    for (length, _), t_inf in zip(rows, t_infs):
+        d = propagate(d, length, t_inf)
 
     # Monodromy matrix K = Phi_z ... Phi_1 (dense; n is small: 2N+1 nodes).
     k = np.eye(n)
     for length, _ in rows:
-        k = model.eigen.expm(length) @ k
+        k = eigen.expm(length) @ k
 
     theta0 = solve_linear(np.eye(n) - k, d)
 
     boundaries = np.empty((schedule.n_intervals + 1, n))
     boundaries[0] = theta0
     theta = theta0
-    for q, (length, volts) in enumerate(rows, start=1):
-        theta = model.propagate(theta, length, volts)
+    for q, ((length, _), t_inf) in enumerate(zip(rows, t_infs), start=1):
+        theta = propagate(theta, length, t_inf)
         boundaries[q] = theta
-    return PeriodicSolution(schedule=schedule, boundary_temperatures=boundaries)
+    return PeriodicSolution(
+        schedule=schedule, boundary_temperatures=boundaries, steady_states=t_infs
+    )
 
 
 def stable_trace(

@@ -107,3 +107,35 @@ class TestPCO:
         # Table V's qualitative claim on this codebase: PCO pays for the
         # general peak engine.
         assert pco3.runtime_s > ao3.runtime_s * 0.5
+
+
+class TestTieDecisions:
+    """Pinned outputs on mirror-symmetric floorplans.
+
+    Mirror cores of the ``paper`` floorplan tie for hottest to about
+    1e-13 K, and the scalar and batch kernels break such ties
+    differently.  The solvers price each accepted schedule on the scalar
+    kernel, which these values were computed with; pricing it on the
+    batch kernel shrinks the mirror core instead and fails both tests.
+    """
+
+    def test_ao_six_cores(self):
+        platform = paper_platform(6, n_levels=2, t_max_c=55.0, tau=5.00218035e-06)
+        result = ao(platform, m_cap=12)
+        assert result.details["final_high_ratio"].tolist() == [
+            0.40493128937485073,
+            0.3252583675385954,
+            0.40493128937485073,
+            0.36493128937485075,
+            0.37025836753859537,
+            0.36493128937485075,
+        ]
+
+    def test_pco_nine_cores(self):
+        platform = paper_platform(9, n_levels=2, t_max_c=65.0, tau=5.00307796e-06)
+        result = pco(platform, m_cap=16, shift_grid=4)
+        assert result.throughput == 1.0352053056157309
+        assert result.details["shifts"] == [
+            0.0009375, 0.0009375, 0.0, 0.0009375, 0.0,
+            0.0003125, 0.0, 0.0003125, 0.0,
+        ]

@@ -15,9 +15,17 @@ import repro.thermal.batch as batch_mod
 import repro.thermal.grid as grid_mod
 
 from repro.algorithms.continuous import continuous_assignment
-from repro.algorithms.oscillation import choose_m, plan_modes
+from repro.algorithms.oscillation import (
+    ModePlan,
+    adjusted_high_ratios,
+    build_oscillating_schedule,
+    choose_m,
+    oscillating_rows,
+    plan_modes,
+)
 from repro.algorithms.tpt import enforce_threshold, fill_headroom
-from repro.errors import ScheduleError, ThermalModelError
+from repro.engine import ThermalEngine
+from repro.errors import ScheduleError, SolverError, ThermalModelError
 from repro.floorplan import paper_floorplan
 from repro.platform import Platform, paper_platform, platform_3d
 from repro.power import TransitionOverhead, big_little_power_model, paper_ladder
@@ -26,9 +34,16 @@ from repro.schedule.builders import (
     random_schedule,
     random_stepup_schedule,
 )
+from repro.schedule.periodic import PeriodicSchedule
+from repro.schedule.properties import is_step_up
+from repro.schedule.transforms import shift_core_arrays
 from repro.thermal.batch import (
+    PeakRows,
+    peak_rows,
     peak_temperature_batch,
     periodic_steady_state_batch,
+    stack_rows,
+    stepup_peak_rows,
     stepup_peak_temperature_batch,
 )
 from repro.thermal.grid import (
@@ -400,55 +415,209 @@ class TestSteadyStateLRU:
         )
 
 
+def _assert_rows_are(rows, schedules):
+    """Rows hold exactly the schedules' arrays, zero-padded to the widest."""
+    assert rows.lengths.shape[1] == max(s.n_intervals for s in schedules)
+    for z, lengths, volts, sched in zip(*rows, schedules):
+        assert z == sched.n_intervals
+        assert lengths[:z].tobytes() == sched.lengths.tobytes()
+        assert volts[:z].tobytes() == sched.voltage_matrix.tobytes()
+        assert not lengths[z:].any()
+
+
+def _assert_peaks_are(rows_peaks, results):
+    assert rows_peaks.value.tolist() == [r.value for r in results]
+    assert rows_peaks.core.tolist() == [r.core for r in results]
+    assert rows_peaks.time.tolist() == [r.time for r in results]
+    assert rows_peaks.core_peaks.tobytes() == np.array(
+        [r.core_peaks for r in results]
+    ).tobytes()
+
+
+class TestRows:
+    """Candidate rows vs the schedules they stand for, bit for bit."""
+
+    PLAN = ModePlan(
+        v_low=np.array([0.6, 0.8, 1.0, 0.8, 0.6, 0.6]),
+        v_high=np.array([0.8, 1.0, 1.0, 1.3, 1.3, 1.0]),
+        high_ratio=np.full(6, 0.5),
+        target_voltages=np.full(6, 0.9),
+    )
+
+    def _ratios(self, rng, k=40):
+        ratios = rng.random((k, 6))
+        ratios[0] = 0.0
+        ratios[1] = 1.0
+        ratios[2] = 1 - 1e-13
+        ratios[3] = [0.0, 1.0, 1 - 1e-13, 0.5, 1e-13, 0.25]
+        ratios[4] = [1 - 1e-13, 0.3, 0.3, 0.0, 1.0, 0.3]
+        return ratios
+
+    def test_oscillating_rows_match_schedules(self, rng):
+        ratios = self._ratios(rng)
+        per_row = rng.integers(1, 30, size=len(ratios))
+        for m in (per_row, 7):
+            rows = oscillating_rows(self.PLAN, ratios, 0.02, m)
+            _assert_rows_are(
+                rows,
+                [
+                    build_oscillating_schedule(self.PLAN, r, 0.02, int(m_k))
+                    for r, m_k in zip(ratios, np.broadcast_to(m, len(ratios)))
+                ],
+            )
+
+    def test_oscillating_rows_reject_bad_input(self):
+        with pytest.raises(ScheduleError):
+            oscillating_rows(self.PLAN, np.full((2, 6), 1.5), 0.02, 1)
+        with pytest.raises(SolverError):
+            oscillating_rows(self.PLAN, np.full((2, 6), 0.5), 0.02, [1, 0])
+
+    def test_stepup_rows_match_schedule_kernels(self, rng):
+        model = paper_platform(6, n_levels=2, t_max_c=60.0).model
+        ratios = self._ratios(rng, k=12)
+        m = rng.integers(1, 12, size=len(ratios))
+        rows = oscillating_rows(self.PLAN, ratios, 0.02, m)
+        scheds = [
+            build_oscillating_schedule(self.PLAN, r, 0.02, int(m_k))
+            for r, m_k in zip(ratios, m)
+        ]
+        got = stepup_peak_rows(model, rows)
+        _assert_peaks_are(got, stepup_peak_temperature_batch(model, scheds))
+        for i, sched in enumerate(scheds):
+            scalar = stepup_peak_temperature(model, sched)
+            assert got.value[i] == pytest.approx(scalar.value, abs=PARITY)
+            np.testing.assert_allclose(
+                got.core_peaks[i], scalar.core_peaks, atol=PARITY, rtol=0
+            )
+
+    def test_peak_rows_match_schedule_kernels_on_shifted_sets(self, rng):
+        model = paper_platform(6, n_levels=2, t_max_c=60.0).model
+        ratios = self._ratios(rng, k=10)
+        rows = oscillating_rows(self.PLAN, ratios, 0.02, 4)
+        pairs = []
+        for i, (z, lengths, volts) in enumerate(zip(*rows)):
+            pair = (lengths[:z], volts[:z])
+            if i % 2:
+                pair = shift_core_arrays(*pair, i % 6, 0.0011 * i)
+            pairs.append(pair)
+        scheds = [PeriodicSchedule.from_arrays(*pair) for pair in pairs]
+        stepup = [is_step_up(s) for s in scheds]
+        # Both kinds, and the general subset is wider than the step-up one.
+        assert any(stepup) and not all(stepup)
+        assert max(s.n_intervals for s, f in zip(scheds, stepup) if not f) > max(
+            s.n_intervals for s, f in zip(scheds, stepup) if f
+        )
+        got = peak_rows(model, stack_rows(pairs))
+        _assert_peaks_are(got, peak_temperature_batch(model, scheds))
+        # Each kind is stacked on its own, as in a batch of its own.
+        fast = np.array(stepup)
+        for kind in (fast, ~fast):
+            alone = peak_rows(model, stack_rows(p for p, f in zip(pairs, kind) if f))
+            for field in ("value", "core", "time", "core_peaks"):
+                assert (
+                    getattr(got, field)[kind].tobytes()
+                    == getattr(alone, field).tobytes()
+                )
+        for i, sched in enumerate(scheds):
+            assert got.value[i] == pytest.approx(
+                peak_temperature(model, sched).value, abs=PARITY
+            )
+
+
+def _scalar_rows(kernel):
+    """A row kernel that prices every row as a schedule on ``kernel``."""
+
+    def price(engine, rows):
+        peaks = [
+            kernel(engine.model, PeriodicSchedule.from_arrays(ls[:z], vs[:z]))
+            for z, ls, vs in zip(*rows)
+        ]
+        return PeakRows(
+            value=np.array([p.value for p in peaks]),
+            core=np.array([p.core for p in peaks]),
+            time=np.array([p.time for p in peaks]),
+            core_peaks=np.array([p.core_peaks for p in peaks]),
+        )
+
+    return price
+
+
+def scalar_trials(monkeypatch):
+    """Price solver candidate rows on the scalar kernels instead."""
+    monkeypatch.setattr(
+        ThermalEngine,
+        "stepup_peak_rows",
+        _scalar_rows(lambda m, s: stepup_peak_temperature(m, s, check=False)),
+    )
+    monkeypatch.setattr(
+        ThermalEngine, "general_peak_rows", _scalar_rows(peak_temperature)
+    )
+
+
 class TestConsumersUnchanged:
-    """Rewired optimizers must emit byte-identical schedules."""
+    """Optimizers pricing candidates as rows make the scalar path's choices."""
 
     def test_choose_m_batch_matches_scalar(self, platform3):
         cont = continuous_assignment(platform3)
         plan = plan_modes(platform3, cont.voltages)
-        m_b, sched_b, hist_b = choose_m(platform3, plan, 0.02, m_cap=16, batch=True)
-        m_s, sched_s, hist_s = choose_m(platform3, plan, 0.02, m_cap=16, batch=False)
-        assert m_b == m_s
-        assert sched_b.intervals == sched_s.intervals
-        assert [m for m, _ in hist_b] == [m for m, _ in hist_s]
-        for (_, p_b), (_, p_s) in zip(hist_b, hist_s):
-            assert p_b == pytest.approx(p_s, abs=PARITY)
+        m_opt, sched, history = choose_m(platform3, plan, 0.02, m_cap=16)
+        scalar = []
+        for m, peak in history:
+            cand = build_oscillating_schedule(
+                plan, adjusted_high_ratios(platform3, plan, m, 0.02), 0.02, m
+            )
+            scalar.append(
+                stepup_peak_temperature(platform3.model, cand, check=False).value
+            )
+            assert peak == pytest.approx(scalar[-1], abs=PARITY)
+            if m == m_opt:
+                assert sched.intervals == cand.intervals
+        assert [m for m, _ in history] == list(range(1, len(history) + 1))
+        assert m_opt == history[int(np.argmin(scalar))][0]
 
-    def test_enforce_threshold_batch_matches_scalar(self, platform3):
+    def test_enforce_threshold_batch_matches_scalar(
+        self, platform3, monkeypatch
+    ):
         cont = continuous_assignment(platform3)
         plan = plan_modes(platform3, cont.voltages)
         ratios0 = plan.high_ratio.copy()
 
-        def scalar_fn(s):
-            return stepup_peak_temperature(platform3.model, s, check=False)
-
         r_b, sched_b, peak_b, it_b = enforce_threshold(
             platform3, plan, ratios0.copy(), 0.02, 4
         )
+        scalar_trials(monkeypatch)
         r_s, sched_s, peak_s, it_s = enforce_threshold(
-            platform3, plan, ratios0.copy(), 0.02, 4, peak_fn=scalar_fn
+            platform3, plan, ratios0.copy(), 0.02, 4
         )
         assert it_b == it_s
         np.testing.assert_array_equal(r_b, r_s)
         assert sched_b.intervals == sched_s.intervals
         assert peak_b.value == pytest.approx(peak_s.value, abs=PARITY)
 
-    def test_fill_headroom_batch_matches_scalar(self, platform3):
+    def test_fill_headroom_batch_matches_scalar(self, platform3, monkeypatch):
+        self._check_fill(platform3, monkeypatch, shifts=None)
+
+    def test_shifted_fill_headroom_batch_matches_scalar(
+        self, platform3, monkeypatch
+    ):
+        self._check_fill(platform3, monkeypatch, shifts=[0.0, 0.0011, 0.0])
+
+    @staticmethod
+    def _check_fill(platform3, monkeypatch, shifts):
         cont = continuous_assignment(platform3)
         plan = plan_modes(platform3, cont.voltages)
         ratios0, _, _, _ = enforce_threshold(
             platform3, plan, plan.high_ratio.copy(), 0.02, 4
         )
-
-        def scalar_fn(s):
-            return stepup_peak_temperature(platform3.model, s, check=False)
+        ratios0 *= 0.6  # leave headroom to fill
 
         r_b, sched_b, _, it_b = fill_headroom(
-            platform3, plan, ratios0.copy(), 0.02, 4
+            platform3, plan, ratios0.copy(), 0.02, 4, shifts=shifts
         )
+        scalar_trials(monkeypatch)
         r_s, sched_s, _, it_s = fill_headroom(
-            platform3, plan, ratios0.copy(), 0.02, 4, peak_fn=scalar_fn
+            platform3, plan, ratios0.copy(), 0.02, 4, shifts=shifts
         )
-        assert it_b == it_s
+        assert it_b == it_s > 0
         np.testing.assert_array_equal(r_b, r_s)
         assert sched_b.intervals == sched_s.intervals

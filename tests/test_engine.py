@@ -7,7 +7,12 @@ import pytest
 
 from repro.engine import EngineStats, ThermalEngine, as_platform
 from repro.schedule.builders import constant_schedule, two_mode_schedule
-from repro.thermal.batch import stepup_peak_temperature_batch
+from repro.schedule.transforms import shift_core
+from repro.thermal.batch import (
+    peak_temperature_batch,
+    stack_rows,
+    stepup_peak_temperature_batch,
+)
 from repro.thermal.peak import peak_temperature, stepup_peak_temperature
 
 
@@ -65,47 +70,35 @@ class TestPeakParity:
         got = engine.stepup_peak_batch(scheds)
         assert [g.value for g in got] == [e.value for e in expected]
 
-    def test_resolve_defaults_are_stepup(self, platform3, engine):
-        sched = _osc_schedule(platform3)
-        peak_fn, peak_batch_fn = engine.resolve_peak_fns()
-        expected = stepup_peak_temperature(platform3.model, sched, check=False)
-        assert peak_fn(sched).value == expected.value
-        # The batched kernel reorders the floating-point reduction.
-        assert peak_batch_fn([sched])[0].value == pytest.approx(
-            expected.value, rel=1e-12
+    def test_stepup_rows_match_batch(self, platform3, engine):
+        scheds = [_osc_schedule(platform3, r) for r in (0.25, 0.5, 0.75)]
+        expected = stepup_peak_temperature_batch(
+            platform3.model, scheds, check=False
         )
-
-    def test_resolve_general(self, platform3, engine):
-        # A shifted/arbitrary schedule only the general engine prices.
-        sched = constant_schedule(
-            np.full(platform3.n_cores, platform3.ladder.v_min), period=0.02
+        mark = engine.checkpoint()
+        got = engine.stepup_peak_rows(
+            stack_rows((s.lengths, s.voltage_matrix) for s in scheds)
         )
-        peak_fn, _ = engine.resolve_peak_fns(general=True)
-        expected = peak_temperature(platform3.model, sched)
-        assert peak_fn(sched).value == expected.value
+        assert got.value.tolist() == [e.value for e in expected]
+        stats = engine.stats_since(mark)
+        assert (stats.batch_calls, stats.batch_candidates) == (1, 3)
 
-    def test_resolve_scalar_only_loops(self, engine, platform3):
-        calls = []
-
-        def scalar(sched):
-            calls.append(sched)
-            return stepup_peak_temperature(platform3.model, sched, check=False)
-
-        peak_fn, peak_batch_fn = engine.resolve_peak_fns(peak_fn=scalar)
-        scheds = [_osc_schedule(platform3, r) for r in (0.3, 0.6)]
-        results = peak_batch_fn(scheds)
-        assert len(results) == 2 and len(calls) == 2
-
-    def test_resolve_batch_only_derives_scalar(self, engine, platform3):
-        def batch(scheds):
-            return stepup_peak_temperature_batch(
-                platform3.model, scheds, check=False
-            )
-
-        peak_fn, _ = engine.resolve_peak_fns(peak_batch_fn=batch)
-        sched = _osc_schedule(platform3)
-        expected = stepup_peak_temperature(platform3.model, sched, check=False)
-        assert peak_fn(sched).value == pytest.approx(expected.value, rel=1e-12)
+    def test_general_rows_match_batch(self, platform3, engine):
+        # A shifted (not step-up) schedule next to step-up ones.
+        scheds = [
+            _osc_schedule(platform3),
+            shift_core(_osc_schedule(platform3), 1, 0.003),
+            constant_schedule(
+                np.full(platform3.n_cores, platform3.ladder.v_min), period=0.02
+            ),
+        ]
+        expected = peak_temperature_batch(platform3.model, scheds)
+        got = engine.general_peak_rows(
+            stack_rows((s.lengths, s.voltage_matrix) for s in scheds)
+        )
+        assert got.value.tolist() == [e.value for e in expected]
+        assert got.core.tolist() == [e.core for e in expected]
+        assert engine.stats().batch_calls == 1
 
 
 class TestCounters:

@@ -11,6 +11,7 @@ from repro.schedule.builders import (
     random_stepup_schedule,
     two_mode_schedule,
 )
+from repro.schedule.transforms import shift_core
 from repro.thermal.peak import peak_temperature, stepup_peak_temperature
 
 
@@ -47,6 +48,16 @@ class TestStepupFastPath:
         s = constant_schedule([1.0] * 3, period=0.01)
         r = stepup_peak_temperature(model3, s)
         assert r.celsius(model3) == pytest.approx(r.value + 35.0)
+
+
+    @pytest.mark.parametrize("kernel", [stepup_peak_temperature, peak_temperature])
+    def test_one_steady_state_lookup_per_interval(self, model3, rng, kernel):
+        s = random_stepup_schedule(3, rng, levels=(0.6, 0.9, 1.3), period=0.05)
+        if kernel is peak_temperature:
+            s = shift_core(s, 0, 0.01)  # off the step-up fast path
+        before = model3.ss_solves + model3.ss_cache_hits
+        kernel(model3, s)
+        assert model3.ss_solves + model3.ss_cache_hits - before == s.n_intervals
 
 
 class TestGeneralPeak:

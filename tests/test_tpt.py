@@ -10,9 +10,11 @@ from repro.algorithms.oscillation import (
     plan_modes,
 )
 from repro.algorithms.tpt import enforce_threshold, fill_headroom
+from repro.engine import ThermalEngine
 from repro.errors import ConvergenceError
 from repro.platform import paper_platform
-from repro.thermal.peak import peak_temperature, stepup_peak_temperature
+from repro.schedule.properties import is_step_up
+from repro.thermal.peak import peak_temperature
 
 
 @pytest.fixture(scope="module")
@@ -63,16 +65,16 @@ class TestEnforceThreshold:
 
         assert throughput(s_fast) >= throughput(s_slow) - 0.05
 
-    def test_respects_custom_peak_fn(self, setup):
+    def test_prices_each_accepted_schedule_once(self, setup):
+        # One scalar peak per accepted schedule (the start and one per
+        # iteration); every trial set goes to the batch kernel as rows.
         p, plan = setup
-        calls = []
-
-        def spy(sched):
-            calls.append(1)
-            return stepup_peak_temperature(p.model, sched, check=False)
-
-        enforce_threshold(p, plan, plan.high_ratio, 0.02, 1, peak_fn=spy)
-        assert len(calls) > 0
+        engine = ThermalEngine(p)
+        *_, iters = enforce_threshold(engine, plan, plan.high_ratio, 0.02, 1)
+        stats = engine.stats()
+        assert iters > 0
+        assert stats.peak_evals == iters + 1
+        assert stats.batch_calls == iters
 
     def test_iteration_budget(self, setup):
         p, plan = setup
@@ -115,15 +117,34 @@ class TestFillHeadroom:
         assert saturated or peak.value > p.theta_max - 1.0
 
     def test_respects_threshold_with_general_engine(self, setup):
+        # A phase shift makes the candidates non-step-up: the fill prices
+        # them with the general engine, and so must the check.
         p, plan = setup
-
-        def general(sched):
-            return peak_temperature(p.model, sched)
-
         ratios, sched, peak, _ = fill_headroom(
-            p, plan, np.full(3, 0.1), period=0.02, m=4, peak_fn=general
+            p, plan, np.full(3, 0.1), period=0.02, m=4,
+            shifts=[0.0, 0.002, 0.0],
         )
+        assert not is_step_up(sched)
         assert peak.value <= p.theta_max + 1e-9
+        assert peak_temperature(p.model, sched).value == pytest.approx(
+            peak.value, abs=1e-9
+        )
+
+    def test_start_is_not_priced_again(self, setup):
+        p, plan = setup
+        engine = ThermalEngine(p)
+        ratios = np.full(3, 0.05)
+        sched = build_oscillating_schedule(plan, ratios, 0.02, 4)
+        start = (sched, engine.stepup_peak(sched))
+        mark = engine.checkpoint()
+        given = fill_headroom(engine, plan, ratios, 0.02, 4, start=start)
+        evals_given = engine.stats_since(mark).peak_evals
+        mark = engine.checkpoint()
+        fresh = fill_headroom(engine, plan, ratios, 0.02, 4)
+        assert engine.stats_since(mark).peak_evals == evals_given + 1
+        assert given[3] == fresh[3] > 0
+        np.testing.assert_array_equal(given[0], fresh[0])
+        assert given[2].value == fresh[2].value
 
     def test_fill_after_enforce_never_loses_throughput(self, setup):
         from repro.schedule.properties import throughput
