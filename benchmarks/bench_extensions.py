@@ -15,9 +15,10 @@ from repro.analysis.tsp import thermal_safe_power, tsp_throughput
 from repro.floorplan import paper_floorplan
 from repro.platform import Platform, paper_platform, platform_3d
 from repro.power import TransitionOverhead, big_little_power_model, paper_ladder
+from repro.realtime import TaskSet
 from repro.thermal.model import ThermalModel
 from repro.thermal.rc import build_single_layer_network
-from repro.workload import TaskSet, schedule_taskset
+from repro.workload import schedule_taskset
 
 
 def test_workload_pipeline(benchmark):

@@ -19,9 +19,9 @@ import numpy as np
 
 from repro import paper_platform
 from repro.experiments.reporting import ascii_table
+from repro.realtime import TaskSet
 from repro.thermal.reference import reference_peak
 from repro.workload import (
-    TaskSet,
     first_fit_decreasing,
     schedule_taskset,
     thermal_aware_mapping,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.realtime import FrameWorkload, plan_frames, simulate_recovery
+from repro.realtime import TaskSet, plan_frames, simulate_recovery
 
 OUT = Path(__file__).resolve().parents[1] / "tests" / "data"
 
@@ -76,7 +76,7 @@ def main() -> None:
     docs = []
     for case, builder, wl_kwargs, k, policy, failures in CASES:
         platform = builder()
-        workload = FrameWorkload.random(**wl_kwargs)
+        workload = TaskSet.random_frame(**wl_kwargs)
         placement = plan_frames(platform, workload, k=k, policy=policy)
         report = simulate_recovery(
             platform,

@@ -77,13 +77,8 @@ from repro.schedule import PeriodicSchedule, m_oscillate, step_up, throughput
 from repro.thermal import ThermalModel, peak_temperature, stepup_peak_temperature
 from repro.floorplan import Floorplan, grid_floorplan, paper_floorplan
 from repro.algorithms.minpeak import minimize_peak
-from repro.workload import TaskSet, PeriodicTask, schedule_taskset
-from repro.realtime import (
-    FrameWorkload,
-    RTTask,
-    plan_frames,
-    simulate_recovery,
-)
+from repro.workload import schedule_taskset
+from repro.realtime import RTTask, TaskSet, plan_frames, simulate_recovery
 from repro.sim import cosimulate
 from repro.experiments import run_experiment
 from repro.errors import ReproError
@@ -139,9 +134,7 @@ __all__ = [
     "paper_floorplan",
     "minimize_peak",
     "TaskSet",
-    "PeriodicTask",
     "schedule_taskset",
-    "FrameWorkload",
     "RTTask",
     "plan_frames",
     "simulate_recovery",

@@ -5,8 +5,8 @@ workload*: run each core at the constant speed matching its work if the
 ladder offers it (Theorem 3); otherwise split between the two neighboring
 modes (Theorem 4) and oscillate as fast as the transition overhead allows
 (Theorem 5).  :func:`minimize_peak` operationalizes exactly that recipe —
-the building block the workload layer (:mod:`repro.workload`) uses to
-thermally qualify a task mapping.
+the building block :func:`repro.workload.schedule_taskset` uses to
+thermally qualify a mapping of a :class:`repro.realtime.TaskSet`.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ and batched peak kernels, and threaded them through ad-hoc
 centralizes that choice: it owns the bound
 :class:`~repro.thermal.model.ThermalModel` (and with it the
 steady-state LRU cache), exposes the scalar peak engines and the
-batched ones (for schedules and for stacked candidate rows) behind one
+batched ones (for stacked candidate rows) behind one
 interface, and instruments everything — steady-state solves, cache hit
 rates, expm applications, batch sizes, and per-phase wall time — so
 every :class:`~repro.algorithms.base.SchedulerResult` can report how
@@ -43,15 +43,7 @@ import numpy as np
 from repro.obs import METRICS, TRACER, span as obs_span
 from repro.platform import Platform
 from repro.schedule.periodic import PeriodicSchedule
-from repro.thermal.batch import (
-    PeakRows,
-    Rows,
-    peak_rows,
-    peak_temperature_batch,
-    periodic_steady_state_batch,
-    stepup_peak_rows,
-    stepup_peak_temperature_batch,
-)
+from repro.thermal.batch import PeakRows, Rows, peak_rows, stepup_peak_rows
 from repro.thermal.model import ThermalModel
 from repro.thermal.peak import PeakResult, peak_temperature, stepup_peak_temperature
 
@@ -133,8 +125,8 @@ class EngineStats:
     peak_evals:
         Scalar peak evaluations (step-up or general engine).
     batch_calls / batch_candidates / max_batch:
-        Batched peak/stable-status calls, total candidates priced through
-        them, and the largest single batch.
+        Batched peak-row calls, total candidate rows priced through them,
+        and the largest single batch.
     eigen_cache_hits / eigen_cache_misses:
         Eigendecompositions served by the process-shared eigenbasis cache
         vs. computed from scratch (:mod:`repro.util.eigcache`).
@@ -400,27 +392,6 @@ class ThermalEngine:
         if k > self._max_batch:
             self._max_batch = k
         self._batch_histogram.observe(k)
-
-    def stepup_peak_batch(self, schedules, check: bool = False,
-                          **kwargs) -> list[PeakResult]:
-        """Theorem-1 stable peaks of K step-up candidates in one pass."""
-        schedules = tuple(schedules)
-        self._count_batch(len(schedules))
-        return stepup_peak_temperature_batch(
-            self.model, schedules, check=check, **kwargs
-        )
-
-    def general_peak_batch(self, schedules, **kwargs) -> list[PeakResult]:
-        """General stable peaks of K arbitrary candidates in one pass."""
-        schedules = tuple(schedules)
-        self._count_batch(len(schedules))
-        return peak_temperature_batch(self.model, schedules, **kwargs)
-
-    def periodic_steady_state_batch(self, schedules) -> list:
-        """Eq.-(4) stable statuses of K candidates in one pass."""
-        schedules = tuple(schedules)
-        self._count_batch(len(schedules))
-        return periodic_steady_state_batch(self.model, schedules)
 
     def stepup_peak_rows(self, rows: Rows) -> PeakRows:
         """Theorem-1 stable peaks of K step-up candidate rows in one pass."""

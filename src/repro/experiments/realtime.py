@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.experiments.reporting import ascii_plot, ascii_table
 from repro.platforms import PlatformSpec
-from repro.realtime import FrameWorkload
+from repro.realtime import TaskSet
 from repro.runner import (
     RunnerConfig,
     RunReport,
@@ -262,7 +262,7 @@ def realtime_units(
     units: list[WorkUnit] = []
     for i, (k, intensity, util, idx) in enumerate(scenarios):
         workload_seed, fault_seed = child_seeds[2 * i], child_seeds[2 * i + 1]
-        workload = FrameWorkload.random(
+        workload = TaskSet.random_frame(
             n_tasks, util, frame_s, rng=int(workload_seed),
             max_task_utilization=max_task_utilization,
         )

@@ -4,8 +4,10 @@ The fusion the ROADMAP's "fault-tolerant real-time frames" item asks
 for: EnSuRe-style primary/backup frame scheduling whose fault-tolerance
 budget *is* the certified thermal margin of the safety layer.
 
-* :mod:`repro.realtime.frames` — the workload model
-  (:class:`RTTask` / :class:`FrameWorkload`);
+* :mod:`repro.realtime.tasks` — the one real-time task model
+  (:class:`RTTask` / :class:`TaskSet`), shared with partitioned EDF,
+  :func:`~repro.workload.schedule_taskset` and
+  :func:`~repro.sim.engine.cosimulate`;
 * :mod:`repro.realtime.scheduler` — :func:`plan_frames`, the
   margin-aware (vs thermally-blind) k-fault-tolerant placement;
 * :mod:`repro.realtime.recovery` — :func:`simulate_recovery`, closed-
@@ -17,7 +19,7 @@ Layering: nothing here may import :mod:`repro.algorithms` or
 public-API layering tests).
 """
 
-from repro.realtime.frames import FrameWorkload, RTTask
+from repro.realtime.tasks import RTTask, TaskSet
 from repro.realtime.recovery import (
     RecoveryReport,
     simulate_recovery,
@@ -31,8 +33,8 @@ from repro.realtime.scheduler import (
 )
 
 __all__ = [
-    "FrameWorkload",
     "RTTask",
+    "TaskSet",
     "FramePlacement",
     "PlacedTask",
     "RecoveryReport",

@@ -57,7 +57,7 @@ import numpy as np
 from repro.engine import ThermalEngine
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.platform import Platform
-from repro.realtime.frames import FrameWorkload, RTTask
+from repro.realtime.tasks import RTTask, TaskSet
 from repro.safety.certificate import (
     DEFAULT_TOLERANCE,
     SafetyCertificate,
@@ -164,7 +164,7 @@ class FramePlacement:
         The :func:`overload_factor` applied to the window sizing.
     """
 
-    workload: FrameWorkload
+    workload: TaskSet
     k: int
     policy: str
     levels: tuple[int, ...]
@@ -335,7 +335,7 @@ def _base_level(engine: ThermalEngine, margin_guard: float) -> int:
 
 
 def _place(
-    workload: FrameWorkload,
+    workload: TaskSet,
     n_cores: int,
     k: int,
     policy: str,
@@ -378,7 +378,7 @@ def _place(
 
 def plan_frames(
     platform: "Platform | ThermalEngine",
-    workload: FrameWorkload,
+    workload: TaskSet,
     k: int = 1,
     policy: str = "margin",
     *,
@@ -386,7 +386,9 @@ def plan_frames(
     certify_tolerance: float | None = None,
     allow_shedding: bool = True,
 ) -> FramePlacement:
-    """Place a frame workload k-fault-tolerantly on a platform.
+    """Place a frame task set k-fault-tolerantly on a platform.
+
+    The frame is the tasks' common period (:attr:`TaskSet.frame_s`).
 
     Parameters
     ----------
@@ -409,6 +411,8 @@ def plan_frames(
 
     Raises
     ------
+    ConfigurationError
+        When the tasks do not share one period (no frame).
     InfeasibleError
         When no subset of the workload (or, with shedding disabled, the
         full workload) can be admitted.
@@ -419,6 +423,7 @@ def plan_frames(
         )
     if k < 0:
         raise ConfigurationError(f"k must be >= 0, got {k}")
+    frame = workload.frame_s
     engine = ThermalEngine.ensure(platform)
     n = engine.n_cores
     if k >= n:
@@ -436,8 +441,7 @@ def plan_frames(
 
     remaining = workload
     shed: list[str] = []
-    frame = workload.frame_s
-    while remaining.n_tasks > 0:
+    while remaining.tasks:
         placements = _place(remaining, n, k, policy, headroom, speeds)
         admitted = _admit(
             engine, remaining, placements, nominal, k, policy,
@@ -487,7 +491,7 @@ def plan_frames(
 
 def _admit(
     engine: ThermalEngine,
-    workload: FrameWorkload,
+    workload: TaskSet,
     placements: list[PlacedTask],
     nominal: np.ndarray,
     k: int,

@@ -238,7 +238,7 @@ def realtime_cell_outcome(payload: Mapping[str, Any]) -> dict[str, Any]:
 
     Keys: ``platform`` (spec doc or preset name), ``policy``
     (``margin``/``blind``), ``k``, ``workload``
-    (:meth:`~repro.realtime.frames.FrameWorkload.as_dict` doc),
+    (:meth:`~repro.realtime.tasks.TaskSet.as_dict` doc),
     ``faults`` (:meth:`~repro.safety.faults.FaultSpec.as_dict` doc or
     ``None``), ``n_frames``, ``steps_per_frame``.
 
@@ -248,11 +248,11 @@ def realtime_cell_outcome(payload: Mapping[str, Any]) -> dict[str, Any]:
     """
     from repro.errors import InfeasibleError
     from repro.obs import capture_spans, span
-    from repro.realtime import FrameWorkload, plan_frames, simulate_recovery
+    from repro.realtime import TaskSet, plan_frames, simulate_recovery
     from repro.service.session import default_session
 
     engine = default_session().engine_for(_platform_spec_doc(payload))
-    workload = FrameWorkload.from_dict(payload["workload"])
+    workload = TaskSet.from_dict(payload["workload"])
     policy = str(payload["policy"])
     k = int(payload["k"])
     mark = engine.checkpoint()
@@ -260,7 +260,7 @@ def realtime_cell_outcome(payload: Mapping[str, Any]) -> dict[str, Any]:
     with capture_spans(isolate=True) as captured:
         with span(
             "unit/realtime_cell", policy=policy, k=k,
-            n_tasks=workload.n_tasks,
+            n_tasks=len(workload),
         ) as root:
             try:
                 placement = plan_frames(engine, workload, k=k, policy=policy)

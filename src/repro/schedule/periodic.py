@@ -38,7 +38,7 @@ class PeriodicSchedule:
     field.
     """
 
-    __slots__ = ("_lengths", "_volts", "_period", "_intervals")
+    __slots__ = ("_lengths", "_volts", "_period", "_intervals", "_bounds")
 
     def __init__(self, intervals) -> None:
         ivs = tuple(intervals)
@@ -108,6 +108,7 @@ class PeriodicSchedule:
         # one: a pairwise np.sum could differ in the last bit.
         object.__setattr__(self, "_period", float(sum(lengths.tolist())))
         object.__setattr__(self, "_intervals", None)
+        object.__setattr__(self, "_bounds", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PeriodicSchedule is immutable; cannot set {name!r}")
@@ -174,8 +175,17 @@ class PeriodicSchedule:
 
     @property
     def boundaries(self) -> np.ndarray:
-        """``(z + 1,)`` cumulative scheduling points ``t_0=0 .. t_z=t_p``."""
-        return np.concatenate([[0.0], np.cumsum(self._lengths)])
+        """``(z + 1,)`` scheduling points ``t_0=0 .. t_z=t_p`` (read-only)."""
+        if self._bounds is None:
+            bounds = np.concatenate([[0.0], np.cumsum(self._lengths)])
+            object.__setattr__(self, "_bounds", _readonly(bounds))
+        return self._bounds
+
+    def interval_at(self, t: float) -> tuple[int, float]:
+        """``(q, local)``: interval index at time ``t`` and ``t`` mod the period."""
+        local = float(t) % self.period
+        q = int(np.searchsorted(self.boundaries, local, side="right") - 1)
+        return min(q, self.n_intervals - 1), local
 
     # ------------------------------------------------------------------
     # views
@@ -220,12 +230,7 @@ class PeriodicSchedule:
 
     def voltage_at(self, t: float) -> np.ndarray:
         """Voltage vector in effect at time ``t`` (wrapped into the period)."""
-        period = self.period
-        t = float(t) % period
-        bounds = self.boundaries
-        q = int(np.searchsorted(bounds, t, side="right") - 1)
-        q = min(q, self.n_intervals - 1)
-        return self._volts[q].copy()
+        return self._volts[self.interval_at(t)[0]].copy()
 
     # ------------------------------------------------------------------
     # edits (return new schedules)

@@ -28,8 +28,9 @@ its headroom — while the reported statistics stay grounded in the true
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,8 +42,10 @@ from repro.schedule.periodic import PeriodicSchedule
 from repro.thermal.matex import interval_solution
 from repro.thermal.model import ThermalModel
 from repro.thermal.peak import peak_temperature
-from repro.workload.edf import EDFReport, simulate_edf
-from repro.workload.tasks import PeriodicTask
+from repro.workload.edf import EDFReport, default_horizon, simulate_edf
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (repro.realtime imports repro.sim)
+    from repro.realtime.tasks import RTTask
 
 __all__ = [
     "ClosedLoopTrace",
@@ -312,10 +315,7 @@ def _mask_timeline(
         for s, e in idle_windows:
             if s - 1e-12 <= instant < e - 1e-12:
                 return 0.0
-        local = instant % period
-        q = int(np.searchsorted(bounds, local, side="right") - 1)
-        q = min(max(q, 0), schedule.n_intervals - 1)
-        return float(volts[q])
+        return float(volts[schedule.interval_at(instant)[0]])
 
     segments: list[tuple[float, float]] = []
     for a, b in zip(grid, grid[1:]):
@@ -332,7 +332,7 @@ def _mask_timeline(
 def cosimulate(
     model: ThermalModel,
     schedule: PeriodicSchedule,
-    tasks_per_core: list[list[PeriodicTask]],
+    tasks_per_core: Sequence[Sequence[RTTask]],
     horizon_s: float | None = None,
     faults: FaultSpec | dict | None = None,
     ladder=None,
@@ -349,9 +349,9 @@ def cosimulate(
         Task lists per core (empty list = core has no work and idles
         entirely).
     horizon_s:
-        Co-simulation span; defaults to a hyperperiod-ish window (4x the
-        longest task period, at least 20 schedule periods) shared by every
-        core.  The masked timeline is treated as one period of a periodic
+        Co-simulation span shared by every core; defaults to the EDF
+        span of all tasks (:func:`~repro.workload.edf.default_horizon`).
+        The masked timeline is treated as one period of a periodic
         pattern for the thermal stable status — exact when the horizon is
         a multiple of the task hyperperiod, an excellent approximation
         otherwise.
@@ -377,8 +377,7 @@ def cosimulate(
         )
     all_tasks = [t for core_tasks in tasks_per_core for t in core_tasks]
     if horizon_s is None:
-        longest = max((t.period_s for t in all_tasks), default=schedule.period)
-        horizon_s = max(4.0 * longest, 20.0 * schedule.period)
+        horizon_s = default_horizon(schedule, all_tasks)
 
     reports = []
     timelines = []

@@ -1,6 +1,9 @@
-"""Real-time workload layer: periodic tasks, partitioning, thermal checks."""
+"""Real-time workload layer: partitioning, EDF and thermal checks.
 
-from repro.workload.tasks import PeriodicTask, TaskSet
+The tasks themselves are :class:`repro.realtime.RTTask` /
+:class:`repro.realtime.TaskSet`.
+"""
+
 from repro.workload.mapping import (
     Mapping,
     first_fit_decreasing,
@@ -11,8 +14,6 @@ from repro.workload.scheduler import WorkloadResult, schedule_taskset
 from repro.workload.edf import EDFReport, simulate_edf, supply_in_window
 
 __all__ = [
-    "PeriodicTask",
-    "TaskSet",
     "Mapping",
     "first_fit_decreasing",
     "worst_fit_decreasing",

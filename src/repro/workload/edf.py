@@ -20,15 +20,19 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.schedule.periodic import PeriodicSchedule
-from repro.workload.tasks import PeriodicTask
 
-__all__ = ["EDFReport", "simulate_edf", "supply_in_window"]
+if TYPE_CHECKING:  # pragma: no cover - typing only (repro.realtime imports repro.sim)
+    from repro.realtime.tasks import RTTask
+
+__all__ = ["EDFReport", "default_horizon", "simulate_edf", "supply_in_window"]
 
 
 @dataclass(frozen=True)
@@ -94,13 +98,17 @@ def supply_in_window(
     per_period = float(cum[-1])
 
     def cumulative(t: float) -> float:
-        full, local = divmod(t, period)
-        q = int(np.searchsorted(bounds, local, side="right") - 1)
-        q = min(max(q, 0), schedule.n_intervals - 1)
+        q, local = schedule.interval_at(t)
         partial = cum[q] + volts[q] * (local - bounds[q])
-        return full * per_period + partial
+        return (t // period) * per_period + partial
 
     return cumulative(start + length) - cumulative(start)
+
+
+def default_horizon(schedule: PeriodicSchedule, tasks: Sequence[RTTask]) -> float:
+    """Default EDF span: 4x the longest task period, at least 20 schedule periods."""
+    longest = max((t.period_s for t in tasks), default=0.0)
+    return max(4.0 * longest, 20.0 * schedule.period)
 
 
 @dataclass(order=True)
@@ -115,7 +123,7 @@ class _Job:
 def simulate_edf(
     schedule: PeriodicSchedule,
     core: int,
-    tasks: list[PeriodicTask],
+    tasks: Sequence[RTTask],
     horizon_s: float | None = None,
 ) -> EDFReport:
     """Simulate preemptive EDF on one core with the schedule's speed profile.
@@ -127,8 +135,7 @@ def simulate_edf(
     tasks:
         The tasks assigned to this core (releases aligned at t = 0).
     horizon_s:
-        Simulated span (default: 4x the longest task period, at least
-        20 schedule periods).
+        Simulated span (default: :func:`default_horizon`).
     """
     if not (0 <= core < schedule.n_cores):
         raise ConfigurationError(f"core {core} out of range")
@@ -138,12 +145,10 @@ def simulate_edf(
             deadline_misses=(), max_lateness_s=0.0, idle_windows=(),
         )
     if horizon_s is None:
-        horizon_s = max(
-            4.0 * max(t.period_s for t in tasks), 20.0 * schedule.period
-        )
+        horizon_s = default_horizon(schedule, tasks)
 
     seq = itertools.count()
-    releases: list[tuple[float, PeriodicTask]] = []
+    releases: list[tuple[float, RTTask]] = []
     for task in tasks:
         # Index-based release times avoid cumulative float drift.
         n_jobs = int(np.ceil(horizon_s / task.period_s - 1e-9))
@@ -164,9 +169,7 @@ def simulate_edf(
 
     def current_segment(t: float) -> tuple[float, float]:
         """(speed, time until the segment ends) at absolute time t."""
-        local = t % period
-        q = int(np.searchsorted(bounds, local, side="right") - 1)
-        q = min(q, schedule.n_intervals - 1)
+        q, local = schedule.interval_at(t)
         return float(volts_of[q]), float(bounds[q + 1] - local)
 
     while now < horizon_s:

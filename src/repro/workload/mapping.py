@@ -16,12 +16,15 @@ Three packers over the same capacity model (a core at maximum speed
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import SolverError
 from repro.platform import Platform
-from repro.workload.tasks import PeriodicTask, TaskSet
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (repro.realtime imports repro.sim)
+    from repro.realtime.tasks import RTTask, TaskSet
 
 __all__ = [
     "Mapping",
@@ -49,7 +52,7 @@ class Mapping:
     taskset: TaskSet
     n_cores: int
 
-    def core_tasks(self, core: int) -> list[PeriodicTask]:
+    def core_tasks(self, core: int) -> list[RTTask]:
         """Tasks assigned to one core."""
         return [t for t in self.taskset if self.assignment[t.name] == core]
 

@@ -9,6 +9,7 @@ and report whether the platform's temperature limit holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -16,7 +17,9 @@ from repro.algorithms.minpeak import MinPeakResult, minimize_peak
 from repro.errors import SolverError
 from repro.platform import Platform
 from repro.workload.mapping import Mapping, thermal_aware_mapping
-from repro.workload.tasks import TaskSet
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (repro.realtime imports repro.sim)
+    from repro.realtime.tasks import TaskSet
 
 __all__ = ["WorkloadResult", "schedule_taskset"]
 

@@ -5,9 +5,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.platform import paper_platform
+from repro.realtime import RTTask
 from repro.schedule.builders import constant_schedule, two_mode_schedule
 from repro.sim import cosimulate
-from repro.workload.tasks import PeriodicTask
 
 
 @pytest.fixture(scope="module")
@@ -15,8 +15,8 @@ def p3():
     return paper_platform(3, n_levels=5, t_max_c=65.0)
 
 
-def light_tasks(u: float, period: float = 0.05) -> list[PeriodicTask]:
-    return [PeriodicTask(f"t{period}", wcec=u * period, period_s=period)]
+def light_tasks(u: float, period: float = 0.05) -> list[RTTask]:
+    return [RTTask(f"t{period}", wcec=u * period, period_s=period)]
 
 
 class TestCosimulate:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.realtime import RTTask
 from repro.schedule.builders import constant_schedule, two_mode_schedule
 from repro.workload.edf import simulate_edf, supply_in_window
-from repro.workload.tasks import PeriodicTask
 
 
 class TestSupplyInWindow:
@@ -41,8 +41,8 @@ class TestSimulateEDF:
         # Demand 0.8 on a core averaging 0.95 with a 1 ms cycle.
         s = two_mode_schedule([0.6], [1.3], [0.5], 0.001)
         tasks = [
-            PeriodicTask("a", wcec=0.02, period_s=0.05),   # u = 0.4
-            PeriodicTask("b", wcec=0.04, period_s=0.10),   # u = 0.4
+            RTTask("a", wcec=0.02, period_s=0.05),   # u = 0.4
+            RTTask("b", wcec=0.04, period_s=0.10),   # u = 0.4
         ]
         report = simulate_edf(s, 0, tasks)
         assert report.all_deadlines_met
@@ -50,7 +50,7 @@ class TestSimulateEDF:
 
     def test_overload_misses_deadlines(self):
         s = constant_schedule([0.6], period=0.01)
-        tasks = [PeriodicTask("hog", wcec=0.09, period_s=0.1)]  # u = 0.9 > 0.6
+        tasks = [RTTask("hog", wcec=0.09, period_s=0.1)]  # u = 0.9 > 0.6
         report = simulate_edf(s, 0, tasks)
         assert not report.all_deadlines_met
         assert report.max_lateness_s > 0
@@ -59,14 +59,14 @@ class TestSimulateEDF:
         # Average speed 0.95 > demand 0.9, but the cycle (100 ms) is as long
         # as the task period: the job released into the low phase starves.
         s = two_mode_schedule([0.6], [1.3], [0.5], 0.1)
-        tasks = [PeriodicTask("tight", wcec=0.045, period_s=0.05)]  # u = 0.9
+        tasks = [RTTask("tight", wcec=0.045, period_s=0.05)]  # u = 0.9
         report = simulate_edf(s, 0, tasks, horizon_s=1.0)
         assert not report.all_deadlines_met
 
     def test_fast_oscillation_fixes_it(self):
         # Same demand, cycle pushed to 1 ms: the fluid approximation holds.
         s = two_mode_schedule([0.6], [1.3], [0.5], 0.001)
-        tasks = [PeriodicTask("tight", wcec=0.045, period_s=0.05)]
+        tasks = [RTTask("tight", wcec=0.045, period_s=0.05)]
         report = simulate_edf(s, 0, tasks, horizon_s=1.0)
         assert report.all_deadlines_met
 
@@ -79,11 +79,11 @@ class TestSimulateEDF:
     def test_invalid_core(self):
         s = constant_schedule([0.9], period=0.01)
         with pytest.raises(ConfigurationError):
-            simulate_edf(s, 3, [PeriodicTask("a", 0.01, 0.1)])
+            simulate_edf(s, 3, [RTTask("a", 0.01, 0.1)])
 
     def test_utilization_accounting(self):
         s = constant_schedule([1.0], period=0.01)
-        tasks = [PeriodicTask("a", wcec=0.05, period_s=0.1)]
+        tasks = [RTTask("a", wcec=0.05, period_s=0.1)]
         report = simulate_edf(s, 0, tasks, horizon_s=1.0)
         assert report.jobs_released == 10
         assert report.jobs_completed == 10
@@ -91,7 +91,8 @@ class TestSimulateEDF:
     def test_end_to_end_with_workload_layer(self):
         # The full pipeline's emitted schedule really runs its tasks.
         from repro.platform import paper_platform
-        from repro.workload import TaskSet, schedule_taskset
+        from repro.realtime import TaskSet
+        from repro.workload import schedule_taskset
 
         p = paper_platform(3, n_levels=5, t_max_c=65.0)
         ts = TaskSet.random(6, total_utilization=2.0,

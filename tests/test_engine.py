@@ -62,14 +62,6 @@ class TestPeakParity:
         got = engine.general_peak(sched)
         assert got.value == expected.value
 
-    def test_stepup_batch(self, platform3, engine):
-        scheds = [_osc_schedule(platform3, r) for r in (0.25, 0.5, 0.75)]
-        expected = stepup_peak_temperature_batch(
-            platform3.model, scheds, check=False
-        )
-        got = engine.stepup_peak_batch(scheds)
-        assert [g.value for g in got] == [e.value for e in expected]
-
     def test_stepup_rows_match_batch(self, platform3, engine):
         scheds = [_osc_schedule(platform3, r) for r in (0.25, 0.5, 0.75)]
         expected = stepup_peak_temperature_batch(
@@ -121,7 +113,9 @@ class TestCounters:
         mark = engine.checkpoint()
         sched = _osc_schedule(platform3)
         engine.stepup_peak(sched)
-        engine.stepup_peak_batch([sched] * 5)
+        engine.stepup_peak_rows(
+            stack_rows([(sched.lengths, sched.voltage_matrix)] * 5)
+        )
         stats = engine.stats_since(mark)
         assert stats.peak_evals == 1
         assert stats.batch_calls == 1

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.errors import InfeasibleError
 from repro.platform import paper_platform
-from repro.realtime import FrameWorkload, plan_frames, simulate_recovery
+from repro.realtime import TaskSet, plan_frames, simulate_recovery
 
 settings.register_profile(
     "ci", max_examples=15, deadline=None, derandomize=True, print_blob=True
@@ -47,7 +47,7 @@ def admissible_scenarios(draw, k=None):
     """A (workload, k, failure schedule) with at most ``k`` failures."""
     if k is None:
         k = draw(st.sampled_from([1, 2]))
-    workload = FrameWorkload.random(
+    workload = TaskSet.random_frame(
         draw(st.integers(4, 7)),
         draw(st.floats(0.5, 1.1)),
         0.02,
@@ -143,7 +143,7 @@ def test_blind_never_beats_margin_on_safety(seed, utilization, victim):
     """On this platform blind's activations run hotter — whenever both
     policies admit the same full workload, a margin run that is safe is
     never matched by a blind run that is *unsafely* hotter and safe."""
-    workload = FrameWorkload.random(
+    workload = TaskSet.random_frame(
         5, utilization, 0.02, rng=seed, max_task_utilization=0.5
     )
     failures = {"core_failures": [{"core": victim, "at_fraction": 0.4}]}

@@ -69,9 +69,7 @@ PUBLIC_SURFACE = sorted([
     "paper_floorplan",
     "minimize_peak",
     "TaskSet",
-    "PeriodicTask",
     "schedule_taskset",
-    "FrameWorkload",
     "RTTask",
     "plan_frames",
     "simulate_recovery",

@@ -18,8 +18,8 @@ from repro.errors import ConfigurationError, InfeasibleError
 from repro.platform import paper_platform
 from repro.power.heterogeneous import big_little_power_model
 from repro.realtime import (
-    FrameWorkload,
     RTTask,
+    TaskSet,
     overload_factor,
     plan_frames,
     simulate_recovery,
@@ -43,7 +43,7 @@ def platform4():
 
 @pytest.fixture(scope="module")
 def workload():
-    return FrameWorkload.random(
+    return TaskSet.random_frame(
         6, 0.9, 0.02, rng=11, max_task_utilization=0.5
     )
 
@@ -55,49 +55,78 @@ def workload():
 
 class TestFrameWorkload:
     def test_random_hits_requested_utilization(self, rng):
-        wl = FrameWorkload.random(8, 1.5, 0.02, rng=rng)
-        assert wl.utilization_at(1.0) == pytest.approx(1.5)
-        assert wl.n_tasks == 8
+        wl = TaskSet.random_frame(8, 1.5, 0.02, rng=rng)
+        assert wl.total_utilization == pytest.approx(1.5)
+        assert len(wl) == 8
 
     def test_random_respects_per_task_cap(self, rng):
-        wl = FrameWorkload.random(
+        wl = TaskSet.random_frame(
             6, 2.0, 0.02, rng=rng, max_task_utilization=0.5
         )
         for task in wl.tasks:
             assert task.wcet_at(1.0) / wl.frame_s <= 0.5 + 1e-12
 
     def test_criticalities_are_a_total_order(self, rng):
-        wl = FrameWorkload.random(7, 1.0, 0.02, rng=rng)
+        wl = TaskSet.random_frame(7, 1.0, 0.02, rng=rng)
         assert sorted(t.criticality for t in wl.tasks) == list(range(7))
 
     def test_shed_order_lowest_criticality_first(self):
-        wl = FrameWorkload(
-            frame_s=0.02,
+        wl = TaskSet(
             tasks=(
-                RTTask("a", 0.001, criticality=2),
-                RTTask("b", 0.001, criticality=0),
-                RTTask("c", 0.001, criticality=1),
+                RTTask("a", 0.001, 0.02, criticality=2),
+                RTTask("b", 0.001, 0.02, criticality=0),
+                RTTask("c", 0.001, 0.02, criticality=1),
             ),
         )
         assert [t.name for t in wl.shed_order()] == ["b", "c", "a"]
 
     def test_round_trip(self, workload):
-        assert FrameWorkload.from_dict(workload.as_dict()) == workload
+        assert TaskSet.from_dict(workload.as_dict()) == workload
 
     def test_wcet_scales_inversely_with_speed(self):
-        task = RTTask("t", wcec=0.01)
+        task = RTTask("t", wcec=0.01, period_s=0.02)
         assert task.wcet_at(0.5) == pytest.approx(2 * task.wcet_at(1.0))
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ConfigurationError):
-            FrameWorkload(
-                frame_s=0.02, tasks=(RTTask("x", 1.0), RTTask("x", 2.0))
-            )
+            TaskSet(tasks=(RTTask("x", 1.0, 0.02), RTTask("x", 2.0, 0.02)))
 
     def test_same_seed_same_workload(self):
-        a = FrameWorkload.random(5, 1.0, 0.02, rng=42)
-        b = FrameWorkload.random(5, 1.0, 0.02, rng=42)
+        a = TaskSet.random_frame(5, 1.0, 0.02, rng=42)
+        b = TaskSet.random_frame(5, 1.0, 0.02, rng=42)
         assert a == b
+
+    def test_mixed_periods_have_no_frame(self, platform4):
+        mixed = TaskSet(
+            tasks=(RTTask("a", 0.001, 0.02), RTTask("b", 0.001, 0.04))
+        )
+        with pytest.raises(ConfigurationError, match="one common period"):
+            mixed.frame_s
+        with pytest.raises(ConfigurationError, match="one common period"):
+            plan_frames(platform4, mixed, k=1)
+
+    def test_empty_set_has_no_frame(self):
+        with pytest.raises(ConfigurationError):
+            TaskSet(tasks=()).frame_s
+
+    def test_frame_set_runs_through_edf_and_cosim(self, platform4, workload):
+        """One frame-generated set feeds the frame scheduler and EDF alike."""
+        from repro.sim import cosimulate
+        from repro.workload import simulate_edf
+
+        placement = plan_frames(platform4, workload, k=1, policy="margin")
+        per_core = [
+            [p.task for p in placement.placements if p.primary == core]
+            for core in range(placement.n_cores)
+        ]
+        schedule = placement.envelope_schedule()
+        for core, tasks in enumerate(per_core):
+            report = simulate_edf(schedule, core, tasks)
+            assert report.jobs_released == report.jobs_completed > 0
+            assert report.all_deadlines_met
+        cosim = cosimulate(platform4.model, schedule, per_core)
+        assert cosim.all_deadlines_met
+        assert cosim.actual_peak_theta <= cosim.nominal_peak_theta + 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -234,7 +263,7 @@ class TestPlanFrames:
         from repro.engine import ThermalEngine
 
         engine = ThermalEngine.ensure(platform4)
-        wl = FrameWorkload.random(
+        wl = TaskSet.random_frame(
             6, 1.2, 0.02, rng=104, max_task_utilization=0.5
         )
         p = plan_frames(platform4, wl, k=1, policy="blind")
@@ -242,7 +271,7 @@ class TestPlanFrames:
         assert peak.value > engine.theta_max
 
     def test_shedding_drops_lowest_criticality_first(self, platform4):
-        wl = FrameWorkload.random(
+        wl = TaskSet.random_frame(
             6, 2.4, 0.02, rng=11, max_task_utilization=0.6
         )
         p = plan_frames(platform4, wl, k=1, policy="margin")
@@ -416,9 +445,8 @@ class TestRealtimeCellExecutor:
     def test_infeasible_is_an_outcome_not_a_crash(self):
         from repro.runner.units import realtime_cell_outcome
 
-        heavy = FrameWorkload(
-            frame_s=0.02,
-            tasks=(RTTask("big", wcec=0.2, criticality=0),),
+        heavy = TaskSet(
+            tasks=(RTTask("big", wcec=0.2, period_s=0.02, criticality=0),),
         )
         payload = self.payload(heavy)
         outcome = realtime_cell_outcome(payload)
@@ -485,7 +513,7 @@ GOLDEN_CASES = json.loads(GOLDEN.read_text())
 )
 def test_golden_realtime_replays(doc):
     platform = _golden_platform(doc["case"])
-    workload = FrameWorkload.random(**doc["workload_kwargs"])
+    workload = TaskSet.random_frame(**doc["workload_kwargs"])
     placement = plan_frames(
         platform, workload, k=doc["k"], policy=doc["policy"]
     )

@@ -328,12 +328,12 @@ class TestFaultSpec:
 
 class TestCosimulateFaults:
     def _setup(self, engine2):
-        from repro.workload.tasks import PeriodicTask
+        from repro.realtime import RTTask
 
         sched = constant_schedule(
             np.full(2, engine2.ladder.v_min), period=0.02
         )
-        tasks = [[PeriodicTask(name="t0", wcec=0.004, period_s=0.02)], []]
+        tasks = [[RTTask(name="t0", wcec=0.004, period_s=0.02)], []]
         return sched, tasks
 
     def test_faulted_peak_reported(self, engine2):

@@ -5,9 +5,8 @@ import pytest
 
 from repro.errors import ConfigurationError, SolverError
 from repro.platform import paper_platform
+from repro.realtime import RTTask, TaskSet
 from repro.workload import (
-    PeriodicTask,
-    TaskSet,
     first_fit_decreasing,
     schedule_taskset,
     thermal_aware_mapping,
@@ -17,15 +16,15 @@ from repro.workload import (
 
 class TestPeriodicTask:
     def test_utilization(self):
-        t = PeriodicTask(name="a", wcec=0.02, period_s=0.1)
+        t = RTTask(name="a", wcec=0.02, period_s=0.1)
         assert t.utilization == pytest.approx(0.2)
 
     def test_demand_at_speed(self):
-        t = PeriodicTask(name="a", wcec=0.05, period_s=0.1)
-        assert t.demand_at_speed(1.0) == pytest.approx(0.5)
-        assert t.demand_at_speed(0.5) == pytest.approx(1.0)
+        t = RTTask(name="a", wcec=0.05, period_s=0.1)
+        assert t.wcet_at(1.0) / t.period_s == pytest.approx(0.5)
+        assert t.wcet_at(0.5) / t.period_s == pytest.approx(1.0)
         with pytest.raises(ConfigurationError):
-            t.demand_at_speed(0.0)
+            t.wcet_at(0.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -37,15 +36,15 @@ class TestPeriodicTask:
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
-            PeriodicTask(**kwargs)
+            RTTask(**kwargs)
 
 
 class TestTaskSet:
     def test_total_utilization(self):
         ts = TaskSet(
             (
-                PeriodicTask("a", 0.02, 0.1),
-                PeriodicTask("b", 0.03, 0.1),
+                RTTask("a", 0.02, 0.1),
+                RTTask("b", 0.03, 0.1),
             )
         )
         assert ts.total_utilization == pytest.approx(0.5)
@@ -53,7 +52,7 @@ class TestTaskSet:
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ConfigurationError):
-            TaskSet((PeriodicTask("a", 1, 1), PeriodicTask("a", 2, 2)))
+            TaskSet((RTTask("a", 1, 1), RTTask("a", 2, 2)))
 
     def test_random_hits_total_utilization(self, rng):
         ts = TaskSet.random(12, total_utilization=4.0, rng=rng)
@@ -65,7 +64,7 @@ class TestTaskSet:
             ts = TaskSet.random(
                 6, total_utilization=4.5, rng=np.random.default_rng(seed)
             )
-            assert ts.utilizations().max() <= 1.0 + 1e-9
+            assert max(t.utilization for t in ts) <= 1.0 + 1e-9
 
     @pytest.mark.parametrize(
         "total,cap,expected",
@@ -180,7 +179,7 @@ class TestScheduleTaskset:
 
     def test_tiny_demands_rounded_to_vmin(self):
         p = paper_platform(3, n_levels=2, t_max_c=65.0)
-        ts = TaskSet((PeriodicTask("tiny", 0.001, 0.1),))
+        ts = TaskSet((RTTask("tiny", 0.001, 0.1),))
         r = schedule_taskset(p, ts)
         speeds = r.minpeak.target_speeds
         busy = speeds[speeds > 0]
