@@ -67,7 +67,7 @@ def test_peak_grid(benchmark, grid_rows):
 
 @pytest.mark.benchmark(group="grid-peak")
 def test_peak_scalar_loop(benchmark, grid_rows):
-    """The per-platform scalar loop (the >= 5x speedup baseline)."""
+    """The per-platform scalar loop (the `grid_speedup_vs_scalar` baseline)."""
     results = benchmark(
         lambda: [peak_temperature(m, s) for m, s in grid_rows]
     )

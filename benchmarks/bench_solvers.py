@@ -60,3 +60,31 @@ def test_steady_state_batch(benchmark, platform9):
     model = platform9.model
     theta = benchmark(lambda: model.steady_state_batch(volts))
     assert theta.shape == (4096, 9)
+
+
+#: Per-core high-mode ratios of the 9-core two-mode schedule (z = 5).
+_RATIOS_9 = [0.2, 0.2, 0.4, 0.4, 0.6, 0.6, 0.8, 0.8, 0.8]
+
+
+def test_stepup_peak_scalar_9core(benchmark, platform9):
+    """Theorem-1 peak plus the 24-sample wrap scan, one 9-core z = 5 schedule."""
+    from repro.thermal.peak import stepup_peak_temperature
+
+    s = two_mode_schedule([0.6] * 9, [1.3] * 9, _RATIOS_9, 0.02)
+    assert s.n_intervals == 5
+    model = platform9.model
+    r = benchmark(lambda: stepup_peak_temperature(model, s))
+    assert r.value >= r.core_peaks.min()
+
+
+def test_peak_scalar_9core_shifted(benchmark, platform9):
+    """General MatEx peak of the same schedule with three cores shifted (z = 30)."""
+    from repro.schedule.transforms import shift_cores
+    from repro.thermal.peak import peak_temperature
+
+    up = two_mode_schedule([0.6] * 9, [1.3] * 9, _RATIOS_9, 0.02)
+    s = shift_cores(up, {c: 0.02 * c / 9 for c in (1, 3, 6)})
+    assert s.n_intervals == 30
+    model = platform9.model
+    r = benchmark(lambda: peak_temperature(model, s))
+    assert r.value == r.core_peaks.max()

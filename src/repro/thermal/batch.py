@@ -55,6 +55,7 @@ from scipy.optimize import brentq
 
 from repro.errors import ScheduleError
 from repro.schedule.properties import is_step_up
+from repro.thermal.matex import GRID_CHUNK_ELEMENTS
 from repro.thermal.model import ThermalModel
 from repro.thermal.peak import PeakResult
 from repro.thermal.periodic import PeriodicSolution
@@ -69,10 +70,6 @@ __all__ = [
     "stepup_peak_temperature_batch",
     "peak_temperature_batch",
 ]
-
-#: Upper bound on the elements of one dense grid tensor ``(K, Z, G, n)``;
-#: larger batches are scanned in K-chunks to bound peak memory (~64 MB).
-GRID_CHUNK_ELEMENTS = 8_000_000
 
 
 class Rows(NamedTuple):

@@ -10,9 +10,18 @@ be computed analytically instead of by numerical integration.  This module
 implements that method on top of the cached eigendecomposition:
 
 * :func:`interval_solution` builds the modal coefficients once per interval,
-* :meth:`IntervalSolution.peak` finds each node's maximum over the interval
-  via a vectorized dense grid plus optional Brent refinement of the
-  bracketed stationary points.
+* :func:`stacked_temperatures` evaluates a dense sample grid over a stack
+  of intervals in one batched product,
+* :func:`stacked_peak` finds the maximum over such a stack: the grid's
+  best sample plus Brent refinement of every (interval, node) whose
+  derivative changes sign around that node's best sample.
+  :meth:`IntervalSolution.peak` is its one-interval case.
+
+The stacked forms repeat the one-interval arithmetic operation for
+operation (numpy evaluates a stacked matmul slice by slice), so a stack
+of z intervals gives bit for bit what z separate
+:class:`IntervalSolution` evaluations give;
+``tests/test_scalar_peak_parity.py`` holds them to that.
 
 This is the engine behind peak identification for *arbitrary* schedules
 (the expensive case the step-up concept avoids; see
@@ -34,6 +43,10 @@ __all__ = ["IntervalSolution", "interval_solution", "interval_peak"]
 
 #: Default number of dense samples per interval when hunting extrema.
 DEFAULT_GRID = 64
+
+#: Upper bound on the elements of one dense grid tensor; larger stacks are
+#: evaluated in chunks to bound peak memory (~64 MB).
+GRID_CHUNK_ELEMENTS = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -72,7 +85,7 @@ class IntervalSolution:
 
     def derivative_at(self, t: float, node: int) -> float:
         """``d theta_node / dt`` at time ``t``."""
-        return float(np.sum(self.modal[node] * self.lambdas * np.exp(self.lambdas * t)))
+        return _derivative(t, self.modal[node], self.lambdas)
 
     def peak(
         self,
@@ -105,31 +118,107 @@ class IntervalSolution:
 
         times = np.linspace(0.0, self.length, max(int(grid), 2))
         temps = self.temperatures(times)[:, nodes]  # (grid, len(nodes))
+        value, k, _, when = stacked_peak(
+            self.t_inf[None],
+            self.modal[None],
+            self.lambdas,
+            times[None],
+            temps[None],
+            nodes,
+            refine=refine,
+        )
+        return value, int(nodes[k]), when
 
-        flat = int(np.argmax(temps))
-        ti, ni = np.unravel_index(flat, temps.shape)
-        best_val = float(temps[ti, ni])
-        best_node = int(nodes[ni])
-        best_time = float(times[ti])
 
-        if refine:
-            # Refine every node near its own best grid point: a sign change of
-            # the derivative between neighbouring samples brackets an extremum.
-            for local, node in enumerate(nodes):
-                col = temps[:, local]
-                j = int(np.argmax(col))
-                lo = times[max(j - 1, 0)]
-                hi = times[min(j + 1, len(times) - 1)]
-                if hi <= lo:
-                    continue
-                d_lo = self.derivative_at(lo, node)
-                d_hi = self.derivative_at(hi, node)
-                if d_lo > 0 and d_hi < 0:
-                    t_star = brentq(lambda t: self.derivative_at(t, node), lo, hi)
-                    val = float(self.temperature_at(t_star)[node])
-                    if val > best_val:
-                        best_val, best_node, best_time = val, int(node), float(t_star)
-        return best_val, best_node, best_time
+def _derivative(t: float, row: np.ndarray, lambdas: np.ndarray) -> float:
+    """``sum_k row[k] * lambdas[k] * exp(lambdas[k] t)``: one node's slope."""
+    return float(np.sum(row * lambdas * np.exp(lambdas * t)))
+
+
+def stacked_temperatures(
+    t_inf: np.ndarray,
+    modal: np.ndarray,
+    lambdas: np.ndarray,
+    times: np.ndarray,
+) -> np.ndarray:
+    """Node temperatures of z stacked intervals at per-interval sample times.
+
+    ``t_inf`` is ``(z, n)``, ``modal`` ``(z, n, n)`` and ``times``
+    ``(z, G)``; returns ``(z, G, n)``.  Slice ``q`` equals
+    :meth:`IntervalSolution.temperatures` of interval ``q`` at
+    ``times[q]``: the same products, one batched matmul instead of z.
+    Stacks larger than :data:`GRID_CHUNK_ELEMENTS` go in chunks.
+    """
+    z, n_grid = times.shape
+    n = modal.shape[1]
+    out = np.empty((z, n_grid, n))
+    step = max(1, GRID_CHUNK_ELEMENTS // max(n_grid * n, 1))
+    for lo in range(0, z, step):
+        part = slice(lo, lo + step)
+        phase = np.exp(times[part, :, None] * lambdas)
+        np.add(
+            t_inf[part, None, :],
+            phase @ modal[part].transpose(0, 2, 1),
+            out=out[part],
+        )
+    return out
+
+
+def stacked_peak(
+    t_inf: np.ndarray,
+    modal: np.ndarray,
+    lambdas: np.ndarray,
+    times: np.ndarray,
+    temps: np.ndarray,
+    nodes: np.ndarray,
+    refine: bool = True,
+) -> tuple[float, int, int, float]:
+    """Maximum over a stack of intervals among ``nodes``.
+
+    ``temps`` is the ``(z, G, len(nodes))`` grid of
+    :func:`stacked_temperatures` at ``times``, restricted to ``nodes``.
+    The candidates are, interval by interval, the grid's best sample
+    (first in (sample, node) order) followed by the Brent-refined
+    stationary point of each node whose derivative is positive one sample
+    before its own best sample and negative one after.  The first
+    candidate of greatest value wins, which is what scanning them in that
+    order and keeping strict improvements picks.
+
+    Returns
+    -------
+    (value, k, q, time)
+        The peak, the position in ``nodes`` of the node attaining it, its
+        interval and the time within that interval.
+    """
+    q, ti, k = np.unravel_index(int(np.argmax(temps)), temps.shape)
+    # The winner so far and its place in the candidate order: (q, 0) is
+    # interval q's grid best, (q, 1 + k) node k's refinement there.
+    best = (float(temps[q, ti, k]), (int(q), 0), int(k), float(times[q, ti]))
+
+    if refine:
+        z, n_grid, _ = temps.shape
+        rows = np.arange(z)[:, None]
+        j = temps.argmax(axis=1)  # (z, len(nodes)): each node's own best sample
+        lo = times[rows, np.maximum(j - 1, 0)]
+        hi = times[rows, np.minimum(j + 1, n_grid - 1)]
+        # IntervalSolution.derivative_at for every (interval, node) pair.
+        slope = modal[:, nodes, :] * lambdas
+        d_lo = np.sum(slope * np.exp(lambdas * lo[..., None]), axis=-1)
+        d_hi = np.sum(slope * np.exp(lambdas * hi[..., None]), axis=-1)
+        bracketed = (hi > lo) & (d_lo > 0) & (d_hi < 0)
+        for q, k in zip(*np.nonzero(bracketed)):
+            q, k = int(q), int(k)
+            node = nodes[k]
+            t_star = brentq(
+                _derivative, lo[q, k], hi[q, k], args=(modal[q, node], lambdas)
+            )
+            # IntervalSolution.temperature_at(t_star)[node]
+            phase = np.exp(np.outer([t_star], lambdas))
+            val = float((t_inf[q][None, :] + phase @ modal[q].T)[0, node])
+            if val > best[0] or (val == best[0] and (q, k + 1) < best[1]):
+                best = (val, (q, k + 1), k, float(t_star))
+    value, (q, _), k, when = best
+    return value, k, q, when
 
 
 def interval_solution(

@@ -24,6 +24,7 @@ import numpy as np
 from repro.errors import ScheduleError
 from repro.schedule.periodic import PeriodicSchedule
 from repro.schedule.properties import is_step_up
+from repro.thermal.matex import stacked_peak, stacked_temperatures
 from repro.thermal.model import ThermalModel
 from repro.thermal.periodic import periodic_steady_state
 
@@ -104,20 +105,17 @@ def stepup_peak_temperature(
     best_time = schedule.period
 
     if wrap_refine:
-        t_base = 0.0
-        for length, sol_q in zip(
-            schedule.lengths.tolist(), solution.interval_solutions(model)
-        ):
-            times = np.linspace(0.0, length, max(grid, 2))
-            temps = sol_q.temperatures(times)[:, cores]
-            np.maximum(core_peaks, temps.max(axis=0), out=core_peaks)
-            flat = int(np.argmax(temps))
-            ti, ci = np.unravel_index(flat, temps.shape)
-            if temps[ti, ci] > best_val:
-                best_val = float(temps[ti, ci])
-                core_idx = int(ci)
-                best_time = float(t_base + times[ti])
-            t_base += length
+        # One stacked grid.  The flat argmax (first occurrence in interval,
+        # sample, core order) is what a scan of interval after interval
+        # that keeps only strict improvements picks.
+        times, temps = solution.grid(model, grid)
+        temps = temps[:, :, cores]
+        np.maximum(core_peaks, temps.max(axis=(0, 1)), out=core_peaks)
+        q, ti, ci = np.unravel_index(int(np.argmax(temps)), temps.shape)
+        if temps[q, ti, ci] > best_val:
+            best_val = float(temps[q, ti, ci])
+            core_idx = int(ci)
+            best_time = float(schedule.boundaries[q] + times[q, ti])
 
     return PeakResult(
         value=best_val,
@@ -147,28 +145,20 @@ def peak_temperature(
     cores = model.network.core_nodes
     n_cores = cores.shape[0]
 
-    core_peaks = np.full(n_cores, -np.inf)
-    best = (-np.inf, 0, 0.0)
-    t_base = 0.0
-    for length, sol_q in zip(
-        schedule.lengths.tolist(), solution.interval_solutions(model)
-    ):
-        # Track per-core maxima over the dense grid (vectorized), then the
-        # refined global peak.
-        times = np.linspace(0.0, length, max(grid_per_interval, 2))
-        temps = sol_q.temperatures(times)[:, cores]
-        core_peaks = np.maximum(core_peaks, temps.max(axis=0))
-        val, node, when = sol_q.peak(nodes=cores, grid=grid_per_interval, refine=refine)
-        if val > best[0]:
-            core_local = int(np.where(cores == node)[0][0])
-            best = (val, core_local, t_base + when)
-        t_base += length
-
-    core_peaks = np.maximum(core_peaks, best[0] * (np.arange(n_cores) == best[1]))
+    # One grid serves the per-core maxima and the refined global peak.
+    lam = model.eigen.eigenvalues
+    t_inf, modal = solution.modal_stack(model)
+    times = np.linspace(0.0, schedule.lengths, max(grid_per_interval, 2), axis=1)
+    temps = stacked_temperatures(t_inf, modal, lam, times)[:, :, cores]
+    core_peaks = temps.max(axis=(0, 1))
+    value, core, q, when = stacked_peak(
+        t_inf, modal, lam, times, temps, cores, refine=refine
+    )
+    core_peaks = np.maximum(core_peaks, value * (np.arange(n_cores) == core))
     return PeakResult(
-        value=float(best[0]),
-        core=int(best[1]),
-        time=float(best[2]),
+        value=value,
+        core=core,
+        time=float(schedule.boundaries[q] + when),
         core_peaks=core_peaks,
     )
 

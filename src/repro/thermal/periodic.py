@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.schedule.periodic import PeriodicSchedule
-from repro.thermal.matex import IntervalSolution, interval_solution
+from repro.thermal.matex import IntervalSolution, stacked_temperatures
 from repro.thermal.model import ThermalModel
 from repro.thermal.transient import TraceResult
 from repro.util.linalg import solve_linear
@@ -49,6 +49,11 @@ class PeriodicSolution:
     steady_states: tuple[np.ndarray, ...] | None = field(
         default=None, repr=False, compare=False
     )
+    #: ``(z, n_nodes)`` eigenbasis coordinates of ``theta(t_q) - t_inf_q``
+    #: at every interval start, when the solver kept them.
+    _coefficients: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def start_temperature(self) -> np.ndarray:
@@ -62,15 +67,49 @@ class PeriodicSolution:
 
     def interval_solutions(self, model: ThermalModel) -> list[IntervalSolution]:
         """Closed-form solutions for each interval in the stable status."""
-        t_infs = self.steady_states or (None,) * self.schedule.n_intervals
+        t_inf, modal = self.modal_stack(model)
+        lam = model.eigen.eigenvalues
         return [
-            interval_solution(
-                model, self.boundary_temperatures[q], volts, length, t_inf=t_inf
-            )
-            for q, ((length, volts), t_inf) in enumerate(
-                zip(self.schedule.interval_rows(), t_infs)
-            )
+            IntervalSolution(t_inf=t_inf[q], modal=modal[q], lambdas=lam, length=length)
+            for q, length in enumerate(self.schedule.lengths.tolist())
         ]
+
+    def modal_stack(self, model: ThermalModel) -> tuple[np.ndarray, np.ndarray]:
+        """``(t_inf, modal)`` of every interval, stacked.
+
+        ``t_inf`` is ``(z, n_nodes)``, the steady states; ``modal`` is
+        ``(z, n_nodes, n_nodes)``, the coefficients of
+        ``theta_i(t) = t_inf[i] + sum_k modal[i, k] exp(lambda_k t)`` — the
+        arrays :meth:`interval_solutions` hands out interval by interval.
+        """
+        eigen = model.eigen
+        t_infs = self.steady_states or tuple(
+            model.steady_state(volts)
+            for volts in self.schedule.voltage_matrix.tolist()
+        )
+        coeffs = self._coefficients
+        if coeffs is None:
+            coeffs = np.array(
+                [
+                    eigen.w_inv @ (theta - t_inf)
+                    for theta, t_inf in zip(self.boundary_temperatures, t_infs)
+                ]
+            )
+        return np.array(t_infs), eigen.w[None, :, :] * coeffs[:, None, :]
+
+    def grid(self, model: ThermalModel, samples: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every interval's temperatures on an even grid, in one stacked pass.
+
+        Returns ``(times, temps)``: the ``(z, G)`` local sample instants
+        ``np.linspace(0, l_q, G)`` with ``G = max(samples, 2)``, and the
+        ``(z, G, n_nodes)`` stable-status node temperatures there.  Slice
+        ``q`` equals ``interval_solutions(model)[q].temperatures(times[q])``
+        bit for bit.
+        """
+        t_inf, modal = self.modal_stack(model)
+        times = np.linspace(0.0, self.schedule.lengths, max(samples, 2), axis=1)
+        temps = stacked_temperatures(t_inf, modal, model.eigen.eigenvalues, times)
+        return times, temps
 
     def boundary_peak(self, model: ThermalModel) -> float:
         """Highest *core* temperature among scheduling points."""
@@ -86,39 +125,53 @@ def periodic_steady_state(
 
     Cost: one closed-form propagation per interval to get the affine part,
     one dense ``expm`` product chain for ``K``, and one linear solve.
-    Each interval's steady state is looked up once and kept on the
-    solution for :meth:`PeriodicSolution.interval_solutions`.
+    Each interval's decay factors ``exp(lambda l_q)`` are computed once
+    and serve all three passes (counted as the 3z ``expm`` applications
+    they stand for).  Each interval's steady state is looked up once and
+    kept on the solution, with the eigenbasis coordinates of the boundary
+    pass, for :meth:`PeriodicSolution.grid` and
+    :meth:`PeriodicSolution.interval_solutions`.
+
+    The solve stays :func:`~repro.util.linalg.solve_linear`: for
+    symmetric ``I - K`` (common on two-core chips) it takes a symmetric
+    factorization whose result differs in the last bits from a plain LU,
+    and every committed result was computed through it.
     """
     n = model.n_nodes
     eigen = model.eigen
-    rows = schedule.interval_rows()
-    t_infs = tuple(model.steady_state(volts) for _, volts in rows)
-
-    def propagate(theta: np.ndarray, length: float, t_inf: np.ndarray) -> np.ndarray:
-        # ThermalModel.propagate with the steady state already in hand.
-        return t_inf + eigen.apply_expm(length, theta - t_inf)
+    lam, w, w_inv = eigen.eigenvalues, eigen.w, eigen.w_inv
+    t_infs = tuple(
+        model.steady_state(volts) for volts in schedule.voltage_matrix.tolist()
+    )
+    # expm(A l_q) = W diag(decays[q]) W^{-1}.
+    decays = np.exp(schedule.lengths[:, None] * lam)
+    eigen.expm_applications += 3 * schedule.n_intervals
 
     # Affine part d: one period from theta(0) = 0.
     d = np.zeros(n)
-    for (length, _), t_inf in zip(rows, t_infs):
-        d = propagate(d, length, t_inf)
+    for decay, t_inf in zip(decays, t_infs):
+        d = t_inf + w @ (decay * (w_inv @ (d - t_inf)))
 
     # Monodromy matrix K = Phi_z ... Phi_1 (dense; n is small: 2N+1 nodes).
     k = np.eye(n)
-    for length, _ in rows:
-        k = eigen.expm(length) @ k
+    for decay in decays:
+        k = (w * decay[None, :]) @ w_inv @ k
 
     theta0 = solve_linear(np.eye(n) - k, d)
 
     boundaries = np.empty((schedule.n_intervals + 1, n))
+    coeffs = np.empty((schedule.n_intervals, n))
     boundaries[0] = theta0
     theta = theta0
-    for q, ((length, _), t_inf) in enumerate(zip(rows, t_infs), start=1):
-        theta = propagate(theta, length, t_inf)
-        boundaries[q] = theta
-    return PeriodicSolution(
+    for q, (decay, t_inf) in enumerate(zip(decays, t_infs)):
+        coeffs[q] = w_inv @ (theta - t_inf)
+        theta = t_inf + w @ (decay * coeffs[q])
+        boundaries[q + 1] = theta
+    solution = PeriodicSolution(
         schedule=schedule, boundary_temperatures=boundaries, steady_states=t_infs
     )
+    object.__setattr__(solution, "_coefficients", coeffs)
+    return solution
 
 
 def stable_trace(
@@ -131,18 +184,9 @@ def stable_trace(
     This is the Fig. 4(b) artifact: the periodic steady-state waveform.
     """
     solution = periodic_steady_state(model, schedule)
-    all_times: list[np.ndarray] = []
-    all_temps: list[np.ndarray] = []
-    t_base = 0.0
-    for length, sol in zip(
-        schedule.lengths.tolist(), solution.interval_solutions(model)
-    ):
-        local = np.linspace(0.0, length, max(samples_per_interval, 2))
-        all_times.append(t_base + local)
-        all_temps.append(sol.temperatures(local))
-        t_base += length
+    local, temps = solution.grid(model, samples_per_interval)
     return TraceResult(
-        times=np.concatenate(all_times),
-        temperatures=np.vstack(all_temps),
+        times=(schedule.boundaries[:-1, None] + local).ravel(),
+        temperatures=temps.reshape(-1, model.n_nodes),
         end_temperature=solution.end_temperature.copy(),
     )

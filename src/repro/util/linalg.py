@@ -7,8 +7,9 @@ eigendecomposition.  :class:`EigenExpm` exploits this: one O(n^3)
 symmetric eigendecomposition at construction, then every
 ``expm(A * t) @ x`` costs two dense mat-vecs.
 
-All solves go through :func:`solve_linear` (LU with a conditioning check)
-— we never form explicit inverses, per standard numerical practice.
+Dense solves go through :func:`solve_linear` (``scipy.linalg.solve`` with
+a singularity check) — we never form explicit inverses, per standard
+numerical practice.
 """
 
 from __future__ import annotations
@@ -52,12 +53,20 @@ def is_positive_definite(mat: np.ndarray, rtol: float = 1e-10) -> bool:
 
 
 def solve_linear(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``mat @ x = rhs`` with an explicit singularity check.
+    """Solve ``mat @ x = rhs`` with ``scipy.linalg.solve``.
+
+    ``scipy.linalg.solve`` (SciPy 1.17) detects the matrix structure
+    before it factors: an exactly symmetric ``mat`` goes through the
+    symmetric-indefinite ``sysv`` routine, a general one through LU
+    (``gesv``).  The two differ in the last bits, so replacing this call
+    by a fixed factorization moves results.  An ill-conditioned system
+    at most emits a ``LinAlgWarning``; only an exactly singular one
+    fails.
 
     Raises
     ------
     ThermalModelError
-        If the matrix is (numerically) singular.
+        If the factorization finds the matrix exactly singular.
     """
     mat = np.asarray(mat, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
