@@ -60,8 +60,6 @@ import argparse
 import sys
 import time
 
-from repro.experiments.registry import EXPERIMENTS, run_experiment
-
 __all__ = ["build_parser", "main"]
 
 #: ``repro solve`` option keys consumed by the platform builder rather
@@ -120,6 +118,8 @@ def _add_option_argument(parser: argparse.ArgumentParser, target: str) -> None:
 def _cmd_list(args: argparse.Namespace) -> int:
     what = getattr(args, "what", None)
     if what in (None, "experiments"):
+        from repro.experiments.registry import EXPERIMENTS
+
         print("experiments:")
         for name in sorted(EXPERIMENTS):
             print(f"  {name:<10s} {EXPERIMENTS[name].description}")
@@ -206,6 +206,8 @@ def _close_trace(sink, reports=()) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.registry import EXPERIMENTS, run_experiment
+
     if args.experiment not in EXPERIMENTS:
         print(
             f"unknown experiment {args.experiment!r}; known: "

@@ -23,19 +23,26 @@ In-process consumers go through
 grid-batched dispatch all do.
 """
 
+from repro import _lazy_exports
 from repro.service.cache import (
     ScheduleCache,
     platform_hash,
     schedule_cache_key,
 )
-from repro.service.coalescer import RequestCoalescer
-from repro.service.server import ScheduleServer, send_requests
 from repro.service.session import (
     SchedulerSession,
     SolveOutcome,
     default_session,
     reset_default_session,
 )
+
+#: The asyncio half, imported on first access (PEP 562) so in-process
+#: consumers of the session never load the event loop.
+_ASYNC_EXPORTS = {
+    "RequestCoalescer": "repro.service.coalescer",
+    "ScheduleServer": "repro.service.server",
+    "send_requests": "repro.service.server",
+}
 
 __all__ = [
     "ScheduleCache",
@@ -49,3 +56,5 @@ __all__ = [
     "schedule_cache_key",
     "send_requests",
 ]
+
+__getattr__ = _lazy_exports(globals(), _ASYNC_EXPORTS)

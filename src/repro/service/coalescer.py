@@ -38,6 +38,7 @@ import asyncio
 from typing import Any, Mapping
 
 from repro.obs import METRICS, span
+from repro.schedule.serialization import schedule_from_dict
 from repro.service.cache import schedule_cache_key
 from repro.service.session import SchedulerSession
 
@@ -183,8 +184,6 @@ class RequestCoalescer:
         self, entries: list[tuple[dict[str, Any], asyncio.Future]]
     ) -> None:
         """Group by pricing knobs; each group is one grid-kernel call."""
-        from repro.schedule.serialization import schedule_from_dict
-
         session = self.session
         groups: dict[tuple, list[tuple[dict, asyncio.Future, Any]]] = {}
         for request, future in entries:
@@ -237,8 +236,6 @@ class RequestCoalescer:
         self, entries: list[tuple[dict[str, Any], asyncio.Future]]
     ) -> None:
         """Group by tolerance; each group is one certify_grid call."""
-        from repro.schedule.serialization import schedule_from_dict
-
         session = self.session
         groups: dict[Any, list[tuple[dict, asyncio.Future, Any]]] = {}
         for request, future in entries:

@@ -39,14 +39,23 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
+from repro.algorithms.registry import get_solver, guarded_solve
+from repro.api import EvaluationResult
+from repro.api import evaluate as api_evaluate
 from repro.engine import EngineStats, ThermalEngine
+from repro.errors import InfeasibleError, SolverError
 from repro.obs import METRICS, span
 from repro.platform import Platform
+from repro.platforms import PlatformSpec
+from repro.safety.certificate import certify_grid
+from repro.schedule.properties import throughput as schedule_throughput
+from repro.schedule.serialization import result_from_dict, result_to_dict
 from repro.service.cache import (
     ScheduleCache,
     platform_hash,
     schedule_cache_key,
 )
+from repro.thermal.grid import peak_temperature_grid
 
 __all__ = [
     "SchedulerSession",
@@ -105,8 +114,6 @@ class SolveOutcome:
 
     def as_doc(self) -> dict[str, Any]:
         """JSON wire form (the server's response body for solve ops)."""
-        from repro.schedule.serialization import result_to_dict
-
         cert = self.certificate
         return {
             "status": self.status,
@@ -122,8 +129,6 @@ class SolveOutcome:
 
 def _cache_value(status: str, result, detail: str | None) -> dict[str, Any]:
     """The JSON document stored in the schedule cache for one outcome."""
-    from repro.schedule.serialization import result_to_dict
-
     return {
         "status": status,
         "result": result_to_dict(result) if result is not None else None,
@@ -139,8 +144,6 @@ def _outcome_from_value(
     cache_key: str,
     stats: EngineStats | None = None,
 ) -> SolveOutcome:
-    from repro.schedule.serialization import result_from_dict
-
     result_doc = doc.get("result")
     return SolveOutcome(
         status=str(doc["status"]),
@@ -197,8 +200,6 @@ class SchedulerSession:
             return platform_hash(platform.platform), platform.platform, None
         if isinstance(platform, Platform):
             return platform_hash(platform), platform, None
-        from repro.platforms import PlatformSpec
-
         spec = PlatformSpec.coerce(platform)
         cjson = spec.canonical()
         key = self._spec_memo.get(cjson)
@@ -275,9 +276,6 @@ class SchedulerSession:
         plain request or vice versa.  A caller who wants a fresh solve
         of a cached key uses a fresh session.
         """
-        from repro.algorithms.registry import get_solver
-        from repro.errors import SolverError
-
         spec = solver if hasattr(solver, "params") else get_solver(str(solver))
         params = dict(params or {})
         unknown = set(params) - set(spec.params)
@@ -321,9 +319,6 @@ class SchedulerSession:
         platform_key: str,
         cache_key: str,
     ) -> SolveOutcome:
-        from repro.algorithms.registry import guarded_solve
-        from repro.errors import InfeasibleError
-
         engine = self.engine_for(platform)
         mark = engine.checkpoint()
         t0 = time.perf_counter()
@@ -367,8 +362,6 @@ class SchedulerSession:
         grid_per_interval: int | None = None,
     ):
         """Price one schedule on the session's shared engine."""
-        from repro.api import evaluate as api_evaluate
-
         self.requests += 1
         self.evaluate_requests += 1
         METRICS.counter("service.requests").inc()
@@ -391,10 +384,6 @@ class SchedulerSession:
         kernels' committed parity bound); non-general rows fall back to
         the scalar Theorem-1 route, which has no cross-platform kernel.
         """
-        from repro.api import EvaluationResult, evaluate as api_evaluate
-        from repro.schedule.properties import throughput as schedule_throughput
-        from repro.thermal.grid import peak_temperature_grid
-
         items = list(items)
         self.requests += len(items)
         self.evaluate_requests += len(items)
@@ -449,8 +438,6 @@ class SchedulerSession:
     ) -> list:
         """Certify many ``(platform, schedule[, claims])`` rows in one
         :func:`~repro.safety.certificate.certify_grid` call."""
-        from repro.safety.certificate import certify_grid
-
         items = list(items)
         self.requests += len(items)
         self.certify_requests += len(items)

@@ -1,5 +1,11 @@
-"""Thermal substrate: RC networks, transient/periodic solvers, peak search."""
+"""Thermal substrate: RC networks, transient/periodic solvers, peak search.
 
+``reference_simulate`` (the LSODA oracle, which loads
+:mod:`scipy.integrate`) is imported on first access, so the closed-form
+request path never loads the ODE solver.
+"""
+
+from repro import _lazy_exports
 from repro.thermal.params import RCParams
 from repro.thermal.rc import RCNetwork, build_rc_network, build_single_layer_network
 from repro.thermal.stack3d import build_3d_network
@@ -17,7 +23,6 @@ from repro.thermal.batch import (
     periodic_steady_state_batch,
     stepup_peak_temperature_batch,
 )
-from repro.thermal.reference import reference_simulate
 
 __all__ = [
     "RCParams",
@@ -41,3 +46,7 @@ __all__ = [
     "stepup_peak_temperature_batch",
     "reference_simulate",
 ]
+
+__getattr__ = _lazy_exports(
+    globals(), {"reference_simulate": "repro.thermal.reference"}
+)

@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.errors import ScheduleError
 from repro.schedule.properties import is_step_up
@@ -59,6 +58,7 @@ from repro.thermal.matex import GRID_CHUNK_ELEMENTS
 from repro.thermal.model import ThermalModel
 from repro.thermal.peak import PeakResult
 from repro.thermal.periodic import PeriodicSolution
+from repro.util.roots import brentq
 
 __all__ = [
     "Rows",

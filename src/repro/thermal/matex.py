@@ -33,10 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.errors import ThermalModelError
 from repro.thermal.model import ThermalModel
+from repro.util.roots import brentq
 from repro.util.validation import as_1d_float
 
 __all__ = ["IntervalSolution", "interval_solution", "interval_peak"]

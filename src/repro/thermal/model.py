@@ -28,6 +28,7 @@ import scipy.linalg
 from repro.errors import ThermalModelError, ThermalRunawayError
 from repro.power.model import PowerModel
 from repro.thermal.rc import RCNetwork
+from repro.util.eigcache import shared_eigen
 from repro.util.linalg import EigenExpm, is_positive_definite, solve_linear
 from repro.util.validation import as_1d_float
 
@@ -114,8 +115,6 @@ class ThermalModel:
         re-running the O(n^3) decomposition.  Counters distinguish memo
         hits from fresh decompositions.
         """
-        from repro.util.eigcache import shared_eigen
-
         eigen, origin = shared_eigen(self.a, c_diag=self.c_diag)
         if origin == "miss":
             self.eig_cache_misses += 1

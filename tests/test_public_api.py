@@ -159,28 +159,24 @@ class TestObsLayering:
     def test_obs_imports_standalone(self):
         """repro.obs must import cleanly without the upper layers.
 
-        The parent ``repro/__init__`` imports the whole stack, so the
-        subprocess stubs it out: with a bare namespace package in its
-        place, ``import repro.obs`` executes only obs's own imports —
+        ``repro/__init__`` is lazy, so ``import repro.obs`` in a fresh
+        interpreter executes only the package stub and obs's own imports,
         which must not touch repro.algorithms / repro.experiments.
         """
         import subprocess
         import sys
 
         code = (
-            "import sys, types; "
-            "pkg = types.ModuleType('repro'); "
-            "pkg.__path__ = [sys.argv[1]]; "
-            "sys.modules['repro'] = pkg; "
+            "import sys; "
             "import repro.obs; "
             "bad = [m for m in sys.modules "
             "if m.startswith(('repro.algorithms', 'repro.experiments'))]; "
             "assert not bad, bad"
         )
-        pkg_dir = str(Path(__file__).resolve().parents[1] / "src" / "repro")
+        src_dir = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
-            [sys.executable, "-c", code, pkg_dir],
-            env={"PATH": "/usr/bin:/bin"},
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": src_dir, "PATH": "/usr/bin:/bin"},
             capture_output=True,
             text=True,
         )
