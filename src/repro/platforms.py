@@ -47,6 +47,7 @@ from typing import Any
 from repro.errors import ConfigurationError
 from repro.platform import Platform, paper_platform, platform_3d
 from repro.power.dvfs import VoltageLadder
+from repro.util.canonical import canonical_json
 
 __all__ = [
     "PlatformSpec",
@@ -338,8 +339,6 @@ class PlatformSpec:
 
     def canonical(self) -> str:
         """Deterministic canonical-JSON string (memo keys, journals)."""
-        from repro.runner.units import canonical_json
-
         return canonical_json(self.as_dict())
 
     # -- building -------------------------------------------------------

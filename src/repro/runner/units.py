@@ -19,7 +19,6 @@ path as production units.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import signal
 import time
@@ -28,6 +27,8 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+
+from repro.util.canonical import canonical_json
 
 __all__ = [
     "WorkUnit",
@@ -42,11 +43,6 @@ __all__ = [
     "canonical_json",
     "units_hash",
 ]
-
-
-def canonical_json(data: Any) -> str:
-    """Deterministic JSON encoding (sorted keys, no whitespace)."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

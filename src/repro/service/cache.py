@@ -20,7 +20,7 @@ system matrix, heat-capacity diagonal, core-node map, power-model type
 and coefficients (scalar and per-core heterogeneous alike), the mode
 ladder, transition overhead and threshold — combined with the solver
 name, its canonicalized parameters and the certification tolerance via
-the runner's :func:`~repro.runner.units.canonical_json` discipline.  Two
+the :func:`~repro.util.canonical.canonical_json` discipline.  Two
 platforms share entries only when their physics is bitwise identical.
 
 Configuration (environment): ``REPRO_SCHEDULE_CACHE_DIR`` enables the
@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.obs import METRICS
 from repro.platform import Platform
-from repro.runner.units import canonical_json
+from repro.util.canonical import canonical_json
 
 __all__ = [
     "CACHE_FORMAT",
