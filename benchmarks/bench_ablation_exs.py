@@ -11,7 +11,7 @@ IDS = ["6c4l", "9c3l", "9c4l"]
 
 @pytest.mark.parametrize("n,levels", CASES, ids=IDS)
 def test_exs_naive(benchmark, n, levels):
-    """Vectorized full enumeration (L^N steady states)."""
+    """Full enumeration (L^N steady states, priced by superposition)."""
     p = paper_platform(n, n_levels=levels, t_max_c=55.0)
     result = benchmark(lambda: exs(p))
     assert result.feasible

@@ -4,12 +4,13 @@ Every core runs one constant discrete mode; enumerate all ``L^N``
 assignments, keep the feasible one (steady state under ``T_max``) with the
 highest total speed.  Two searches over that constant lattice:
 
-* :func:`exs` — the paper's Algorithm 1, vectorized: each chunk of
-  ``BATCH`` assignments is built directly as a voltage matrix from a
-  mixed-radix index range (``itertools.product`` order), and its steady
-  states come from one Cholesky solve (the factorization is shared), so
-  even the 9-core x 5-level grid (~2M assignments) is tractable.
-  Complexity is still exponential — this is the Table V cost story.
+* :func:`exs` — the paper's Algorithm 1.  Every assignment is priced,
+  by superposition of per-core steady-state contributions over blocks of
+  up to ``BATCH`` assignments (``itertools.product`` order), with exact
+  solves only near the threshold, so the answer is bit for bit that of
+  solving every row.  Even the 9-core x 5-level grid (~2M assignments)
+  is quick, but complexity stays exponential — this is the Table V cost
+  story.
 * :func:`pruned_lattice_search` — the exact pruned search, exploiting
   monotonicity (raising any core's voltage raises every temperature)
   plus a throughput bound.  It expands the search tree one core at a
@@ -34,8 +35,12 @@ from repro.schedule.builders import constant_schedule
 
 __all__ = ["exs", "exs_pruned", "pruned_lattice_search"]
 
-#: Assignments evaluated per vectorized batch (bounds peak memory).
+#: Assignments evaluated per vectorized block (bounds peak memory).
 BATCH = 65536
+#: Smallest half-width (K) of the threshold band :func:`exs` re-prices.
+BAND_FLOOR = 1e-9
+#: Feasible rows within this of the best superposed sum are re-summed exactly.
+TIE = 1e-9
 
 
 def _result(voltages: np.ndarray, peak: float, elapsed: float,
@@ -53,28 +58,53 @@ def _result(voltages: np.ndarray, peak: float, elapsed: float,
     )
 
 
-def _lattice_chunks(levels: np.ndarray, n: int):
-    """Yield the ``(rows, n)`` voltage matrices of all ``L^n`` assignments.
+def _lattice_rows(levels: np.ndarray, n: int, index) -> np.ndarray:
+    """The ``(len(index), n)`` voltage rows of lattice assignments ``index``.
 
-    Row ``i`` is assignment ``i`` of ``itertools.product(range(L),
-    repeat=n)`` (C order: the last core varies fastest), in chunks of
-    ``BATCH`` rows.
+    Assignment ``i`` is the ``i``-th of ``itertools.product(range(L),
+    repeat=n)`` (C order: the last core varies fastest).
     """
     radix = levels.size
-    total = radix**n  # Python int: exact however large
-    if total > np.iinfo(np.int64).max:
-        raise SolverError(
-            f"constant lattice of {radix}^{n} assignments overflows int64 indices"
-        )
     place = radix ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, BATCH):
-        index = np.arange(start, min(start + BATCH, total), dtype=np.int64)
-        yield levels[index[:, None] // place % radix]
+    return levels[np.asarray(index, dtype=np.int64)[:, None] // place % radix]
+
+
+def _outer_sums(parts: list[np.ndarray], lead: tuple[int, ...]) -> np.ndarray:
+    """Mixed-radix outer sums of per-core ``lead + (L,)`` parts.
+
+    Entry ``[..., i]`` is the sum of the parts at the digits of ``i``
+    (C order, the last part varies fastest); no parts give zeros of
+    shape ``lead + (1,)``.  Parts fold in last to first, each as the new
+    leading digit over the whole block so far, so the inner loop runs
+    over the long axis.
+    """
+    acc = np.zeros(lead + (1,))
+    for part in reversed(parts):
+        acc = (part[..., :, None] + acc[..., None, :]).reshape(lead + (-1,))
+    return acc
 
 
 @engine_entrypoint("EXS")
 def exs(engine: ThermalEngine) -> SchedulerResult:
-    """The paper's Algorithm 1 (vectorized full enumeration).
+    """The paper's Algorithm 1 (full enumeration, priced by superposition).
+
+    Every one of the ``L^N`` assignments is priced, in C order.  The
+    steady state is linear in the per-core injections, so a row's core
+    temperatures are the sum of one contribution ``psi_i(v) *
+    core_response[:, i]`` per core, and whole blocks of rows are outer
+    sums of those vectors; no voltage matrix or linear solve is needed
+    per row.  Superposition rounds differently from the Cholesky solve
+    of :meth:`~repro.thermal.model.ThermalModel.steady_state_batch`, so
+    three steps keep the answer that of the exact solve:
+
+    * rows whose superposed peak lies within :func:`_band` of the
+      threshold are re-priced exactly and the exact peak decides;
+    * feasible rows within ``TIE`` of the best superposed sum are
+      re-summed exactly, and the first maximum in C order wins;
+    * the winner's peak comes from an exact solve of its row.
+
+    ``details["evaluations"]`` and the engine's ``steady_state_batch_rows``
+    both count the ``L^N`` rows priced.
 
     Raises
     ------
@@ -86,27 +116,67 @@ def exs(engine: ThermalEngine) -> SchedulerResult:
     mark = engine.checkpoint()
     t0 = time.perf_counter()
     levels = np.asarray(engine.ladder.levels)
+    n = engine.n_cores
+    radix = levels.size
+    total = radix**n  # Python int: exact however large
+    if total > np.iinfo(np.int64).max:
+        raise SolverError(
+            f"constant lattice of {radix}^{n} assignments overflows int64 indices"
+        )
+    model = engine.model
     theta_max = engine.theta_max
+    threshold = theta_max + 1e-9
+    band = _band(engine, threshold)
 
-    best_throughput = -np.inf
-    best_voltages: np.ndarray | None = None
-    best_peak = np.inf
-    evaluations = 0
+    # Per-core contributions: temps[i][:, l] = psi_i(level l) * R[:, i].
+    psi = np.asarray(model.power.psi(np.broadcast_to(levels[:, None], (radix, n))))
+    temps = list((model.core_response[:, :, None] * psi.T).transpose(1, 0, 2))
+    volts = [levels] * n
 
-    for volts in _lattice_chunks(levels, engine.n_cores):
-        evaluations += volts.shape[0]
-        theta = engine.steady_state_batch(volts)  # (batch, n)
-        peaks = theta.max(axis=1)
-        feasible = peaks <= theta_max + 1e-9
-        if not feasible.any():
+    # Rows split into a leading-digit prefix and a block of s suffix cores.
+    s = 0
+    while s < n and radix ** (s + 1) <= BATCH:
+        s += 1
+    head_t = _outer_sums(temps[: n - s], (n,))
+    head_v = _outer_sums(volts[: n - s], ())
+    tail_t = _outer_sums(temps[n - s :], (n,))
+    tail_v = _outer_sums(volts[n - s :], ())
+    width = tail_v.size
+
+    exact_rows = 0
+    best = -np.inf
+    picks, pick_sums = [], []
+    block = np.empty_like(tail_t)
+    for p in range(head_v.size):
+        np.add(tail_t, head_t[:, p, None], out=block)
+        peaks = block.max(axis=0)
+        feasible = peaks < threshold - band
+        near = np.flatnonzero(np.abs(peaks - threshold) <= band)
+        if near.size:
+            rows = _lattice_rows(levels, n, p * width + near)
+            exact_rows += near.size
+            feasible[near] = (
+                engine.steady_state_batch(rows).max(axis=1) <= threshold
+            )
+        sums = np.where(feasible, head_v[p] + tail_v, -np.inf)
+        top = sums.max()
+        if top == -np.inf or top < best - TIE:
             continue
-        sums = volts.sum(axis=1)
-        sums[~feasible] = -np.inf
-        k = int(np.argmax(sums))
-        if sums[k] > best_throughput:
-            best_throughput = float(sums[k])
-            best_voltages = volts[k].copy()  # not a view pinning the chunk
-            best_peak = float(peaks[k])
+        best = max(best, top)
+        keep = np.flatnonzero(sums >= best - TIE)
+        picks.append(p * width + keep)
+        pick_sums.append(sums[keep])
+
+    best_voltages: np.ndarray | None = None
+    if picks:
+        sums = np.concatenate(pick_sums)
+        rows = _lattice_rows(levels, n, np.concatenate(picks)[sums >= best - TIE])
+        best_voltages = rows[int(np.argmax(rows.sum(axis=1)))]
+        best_peak = float(engine.steady_state_batch(best_voltages[None]).max())
+        exact_rows += 1
+    # The lattice rows were priced once each; the exact re-prices of band
+    # and winner rows are not counted again.
+    model.ss_batch_rows += total - exact_rows
 
     elapsed = time.perf_counter() - t0
     if best_voltages is None:
@@ -114,9 +184,29 @@ def exs(engine: ThermalEngine) -> SchedulerResult:
             f"no constant assignment fits under theta_max={theta_max:.2f} K"
         )
     return _result(
-        best_voltages, best_peak, elapsed, "EXS", evaluations,
+        best_voltages, best_peak, elapsed, "EXS", total,
         stats=engine.stats_since(mark),
     )
+
+
+def _band(engine: ThermalEngine, threshold: float) -> float:
+    """Half-width (K) of the threshold band that :func:`exs` re-prices.
+
+    A forward-error bound on the gap between a superposed and a solved
+    steady state near the threshold.  Each Cholesky solve of
+    ``G - E_beta`` errs by about ``3 n_nodes eps cond |theta|_2`` at
+    most, and summing ``n_cores`` non-negative contributions adds
+    ``n_cores eps |theta|_2``.  No node injects heat but the cores, so
+    none is hotter than the hottest core and ``|theta|_2 <= sqrt(n_nodes)
+    * threshold``; with ``n_cores <= n_nodes``, ``8 n_nodes^2 eps cond
+    threshold`` covers both paths.  Floored at ``BAND_FLOOR``.
+    """
+    n_nodes = engine.model.n_nodes
+    bound = (
+        8.0 * n_nodes**2 * np.finfo(float).eps
+        * engine.condition_number() * abs(threshold)
+    )
+    return max(BAND_FLOOR, bound)
 
 
 def pruned_lattice_search(

@@ -118,7 +118,10 @@ class EngineStats:
     steady_state_cache_hits:
         Steady-state requests served from the model's LRU.
     steady_state_batch_rows:
-        Voltage vectors resolved through ``steady_state_batch`` (EXS path).
+        Voltage rows priced in bulk: rows through ``steady_state_batch``
+        plus the constant-lattice rows EXS prices by superposition over
+        ``ThermalModel.core_response``.  EXS counts each of its ``L^N``
+        rows once, however it was priced, so an EXS run reads ``L^N``.
     expm_applications:
         Vector propagations and dense propagators through ``expm(A t)``
         (scalar and batched).

@@ -123,6 +123,23 @@ class ThermalModel:
         return eigen
 
     @cached_property
+    def core_response(self) -> np.ndarray:
+        """Steady core temperatures per watt injected at each core, ``(n, n)``.
+
+        Column ``i`` is the core block of ``(G - E_beta)^{-1} e_i``: the
+        steady state when core ``i`` injects 1 W and no other node
+        injects anything.  It takes one Cholesky solve of the ``n`` unit
+        injections, made on first use.  The steady state is linear in the
+        injection, so ``core_response @ psi(v)`` is ``theta_cores(v)``
+        up to rounding.  Every entry is ``>= 0``, because ``G - E_beta``
+        is a nonsingular M-matrix.
+        """
+        core = self.network.core_nodes
+        unit = np.zeros((self.n_nodes, self.n_cores))
+        unit[core, np.arange(self.n_cores)] = 1.0
+        return scipy.linalg.cho_solve(self._g_cho, unit)[core, :]
+
+    @cached_property
     def slowest_time_constant(self) -> float:
         """``1 / |lambda_max|`` — the dominant thermal time constant in s."""
         return float(1.0 / np.abs(self.eigen.eigenvalues).min())

@@ -1,14 +1,14 @@
 """Parity of the array-native constant-lattice searches with their oracles.
 
-:func:`repro.algorithms.exs.exs` builds each chunk of assignments as a
-voltage matrix straight from a mixed-radix index range, and
-:func:`repro.algorithms.exs.pruned_lattice_search` replaces two recursive
-depth-first searches (``exs_pruned`` and the AO/PCO floor guard
-``best_constant_above``) with one frontier-batched search.  The code they
-replaced is kept below verbatim as the oracle: the ``itertools``
-enumeration of Algorithm 1 and both recursive searches.  Every answer
-must match bit for bit — chosen voltages, peak, throughput and (for the
-full enumeration) the evaluation count.
+:func:`repro.algorithms.exs.exs` prices the lattice by superposition over
+the model's ``core_response`` and re-prices rows near the threshold
+exactly, and :func:`repro.algorithms.exs.pruned_lattice_search` replaces
+two recursive depth-first searches (``exs_pruned`` and the AO/PCO floor
+guard ``best_constant_above``) with one frontier-batched search.  The
+code they replaced is kept below verbatim as the oracle: the
+``itertools`` enumeration of Algorithm 1 and both recursive searches.
+Every answer must match bit for bit — chosen voltages, peak, throughput
+and (for the full enumeration) the evaluation count.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro import load_platform
 from repro.algorithms.ao import best_constant_above
 from repro.algorithms.exs import (
     BATCH,
-    _lattice_chunks,
+    _lattice_rows,
     exs,
     exs_pruned,
     pruned_lattice_search,
@@ -249,11 +249,13 @@ class TestEnumeration:
         "radix,n", [(3, 3), (4, 8), (3, 11), (2, 17), (5, 1)]
     )
     def test_chunks_match_itertools(self, radix, n):
+        # Index ranges of BATCH rows, as itertools hands them out.
         levels = np.linspace(0.6, 1.3, radix)
         combos = itertools.product(range(radix), repeat=n)
-        chunks = list(_lattice_chunks(levels, n))
-        assert len(chunks) == -(-(radix**n) // BATCH)
-        for volts in chunks:
+        total = radix**n
+        for start in range(0, total, BATCH):
+            index = np.arange(start, min(start + BATCH, total))
+            volts = _lattice_rows(levels, n, index)
             expected = levels[np.asarray(list(itertools.islice(combos, BATCH)))]
             assert volts.flags.c_contiguous
             assert np.array_equal(volts, expected)
@@ -261,16 +263,108 @@ class TestEnumeration:
 
     def test_large_lattice_indexes_exactly(self):
         levels = np.array([0.6, 1.3])
-        first = next(_lattice_chunks(levels, 62))
+        first = _lattice_rows(levels, 62, np.arange(BATCH))
         assert first.shape == (BATCH, 62)
         assert np.all(first[0] == 0.6)
         digits = [int(c) for c in format(BATCH - 1, "062b")]
         assert np.array_equal(first[-1], levels[digits])
+        assert np.all(_lattice_rows(levels, 62, [2**62 - 1]) == 1.3)
 
     @pytest.mark.parametrize("radix,n", [(2, 63), (4, 32), (5, 40)])
     def test_int64_overflow_raises(self, radix, n):
+        p = load_platform("stack3d", n_layers=1, rows=1, cols=n, n_levels=radix)
         with pytest.raises(SolverError, match="overflows int64"):
-            next(_lattice_chunks(np.linspace(0.6, 1.3, radix), n))
+            exs(p)
+
+
+def assert_exs_parity(p: Platform) -> None:
+    """``exs`` and the itertools oracle agree bit for bit (or both raise)."""
+    try:
+        volts, peak, evaluations = old_exs(p)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            exs(p)
+        return
+    result = exs(p)
+    assert np.array_equal(result.schedule.voltage_matrix[0], volts)
+    assert result.peak_theta == peak
+    assert result.throughput == float(np.mean(volts))
+    assert result.details["evaluations"] == evaluations == lattice_size(p)
+
+
+def random_lattice(rng: np.random.Generator, p: Platform, n_levels: int) -> Platform:
+    """``p`` on random levels of its voltage range, with a binding T_max.
+
+    The levels are distinct points of a 71-point grid over the power
+    model's voltage range, so their sums round.
+    ``theta_max`` falls between the all-lowest and all-highest steady
+    peaks, so the answer is neither corner of the lattice.
+    """
+    power = p.model.power
+    grid = np.linspace(power.v_min, power.v_max, 71)
+    levels = np.sort(rng.choice(grid, n_levels, replace=False))
+    lo, hi = (
+        float(p.model.steady_state_cores(np.full(p.n_cores, v)).max())
+        for v in (levels[0], levels[-1])
+    )
+    theta = lo + rng.uniform(0.2, 0.8) * (hi - lo)
+    return p.with_ladder(VoltageLadder(tuple(levels))).with_t_max(
+        theta + p.model.t_ambient_c
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_platforms() -> tuple[Platform, ...]:
+    """A seeded spread of lattices of 2-12 cores over every family."""
+    rng = np.random.default_rng(2416)
+    bases = [
+        paper_platform(2), paper_platform(3), paper_platform(6),
+        paper_platform(9), paper_platform(9), paper_platform(6),
+        load_platform("big_little", n_cores=3),
+        load_platform("big_little", n_cores=6),
+        load_platform("stack3d", n_layers=1, rows=1, cols=12),
+        load_platform("stack3d", n_layers=1, rows=1, cols=7),
+        load_platform("stack3d", n_layers=2, rows=1, cols=3),
+        load_platform("tech-32-o3", n_cores=6),
+        load_platform("tech-8-io", n_cores=6),
+    ]
+    n_levels = [5, 4, 3, 2, 3, 5, 5, 3, 2, 4, 5, 4, 4]
+    return tuple(random_lattice(rng, p, k) for p, k in zip(bases, n_levels))
+
+
+#: Lattices at 0 C ambient: ``theta_max`` is then ``t_max_c`` itself, so
+#: ``with_t_max`` can place the threshold at any representable kelvin.
+_AMBIENT_ZERO = {
+    "paper-3x3": lambda: paper_platform(3, n_levels=3, t_ambient_c=0.0),
+    "paper-6x4": lambda: paper_platform(6, n_levels=4, t_ambient_c=0.0),
+    "big_little-6x3": lambda: load_platform(
+        "big_little", n_cores=6, n_levels=3, t_ambient_c=0.0
+    ),
+    "tech-45-io": lambda: load_platform("tech-45-io", t_ambient_c=0.0),
+}
+
+
+def threshold_copies(p: Platform, peak: float) -> tuple[Platform, Platform]:
+    """Copies of ``p`` whose ``theta_max + 1e-9`` is within one ulp of ``peak``.
+
+    In the first copy the threshold is the smallest one ``>= peak`` (a
+    row with that peak is feasible), in the second the largest one
+    ``< peak`` (it is not).
+    """
+    t_amb = p.model.t_ambient_c
+
+    def threshold(t_max_c: float) -> float:
+        return (t_max_c - t_amb) + 1e-9
+
+    t = peak + t_amb - 1e-9
+    while threshold(t) < peak:
+        t = np.nextafter(t, np.inf)
+    while threshold(np.nextafter(t, -np.inf)) >= peak:
+        t = np.nextafter(t, -np.inf)
+    below = np.nextafter(t, -np.inf)
+    assert threshold(t) == peak
+    assert threshold(below) == np.nextafter(peak, -np.inf)
+    return p.with_t_max(float(t)), p.with_t_max(float(below))
 
 
 class TestEXSParity:
@@ -280,22 +374,11 @@ class TestEXSParity:
          "tech-45-io", "paper-6-ties"],
     )
     def test_matches_itertools_oracle(self, name):
-        p = platform(name)
-        volts, peak, evaluations = old_exs(p)
-        result = exs(p)
-        assert np.array_equal(result.schedule.voltage_matrix[0], volts)
-        assert result.peak_theta == peak
-        assert result.throughput == float(np.mean(volts))
-        assert result.details["evaluations"] == evaluations == lattice_size(p)
+        assert_exs_parity(platform(name))
 
     def test_chunk_size_does_not_change_answer(self, monkeypatch):
-        p = platform("paper-6x4")
-        volts, peak, evaluations = old_exs(p)
         monkeypatch.setattr(EXS_MODULE, "BATCH", 1000)
-        result = exs(p)
-        assert np.array_equal(result.schedule.voltage_matrix[0], volts)
-        assert result.peak_theta == peak
-        assert result.details["evaluations"] == evaluations
+        assert_exs_parity(platform("paper-6x4"))
 
     def test_infeasible_platform_raises(self):
         p = paper_platform(9, n_levels=2, t_max_c=37.0)
@@ -303,6 +386,61 @@ class TestEXSParity:
             old_exs(p)
         with pytest.raises(InfeasibleError):
             exs(p)
+
+    @pytest.mark.parametrize("index", range(13))
+    def test_seeded_sweep(self, index):
+        assert_exs_parity(sweep_platforms()[index])
+
+    @pytest.mark.parametrize("share", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("name", list(_AMBIENT_ZERO))
+    def test_threshold_band_decides_by_the_exact_peak(self, name, share):
+        # theta_max + 1e-9 at, and one ulp under, the exact peak of the
+        # oracle's winner.  Superposition rounds a peak by an ulp or so,
+        # so only the exact re-price gets both copies right.
+        p = _AMBIENT_ZERO[name]()
+        lo, hi = (
+            float(p.model.steady_state_cores(np.full(p.n_cores, v)).max())
+            for v in (p.ladder.v_min, p.ladder.v_max)
+        )
+        p = p.with_t_max(lo + share * (hi - lo))
+        _, peak, _ = old_exs(p)
+        feasible, infeasible = threshold_copies(p, peak)
+        assert_exs_parity(feasible)
+        assert_exs_parity(infeasible)
+        assert exs(feasible).peak_theta == peak
+        assert exs(infeasible).peak_theta < peak
+
+    def test_counts_every_lattice_row_once(self):
+        for name in ("paper-6x4", "stack-8x4"):
+            model = platform(name).model
+            solves, hits, rows = model.ss_solves, model.ss_cache_hits, model.ss_batch_rows
+            result = exs(platform(name))
+            assert (model.ss_solves, model.ss_cache_hits) == (solves, hits)
+            assert model.ss_batch_rows - rows == lattice_size(platform(name))
+            assert result.stats.steady_state_batch_rows == lattice_size(platform(name))
+
+    def test_infeasible_run_counts_every_row(self):
+        p = paper_platform(6, n_levels=3, t_max_c=37.0)
+        rows = p.model.ss_batch_rows
+        with pytest.raises(InfeasibleError):
+            exs(p)
+        assert p.model.ss_batch_rows - rows == lattice_size(p)
+
+
+class TestCoreResponse:
+    @pytest.mark.parametrize("name", list(_BUILDERS))
+    def test_superposition_matches_the_solve(self, name):
+        model = platform(name).model
+        response = model.core_response
+        assert model.core_response is response  # cached
+        assert response.shape == (model.n_cores, model.n_cores)
+        assert np.all(response >= 0.0)
+        levels = np.asarray(platform(name).ladder.levels)
+        rng = np.random.default_rng(5)
+        rows = levels[rng.integers(0, levels.size, (64, model.n_cores))]
+        superposed = np.asarray(model.power.psi(rows)) @ response.T
+        exact = model.steady_state_batch(rows)
+        assert np.max(np.abs(superposed - exact)) <= 1e-12
 
 
 # ----------------------------------------------------------------------
