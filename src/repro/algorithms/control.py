@@ -53,8 +53,7 @@ from repro.engine import ThermalEngine, engine_entrypoint
 from repro.errors import SolverError
 from repro.obs import METRICS, span
 from repro.safety.faults import FaultSpec
-from repro.schedule.intervals import StateInterval
-from repro.schedule.periodic import PeriodicSchedule
+from repro.schedule.builders import constant_schedule
 from repro.sim.engine import simulate_closed_loop
 
 __all__ = [
@@ -312,9 +311,7 @@ def integral_controller(
     # period's level vector held constant) — same contract as reactive:
     # the schedule field summarizes the simulation, it is not the
     # artifact the closed loop "computed".
-    schedule = PeriodicSchedule(
-        (StateInterval(length=sensor_period, voltages=tuple(loop.levels[-1])),)
-    )
+    schedule = constant_schedule(loop.levels[-1], period=sensor_period)
     return SchedulerResult(
         name="GainSched" if gain_schedule else "Integral",
         schedule=schedule,

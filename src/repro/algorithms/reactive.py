@@ -24,8 +24,7 @@ from repro.algorithms.base import SchedulerResult
 from repro.engine import ThermalEngine, engine_entrypoint
 from repro.errors import SolverError
 from repro.safety.faults import FaultSpec
-from repro.schedule.intervals import StateInterval
-from repro.schedule.periodic import PeriodicSchedule
+from repro.schedule.builders import constant_schedule
 from repro.sim.engine import simulate_closed_loop
 
 __all__ = ["ReactiveTrace", "reactive_throttling"]
@@ -150,9 +149,7 @@ def reactive_throttling(
     # Report the limit-cycle behaviour as a pseudo-schedule (the last
     # sensor period's level vector held constant) so SchedulerResult's
     # schedule field stays meaningful for inspection.
-    schedule = PeriodicSchedule(
-        (StateInterval(length=sensor_period, voltages=tuple(loop.levels[-1])),)
-    )
+    schedule = constant_schedule(loop.levels[-1], period=sensor_period)
     return SchedulerResult(
         name="Reactive",
         schedule=schedule,

@@ -54,7 +54,10 @@ from repro.safety.certificate import (
     certify,
     claim_certificate,
 )
-from repro.safety.fallback import FALLBACK_CHAIN, run_fallback_hop
+# The module, not its names: repro.safety.fallback imports solver modules,
+# so importing it first runs this module (through repro.algorithms'
+# __init__) while the fallback module is still half-initialised.
+from repro.safety import fallback
 from repro.schedule.builders import constant_schedule
 
 __all__ = [
@@ -150,8 +153,9 @@ class SolverSpec:
         One-line summary for ``repro list``.
     params:
         Names of the keyword parameters the solver accepts; :func:`solve`
-        rejects anything else, and :func:`repro.experiments.comparison.run_cell`
-        filters its common parameter pool through this set.
+        rejects anything else, and the comparison grid's work units
+        (:func:`repro.runner.units.solve_cell_unit`) filter their common
+        parameter pool through this set.
     quick:
         Parameter overrides for seconds-scale smoke runs (``--quick``).
     schedule_is_artifact:
@@ -516,11 +520,11 @@ def _guarded(
 
     hop_failures: dict[str, str] = {}
     last: SchedulerResult | None = None
-    for hop in FALLBACK_CHAIN:
+    for hop in fallback.FALLBACK_CHAIN:
         METRICS.counter("safety.fallback").inc()
         with span("safety/fallback", solver=spec.name, hop=hop, failure=failure):
             try:
-                degraded = run_fallback_hop(hop, engine, period=fallback_period)
+                degraded = fallback.run_fallback_hop(hop, engine, period=fallback_period)
             except _DEGRADABLE as exc:
                 hop_failures[hop] = f"{type(exc).__name__}: {exc}"
                 continue

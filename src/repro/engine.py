@@ -17,7 +17,7 @@ Solver bodies take a ``ThermalEngine`` directly; the
 :func:`engine_entrypoint` decorator is the single coercion point that
 still lets callers pass a bare ``Platform``
 (:meth:`ThermalEngine.ensure` normalizes).  Passing one engine across
-several solver runs (as :func:`repro.experiments.comparison.run_cell`
+several solver runs (as a :class:`~repro.service.SchedulerSession`
 does) shares the model's caches between them, and
 :meth:`ThermalEngine.checkpoint` / :meth:`ThermalEngine.stats_since`
 attribute the counters to each run separately.
@@ -99,7 +99,6 @@ def engine_entrypoint(name: str | None = None):
                         peak_evals=st.peak_evals,
                         batch_calls=st.batch_calls,
                         batch_candidates=st.batch_candidates,
-                        max_batch=st.max_batch,
                     )
 
         return wrapper
@@ -127,9 +126,9 @@ class EngineStats:
         (scalar and batched).
     peak_evals:
         Scalar peak evaluations (step-up or general engine).
-    batch_calls / batch_candidates / max_batch:
-        Batched peak-row calls, total candidate rows priced through them,
-        and the largest single batch.
+    batch_calls / batch_candidates:
+        Batched peak-row calls and the total candidate rows priced through
+        them (every batch size is on the ``engine.batch_size`` histogram).
     eigen_cache_hits / eigen_cache_misses:
         Eigendecompositions served by the process-shared eigenbasis cache
         vs. computed from scratch (:mod:`repro.util.eigcache`).
@@ -144,7 +143,6 @@ class EngineStats:
     peak_evals: int = 0
     batch_calls: int = 0
     batch_candidates: int = 0
-    max_batch: int = 0
     eigen_cache_hits: int = 0
     eigen_cache_misses: int = 0
     phase_seconds: dict[str, float] = field(default_factory=dict)
@@ -173,8 +171,7 @@ class EngineStats:
             f"(hit rate {self.cache_hit_rate:.0%}), "
             f"expm={self.expm_applications}, "
             f"peak_evals={self.peak_evals}, "
-            f"batches={self.batch_calls}x~{self.mean_batch:.0f} "
-            f"(max {self.max_batch})"
+            f"batches={self.batch_calls}x~{self.mean_batch:.0f}"
         )
 
     def format(self) -> str:
@@ -188,7 +185,7 @@ class EngineStats:
             f"  expm applications   : {self.expm_applications}",
             f"  peak evaluations    : {self.peak_evals} scalar, "
             f"{self.batch_calls} batched "
-            f"({self.batch_candidates} candidates, max batch {self.max_batch})",
+            f"({self.batch_candidates} candidates)",
         ]
         if self.eigen_cache_hits or self.eigen_cache_misses:
             lines.append(
@@ -213,7 +210,6 @@ class EngineStats:
             "peak_evals": self.peak_evals,
             "batch_calls": self.batch_calls,
             "batch_candidates": self.batch_candidates,
-            "max_batch": self.max_batch,
             "eigen_cache_hits": self.eigen_cache_hits,
             "eigen_cache_misses": self.eigen_cache_misses,
             "cache_hit_rate": self.cache_hit_rate,
@@ -225,7 +221,8 @@ class EngineStats:
         """Rebuild stats from :meth:`as_dict` output.
 
         Unknown keys are ignored: derived ones (``cache_hit_rate``) and
-        counters of older journal rows (``expm_cache_hits``), so
+        counters of older journal rows and cache documents
+        (``expm_cache_hits``, ``max_batch``), so
         ``--resume`` and ``repro stats`` keep reading them.
         """
         return cls(
@@ -236,7 +233,6 @@ class EngineStats:
             peak_evals=int(data.get("peak_evals", 0)),
             batch_calls=int(data.get("batch_calls", 0)),
             batch_candidates=int(data.get("batch_candidates", 0)),
-            max_batch=int(data.get("max_batch", 0)),
             eigen_cache_hits=int(data.get("eigen_cache_hits", 0)),
             eigen_cache_misses=int(data.get("eigen_cache_misses", 0)),
             phase_seconds={
@@ -246,7 +242,7 @@ class EngineStats:
         )
 
     def combine(self, other: "EngineStats") -> "EngineStats":
-        """Counter-wise sum of two stat spans (``max_batch`` takes the max)."""
+        """Counter-wise sum of two stat spans."""
         phases = dict(self.phase_seconds)
         for name, secs in other.phase_seconds.items():
             phases[name] = phases.get(name, 0.0) + secs
@@ -262,7 +258,6 @@ class EngineStats:
             peak_evals=self.peak_evals + other.peak_evals,
             batch_calls=self.batch_calls + other.batch_calls,
             batch_candidates=self.batch_candidates + other.batch_candidates,
-            max_batch=max(self.max_batch, other.max_batch),
             eigen_cache_hits=self.eigen_cache_hits + other.eigen_cache_hits,
             eigen_cache_misses=self.eigen_cache_misses + other.eigen_cache_misses,
             phase_seconds=phases,
@@ -294,7 +289,6 @@ class ThermalEngine:
         self._peak_evals = 0
         self._batch_calls = 0
         self._batch_candidates = 0
-        self._max_batch = 0
         self._phase_seconds: dict[str, float] = {}
         self._batch_histogram = METRICS.histogram("engine.batch_size")
         self._condition_number: float | None = None
@@ -392,8 +386,6 @@ class ThermalEngine:
     def _count_batch(self, k: int) -> None:
         self._batch_calls += 1
         self._batch_candidates += k
-        if k > self._max_batch:
-            self._max_batch = k
         self._batch_histogram.observe(k)
 
     def stepup_peak_rows(self, rows: Rows) -> PeakRows:
@@ -475,7 +467,6 @@ class ThermalEngine:
             "peak_evals": self._peak_evals,
             "batch_calls": self._batch_calls,
             "batch_candidates": self._batch_candidates,
-            "max_batch": self._max_batch,
             "eig_cache_hits": model.eig_cache_hits,
             "eig_cache_misses": model.eig_cache_misses,
             "phase_seconds": dict(self._phase_seconds),
@@ -499,7 +490,6 @@ class ThermalEngine:
             peak_evals=now["peak_evals"] - checkpoint["peak_evals"],
             batch_calls=now["batch_calls"] - checkpoint["batch_calls"],
             batch_candidates=now["batch_candidates"] - checkpoint["batch_candidates"],
-            max_batch=now["max_batch"],
             eigen_cache_hits=(
                 now["eig_cache_hits"] - checkpoint.get("eig_cache_hits", 0)
             ),

@@ -26,18 +26,13 @@ from typing import Any
 import numpy as np
 
 from repro.algorithms.base import SchedulerResult
-from repro.algorithms.registry import get_solver
-from repro.engine import ThermalEngine
-from repro.errors import InfeasibleError
 from repro.obs import METRICS, span
-from repro.platform import Platform
 from repro.runner import RunnerConfig, RunReport, comparison_units, run as run_units
 from repro.runner.runner import TERMINAL_STATUSES
 from repro.runner.units import WorkUnit
 
 __all__ = [
     "CellResult",
-    "run_cell",
     "ComparisonGrid",
     "build_grid",
     "grid_batch_executor",
@@ -76,51 +71,6 @@ class CellResult:
         if not np.isfinite(a) or not np.isfinite(b) or b == 0:
             return float("nan")
         return (a - b) / b
-
-
-def run_cell(
-    platform: Platform | ThermalEngine,
-    approaches: tuple[str, ...] = APPROACHES,
-    period: float = 0.02,
-    m_cap: int = 128,
-    m_step: int = 1,
-    shift_grid: int = 8,
-) -> CellResult:
-    """Run the selected approaches on one platform configuration.
-
-    Approaches are dispatched through the solver registry
-    (:mod:`repro.algorithms.registry`); the common parameter pool below is
-    filtered per solver through its declared ``params``, and one shared
-    :class:`~repro.engine.ThermalEngine` serves the whole cell, so the
-    approaches share the model's caches while each result carries its own
-    counters.  An approach that raises
-    :class:`~repro.errors.InfeasibleError` (no feasible assignment at this
-    threshold) is recorded as absent.
-    """
-    engine = ThermalEngine.ensure(platform)
-    common = {
-        "period": period,
-        "m_cap": m_cap,
-        "m_step": m_step,
-        "shift_grid": shift_grid,
-    }
-    results: dict[str, SchedulerResult] = {}
-    for name in approaches:
-        try:
-            spec = get_solver(name)
-        except KeyError as exc:
-            raise ValueError(f"unknown approach {name!r}") from exc
-        kwargs = {k: v for k, v in common.items() if k in spec.params}
-        try:
-            results[name] = spec.solve(engine, **kwargs)
-        except InfeasibleError:
-            pass
-    return CellResult(
-        n_cores=engine.n_cores,
-        n_levels=len(engine.ladder),
-        t_max_c=engine.platform.t_max_c,
-        results=results,
-    )
 
 
 @dataclass(frozen=True)
@@ -202,9 +152,7 @@ def _assemble_cells(
     ``units`` is the :func:`~repro.runner.comparison_units` list: cell
     by cell, ``n_approaches`` units each.  A unit that came back
     infeasible or as an error row leaves its approach absent from the
-    cell (the same contract :func:`run_cell` uses for infeasible
-    approaches), so a partially failed sweep still yields a complete
-    grid.
+    cell, so a partially failed sweep still yields a complete grid.
     """
     out: list[CellResult] = []
     cells = product(core_counts, level_counts, t_max_values)

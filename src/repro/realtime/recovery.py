@@ -49,7 +49,7 @@ from repro.safety.certificate import (
 )
 from repro.safety.faults import CoreFailure, FaultSpec
 from repro.schedule.builders import from_core_timelines
-from repro.schedule.intervals import MIN_INTERVAL
+from repro.schedule.periodic import MIN_INTERVAL
 from repro.sim.engine import ClosedLoopTrace, simulate_closed_loop
 
 __all__ = ["RecoveryReport", "simulate_recovery", "snap_failures"]

@@ -64,8 +64,7 @@ from repro.safety.certificate import (
     certify,
 )
 from repro.schedule.builders import from_core_timelines
-from repro.schedule.intervals import MIN_INTERVAL
-from repro.schedule.periodic import PeriodicSchedule
+from repro.schedule.periodic import MIN_INTERVAL, PeriodicSchedule
 
 __all__ = [
     "PlacedTask",

@@ -15,25 +15,28 @@ Three pillars, wired through the registry, runner, sim and CLI:
   co-simulator, quantifying margin retained under perturbation.
 
 See ``docs/ROBUSTNESS.md`` for the full story.
+
+Names are imported from their module on first access (PEP 562, as in
+:mod:`repro`), so importing one submodule loads only what that submodule
+needs: :mod:`repro.sim` and the closed-loop solvers import
+:mod:`~repro.safety.faults` without pulling in the fallback chain, which
+imports solver modules itself.
 """
 
-from repro.safety.certificate import (
-    DEFAULT_TOLERANCE,
-    SafetyCertificate,
-    certify,
-    claim_certificate,
-)
-from repro.safety.fallback import FALLBACK_CHAIN, run_fallback_hop
-from repro.safety.faults import FaultSpec, perturbed_peak, stuck_schedule
+from repro import _lazy_exports
 
-__all__ = [
-    "DEFAULT_TOLERANCE",
-    "SafetyCertificate",
-    "certify",
-    "claim_certificate",
-    "FALLBACK_CHAIN",
-    "run_fallback_hop",
-    "FaultSpec",
-    "perturbed_peak",
-    "stuck_schedule",
-]
+_EXPORTS = {
+    "DEFAULT_TOLERANCE": "repro.safety.certificate",
+    "SafetyCertificate": "repro.safety.certificate",
+    "certify": "repro.safety.certificate",
+    "claim_certificate": "repro.safety.certificate",
+    "FALLBACK_CHAIN": "repro.safety.fallback",
+    "run_fallback_hop": "repro.safety.fallback",
+    "FaultSpec": "repro.safety.faults",
+    "perturbed_peak": "repro.safety.faults",
+    "stuck_schedule": "repro.safety.faults",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

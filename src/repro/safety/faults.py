@@ -339,7 +339,7 @@ def stuck_schedule(
     stuck_v = float(ladder.levels[faults.stuck_level])
     volts = schedule.voltage_matrix.copy()
     volts[:, core] = stuck_v
-    return PeriodicSchedule.from_arrays(schedule.lengths, volts)
+    return PeriodicSchedule(schedule.lengths, volts)
 
 
 def perturbed_peak(

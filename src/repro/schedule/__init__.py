@@ -1,6 +1,5 @@
 """Periodic multi-core schedules: representation, builders, transforms."""
 
-from repro.schedule.intervals import StateInterval, CoreSegment
 from repro.schedule.periodic import PeriodicSchedule
 from repro.schedule.builders import (
     from_core_timelines,
@@ -26,8 +25,6 @@ from repro.schedule.properties import (
 )
 
 __all__ = [
-    "StateInterval",
-    "CoreSegment",
     "PeriodicSchedule",
     "from_core_timelines",
     "constant_schedule",

@@ -28,9 +28,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.schedule.intervals import MIN_INTERVAL, CoreSegment
 from repro.schedule.periodic import (
+    MIN_INTERVAL,
     PeriodicSchedule,
+    check_segment,
     check_segments,
     combine_timelines,
     padded,
@@ -48,16 +49,10 @@ __all__ = [
 
 
 def _segment(item) -> tuple[float, float]:
-    """One timeline entry as a validated ``(length, voltage)`` pair."""
-    if isinstance(item, CoreSegment):
-        return item.length, item.voltage
+    """One ``(length, voltage)`` timeline entry as a validated pair of floats."""
     length, voltage = item
     length, voltage = float(length), float(voltage)
-    if not (
-        math.isfinite(length) and length >= MIN_INTERVAL
-        and voltage >= 0 and math.isfinite(voltage)
-    ):
-        CoreSegment(length=length, voltage=voltage)  # raises the canonical error
+    check_segment(length, voltage)
     return length, voltage
 
 
@@ -70,10 +65,10 @@ def from_core_timelines(
     Parameters
     ----------
     timelines:
-        One sequence per core of ``CoreSegment`` or ``(length, voltage)``
-        pairs.  All cores must cover the same total period (within
-        ``atol`` relative tolerance); tiny rounding drift is absorbed by
-        stretching the final segment.
+        One sequence per core of ``(length, voltage)`` pairs.  All cores
+        must cover the same total period (within ``atol`` relative
+        tolerance); tiny rounding drift is absorbed by stretching the
+        final segment.
     """
     if not timelines:
         raise ScheduleError("need at least one core timeline")
@@ -87,7 +82,7 @@ def from_core_timelines(
         counts.append(len(core))
     flat = np.array(segs)
     counts = np.array(counts)
-    return PeriodicSchedule.from_arrays(
+    return PeriodicSchedule(
         *combine_timelines(
             padded(flat[:, 0], counts), padded(flat[:, 1], counts), counts, atol
         )
@@ -96,9 +91,7 @@ def from_core_timelines(
 
 def constant_schedule(voltages, period: float = 1.0) -> PeriodicSchedule:
     """Single state interval: every core at a constant mode."""
-    return PeriodicSchedule.from_arrays(
-        [float(period)], [[float(v) for v in voltages]]
-    )
+    return PeriodicSchedule([float(period)], [[float(v) for v in voltages]])
 
 
 def _per_core(*values) -> list[np.ndarray]:
@@ -147,7 +140,7 @@ def two_mode_schedule(
         raise ScheduleError("two_mode_schedule requires v_high >= v_low per core")
     _check_period(period)
     _, lengths, volts = two_mode_rows(v_low, v_high, ratio[None], period, high_first)
-    return PeriodicSchedule.from_arrays(lengths[0], volts[0])
+    return PeriodicSchedule(lengths[0], volts[0])
 
 
 def two_mode_rows(
@@ -267,7 +260,7 @@ def phase_schedule(
     ), axis=1)
     check_segments(seg_len, seg_v, real)
     counts = real.sum(axis=1)
-    return PeriodicSchedule.from_arrays(
+    return PeriodicSchedule(
         *combine_timelines(
             padded(seg_len[real], counts), padded(seg_v[real], counts), counts
         )

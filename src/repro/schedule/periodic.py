@@ -7,20 +7,25 @@ repeated forever.  It is stored as two read-only float64 arrays:
 * ``voltage_matrix`` — ``(z, n_cores)`` voltage of each core in each
   interval,
 
-which is the form the thermal solvers and the builders work on.  The
-object view — a tuple of :class:`~repro.schedule.intervals.StateInterval`
-(``intervals``) and the per-core timeline (``core_timeline``) used by the
-step-up reordering (Definition 2) — is derived from the arrays on demand.
+which is the form the thermal solvers, the builders and the transforms
+work on.  A core's own timeline (the per-core view the step-up
+reordering of Definition 2 sorts) is :func:`core_runs` over the same
+arrays.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.schedule.intervals import MIN_INTERVAL, CoreSegment, StateInterval
 
-__all__ = ["PeriodicSchedule"]
+__all__ = ["PeriodicSchedule", "MIN_INTERVAL"]
+
+#: Durations below this (seconds) are treated as degenerate and rejected or
+#: dropped by builders.  Far below any DVFS-relevant timescale.
+MIN_INTERVAL = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -28,44 +33,36 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_interval(length: float, volts: tuple[float, ...]) -> None:
+    """Raise the :class:`ScheduleError` of one invalid state interval.
+
+    ``length`` and ``volts`` are Python floats; a valid interval passes.
+    """
+    if not math.isfinite(length) or length < MIN_INTERVAL:
+        raise ScheduleError(
+            f"state interval length must be >= {MIN_INTERVAL}, got {length}"
+        )
+    if not volts:
+        raise ScheduleError("state interval needs at least one core")
+    if any(v < 0 or not math.isfinite(v) for v in volts):
+        raise ScheduleError(f"voltages must be finite and >= 0, got {volts}")
+
+
 class PeriodicSchedule:
     """An immutable periodic schedule over N cores.
 
-    ``PeriodicSchedule(intervals)`` builds one from a sequence of
-    :class:`StateInterval`; :meth:`from_arrays` builds one from the
-    ``(lengths, voltage_matrix)`` arrays directly.  Equality, hashing and
-    pickling behave as for a frozen dataclass with a single ``intervals``
-    field.
+    ``PeriodicSchedule(lengths, voltage_matrix)`` takes ``(z,)`` interval
+    lengths and a ``(z, n_cores)`` voltage matrix.  The arrays are copied
+    (C-ordered, so reductions over them add in the same order as over an
+    array built row by row) and frozen.  Validation walks the intervals in
+    order: the first bad one raises its :class:`ScheduleError` (see
+    :func:`check_interval`).  Equality and hashing compare the interval
+    rows; a pickle stores the two arrays.
     """
 
-    __slots__ = ("_lengths", "_volts", "_period", "_intervals", "_bounds")
+    __slots__ = ("_lengths", "_volts", "_period", "_bounds")
 
-    def __init__(self, intervals) -> None:
-        ivs = tuple(intervals)
-        if len(ivs) == 0:
-            raise ScheduleError("a schedule needs at least one state interval")
-        n = ivs[0].n_cores
-        for q, iv in enumerate(ivs):
-            if iv.n_cores != n:
-                raise ScheduleError(
-                    f"interval {q} has {iv.n_cores} cores, expected {n}"
-                )
-        self._init(
-            np.array([iv.length for iv in ivs], dtype=float),
-            np.array([iv.voltages for iv in ivs], dtype=float),
-        )
-        object.__setattr__(self, "_intervals", ivs)
-
-    @classmethod
-    def from_arrays(cls, lengths, voltage_matrix) -> "PeriodicSchedule":
-        """Build a schedule from ``(z,)`` lengths and a ``(z, n)`` voltage matrix.
-
-        The arrays are copied (C-ordered, so reductions over them add in
-        the same order as over an array built row by row) and frozen.
-        Validation matches building the same intervals one
-        :class:`StateInterval` at a time: the first bad interval (in order)
-        raises the same :class:`ScheduleError`.
-        """
+    def __init__(self, lengths, voltage_matrix) -> None:
         try:
             lengths = np.array(lengths, dtype=float)
             volts = np.array(voltage_matrix, dtype=float, order="C")
@@ -87,27 +84,12 @@ class PeriodicSchedule:
             bad_len = ~np.isfinite(lengths) | (lengths < MIN_INTERVAL)
             bad_volt = (volts < 0).any(axis=1) | ~np.isfinite(volts).all(axis=1)
             q = int(np.argmax(bad_len | bad_volt | (volts.shape[1] == 0)))
-            if bad_len[q]:
-                raise ScheduleError(
-                    f"state interval length must be >= {MIN_INTERVAL}, "
-                    f"got {lengths[q].item()}"
-                )
-            if volts.shape[1] == 0:
-                raise ScheduleError("state interval needs at least one core")
-            raise ScheduleError(
-                f"voltages must be finite and >= 0, got {tuple(volts[q].tolist())}"
-            )
-        self = object.__new__(cls)
-        self._init(lengths, volts)
-        return self
-
-    def _init(self, lengths: np.ndarray, volts: np.ndarray) -> None:
+            check_interval(lengths[q].item(), tuple(volts[q].tolist()))
         object.__setattr__(self, "_lengths", _readonly(lengths))
         object.__setattr__(self, "_volts", _readonly(volts))
         # Left-to-right Python sum, exactly as summing the intervals one by
         # one: a pairwise np.sum could differ in the last bit.
         object.__setattr__(self, "_period", float(sum(lengths.tolist())))
-        object.__setattr__(self, "_intervals", None)
         object.__setattr__(self, "_bounds", None)
 
     def __setattr__(self, name, value):
@@ -117,7 +99,7 @@ class PeriodicSchedule:
         raise AttributeError(f"PeriodicSchedule is immutable; cannot delete {name!r}")
 
     # ------------------------------------------------------------------
-    # value semantics: those of a frozen dataclass with one field, intervals
+    # value semantics
     # ------------------------------------------------------------------
 
     def __eq__(self, other):
@@ -129,16 +111,12 @@ class PeriodicSchedule:
         )
 
     def __hash__(self) -> int:
-        # hash((intervals,)) with each StateInterval hashing as
-        # (length, voltages): the same value the dataclass produced.
+        # The interval rows as nested tuples: equal schedules hash equal.
         rows = tuple((length, tuple(volts)) for length, volts in self.interval_rows())
         return hash((rows,))
 
-    def __getstate__(self):
-        return {"intervals": self._build_intervals()}
-
-    def __setstate__(self, state) -> None:
-        self.__init__(state["intervals"])
+    def __reduce__(self):
+        return (type(self), (self._lengths, self._volts))
 
     # ------------------------------------------------------------------
     # shape
@@ -187,47 +165,6 @@ class PeriodicSchedule:
         q = int(np.searchsorted(self.boundaries, local, side="right") - 1)
         return min(q, self.n_intervals - 1), local
 
-    # ------------------------------------------------------------------
-    # views
-    # ------------------------------------------------------------------
-
-    @property
-    def intervals(self) -> tuple[StateInterval, ...]:
-        """The schedule as a tuple of :class:`StateInterval` (built on first use).
-
-        A compatibility view for code that walks intervals as objects; the
-        thermal kernels and builders read the arrays instead.
-        """
-        if self._intervals is None:
-            object.__setattr__(self, "_intervals", self._build_intervals())
-        return self._intervals
-
-    def _build_intervals(self) -> tuple[StateInterval, ...]:
-        if self._intervals is not None:
-            return self._intervals
-        return tuple(
-            StateInterval(length=length, voltages=tuple(volts))
-            for length, volts in self.interval_rows()
-        )
-
-    def core_timeline(self, core: int, merge: bool = True) -> list[CoreSegment]:
-        """Per-core view: the sequence of (length, voltage) segments.
-
-        With ``merge`` (default) consecutive segments at the same voltage
-        are coalesced, which is the natural per-core decomposition the
-        paper's Definition 2 reorders.
-        """
-        if not (0 <= core < self.n_cores):
-            raise ScheduleError(f"core {core} out of range [0, {self.n_cores})")
-        lengths, volts = self._lengths, self._volts[:, core]
-        if merge:
-            lengths, volts, _ = core_runs(lengths, volts[:, None])
-            lengths, volts = lengths[0], volts[0]
-        return [
-            CoreSegment(length=length, voltage=v)
-            for length, v in zip(lengths.tolist(), volts.tolist())
-        ]
-
     def voltage_at(self, t: float) -> np.ndarray:
         """Voltage vector in effect at time ``t`` (wrapped into the period)."""
         return self._volts[self.interval_at(t)[0]].copy()
@@ -236,24 +173,11 @@ class PeriodicSchedule:
     # edits (return new schedules)
     # ------------------------------------------------------------------
 
-    def with_interval(self, q: int, interval: StateInterval) -> "PeriodicSchedule":
-        """Copy with state interval ``q`` replaced."""
-        if not (0 <= q < self.n_intervals):
-            raise ScheduleError(f"interval {q} out of range [0, {self.n_intervals})")
-        if interval.n_cores != self.n_cores:
-            raise ScheduleError(
-                f"replacement has {interval.n_cores} cores, expected {self.n_cores}"
-            )
-        lengths, volts = self._lengths.copy(), self._volts.copy()
-        lengths[q] = interval.length
-        volts[q] = interval.voltages
-        return PeriodicSchedule.from_arrays(lengths, volts)
-
     def scaled(self, factor: float) -> "PeriodicSchedule":
         """Copy with every interval length multiplied by ``factor``."""
         if factor <= 0:
             raise ScheduleError(f"scale factor must be > 0, got {factor}")
-        return PeriodicSchedule.from_arrays(self._lengths * factor, self._volts)
+        return PeriodicSchedule(self._lengths * factor, self._volts)
 
     def rotated(self, offset: float) -> "PeriodicSchedule":
         """Copy with the whole schedule cyclically shifted by ``offset`` s.
@@ -268,7 +192,7 @@ class PeriodicSchedule:
         # Every core's timeline has the same cut points, so one rotation of
         # the interval sequence rotates them all.
         lengths, order = rotate_segments(self._lengths, offset)
-        return PeriodicSchedule.from_arrays(
+        return PeriodicSchedule(
             *combine_timelines(
                 np.broadcast_to(lengths, (self.n_cores, lengths.size)),
                 self._volts[order].T,
@@ -411,18 +335,27 @@ def cut_grid(cuts: np.ndarray, period: float) -> np.ndarray:
     return grid
 
 
+def check_segment(length: float, voltage: float) -> None:
+    """Raise the :class:`ScheduleError` of one invalid per-core segment.
+
+    ``length`` and ``voltage`` are Python floats; a valid segment passes.
+    """
+    if not math.isfinite(length) or length < MIN_INTERVAL:
+        raise ScheduleError(f"segment length must be >= {MIN_INTERVAL}, got {length}")
+    if voltage < 0 or not math.isfinite(voltage):
+        raise ScheduleError(f"segment voltage must be finite >= 0, got {voltage}")
+
+
 def check_segments(
     seg_lengths: np.ndarray, seg_volts: np.ndarray, real: np.ndarray
 ) -> None:
-    """Raise the :class:`CoreSegment` error of the first invalid real segment.
+    """Raise the :func:`check_segment` error of the first invalid real segment.
 
-    Segments are visited core by core, in timeline order, so the message is
-    the one building them one :class:`CoreSegment` at a time would give.
+    Segments are visited core by core, in timeline order.
     """
     bad_len = ~np.isfinite(seg_lengths) | (seg_lengths < MIN_INTERVAL)
     bad_volt = (seg_volts < 0) | ~np.isfinite(seg_volts)
     bad = (bad_len | bad_volt) & real
     if bad.any():
         c, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        # Building the CoreSegment raises the canonical message.
-        CoreSegment(length=seg_lengths[c, j].item(), voltage=seg_volts[c, j].item())
+        check_segment(seg_lengths[c, j].item(), seg_volts[c, j].item())

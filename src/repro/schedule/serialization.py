@@ -19,8 +19,7 @@ import numpy as np
 
 from repro.algorithms.base import SchedulerResult
 from repro.errors import ScheduleError
-from repro.schedule.intervals import StateInterval
-from repro.schedule.periodic import PeriodicSchedule
+from repro.schedule.periodic import PeriodicSchedule, check_interval
 
 __all__ = [
     "schedule_to_dict",
@@ -70,11 +69,15 @@ def schedule_from_dict(data: dict[str, Any]) -> PeriodicSchedule:
         ]
     except (KeyError, TypeError) as exc:
         raise ScheduleError(f"malformed schedule document: {exc}") from exc
-    if any(len(row) != len(parsed[0][1]) for _, row in parsed):
-        # Ragged rows: the interval-by-interval constructor names the first
-        # problem, in document order.
-        PeriodicSchedule(StateInterval(length, tuple(row)) for length, row in parsed)
-    schedule = PeriodicSchedule.from_arrays(
+    widths = [len(row) for _, row in parsed]
+    if len(set(widths)) > 1:
+        # Ragged rows: name the first invalid interval in document order,
+        # else the first one whose core count differs from interval 0's.
+        for length, row in parsed:
+            check_interval(length, tuple(row))
+        q = next(q for q, w in enumerate(widths) if w != widths[0])
+        raise ScheduleError(f"interval {q} has {widths[q]} cores, expected {widths[0]}")
+    schedule = PeriodicSchedule(
         [length for length, _ in parsed], [row for _, row in parsed]
     )
     declared = data.get("n_cores")

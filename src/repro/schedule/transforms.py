@@ -50,7 +50,7 @@ def step_up(schedule: PeriodicSchedule) -> PeriodicSchedule:
     seg_len, seg_v, counts = core_runs(schedule.lengths, schedule.voltage_matrix)
     real = np.arange(seg_len.shape[1])[None, :] < counts[:, None]
     order = np.argsort(np.where(real, seg_v, np.inf), axis=1, kind="stable")
-    return PeriodicSchedule.from_arrays(
+    return PeriodicSchedule(
         *combine_timelines(
             np.take_along_axis(seg_len, order, axis=1),
             np.take_along_axis(seg_v, order, axis=1),
@@ -97,7 +97,7 @@ def m_oscillate_core(schedule: PeriodicSchedule, core: int, m: int) -> PeriodicS
         seg_len[core, : k * m] = np.tile(cycle_len, m)
         seg_v[core, : k * m] = np.tile(cycle_v, m)
         counts[core] = k * m
-    return PeriodicSchedule.from_arrays(*combine_timelines(seg_len, seg_v, counts))
+    return PeriodicSchedule(*combine_timelines(seg_len, seg_v, counts))
 
 
 def shift_core_arrays(
@@ -142,7 +142,7 @@ def shift_cores(
     lengths, volts = schedule.lengths, schedule.voltage_matrix
     for core, offset in offsets.items():
         lengths, volts = shift_core_arrays(lengths, volts, core, float(offset))
-    return PeriodicSchedule.from_arrays(lengths, volts)
+    return PeriodicSchedule(lengths, volts)
 
 
 def merge_adjacent(schedule: PeriodicSchedule) -> PeriodicSchedule:
@@ -151,4 +151,4 @@ def merge_adjacent(schedule: PeriodicSchedule) -> PeriodicSchedule:
     split = np.ones(schedule.n_intervals, dtype=bool)
     split[1:] = (volts[1:] != volts[:-1]).any(axis=1)
     lengths, last = run_sums(schedule.lengths, split)
-    return PeriodicSchedule.from_arrays(lengths, volts[last])
+    return PeriodicSchedule(lengths, volts[last])

@@ -37,8 +37,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.safety.faults import FaultSpec, stuck_schedule
 from repro.schedule.builders import from_core_timelines
-from repro.schedule.intervals import MIN_INTERVAL
-from repro.schedule.periodic import PeriodicSchedule
+from repro.schedule.periodic import MIN_INTERVAL, PeriodicSchedule
 from repro.thermal.matex import interval_solution
 from repro.thermal.model import ThermalModel
 from repro.thermal.peak import peak_temperature

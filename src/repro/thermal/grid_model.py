@@ -66,7 +66,7 @@ class RefinedModel:
 
     def expand_schedule(self, schedule: PeriodicSchedule) -> PeriodicSchedule:
         """Per-core schedule -> per-block schedule."""
-        return PeriodicSchedule.from_arrays(
+        return PeriodicSchedule(
             schedule.lengths,
             np.repeat(schedule.voltage_matrix, self.k * self.k, axis=1),
         )

@@ -500,7 +500,7 @@ class TestRows:
             if i % 2:
                 pair = shift_core_arrays(*pair, i % 6, 0.0011 * i)
             pairs.append(pair)
-        scheds = [PeriodicSchedule.from_arrays(*pair) for pair in pairs]
+        scheds = [PeriodicSchedule(*pair) for pair in pairs]
         stepup = [is_step_up(s) for s in scheds]
         # Both kinds, and the general subset is wider than the step-up one.
         assert any(stepup) and not all(stepup)
@@ -529,7 +529,7 @@ def _scalar_rows(kernel):
 
     def price(engine, rows):
         peaks = [
-            kernel(engine.model, PeriodicSchedule.from_arrays(ls[:z], vs[:z]))
+            kernel(engine.model, PeriodicSchedule(ls[:z], vs[:z]))
             for z, ls, vs in zip(*rows)
         ]
         return PeakRows(
@@ -571,7 +571,7 @@ class TestConsumersUnchanged:
             )
             assert peak == pytest.approx(scalar[-1], abs=PARITY)
             if m == m_opt:
-                assert sched.intervals == cand.intervals
+                assert sched.interval_rows() == cand.interval_rows()
         assert [m for m, _ in history] == list(range(1, len(history) + 1))
         assert m_opt == history[int(np.argmin(scalar))][0]
 
@@ -591,7 +591,7 @@ class TestConsumersUnchanged:
         )
         assert it_b == it_s
         np.testing.assert_array_equal(r_b, r_s)
-        assert sched_b.intervals == sched_s.intervals
+        assert sched_b.interval_rows() == sched_s.interval_rows()
         assert peak_b.value == pytest.approx(peak_s.value, abs=PARITY)
 
     def test_fill_headroom_batch_matches_scalar(self, platform3, monkeypatch):
@@ -620,4 +620,4 @@ class TestConsumersUnchanged:
         )
         assert it_b == it_s > 0
         np.testing.assert_array_equal(r_b, r_s)
-        assert sched_b.intervals == sched_s.intervals
+        assert sched_b.interval_rows() == sched_s.interval_rows()

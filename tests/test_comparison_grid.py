@@ -8,7 +8,6 @@ from repro.experiments.comparison import (
     CellResult,
     ComparisonGrid,
     build_grid,
-    run_cell,
 )
 from repro.platform import paper_platform
 
@@ -24,32 +23,44 @@ def small_grid():
     )
 
 
+def one_cell(n_cores, t_max_c, approaches, **params) -> CellResult:
+    """The single cell of a one-cell :func:`build_grid` sweep."""
+    grid = build_grid(
+        core_counts=(n_cores,),
+        level_counts=(2,),
+        t_max_values=(t_max_c,),
+        approaches=approaches,
+        **params,
+    )
+    (cell,) = grid.cells
+    return cell
+
+
 class TestRunCell:
+    """Running one cell: a one-cell build_grid sweep."""
+
     def test_selected_approaches_only(self):
-        p = paper_platform(2, n_levels=2, t_max_c=55.0)
-        cell = run_cell(p, approaches=("LNS", "EXS"))
+        cell = one_cell(2, 55.0, ("LNS", "EXS"))
         assert set(cell.results) == {"LNS", "EXS"}
         assert np.isnan(cell.throughput("AO"))
 
     def test_unknown_approach_raises(self):
-        p = paper_platform(2, n_levels=2, t_max_c=55.0)
-        with pytest.raises(ValueError):
-            run_cell(p, approaches=("MAGIC",))
+        with pytest.raises(ValueError, match="unknown approach"):
+            one_cell(2, 55.0, ("MAGIC",))
 
     def test_infeasible_approach_absent(self):
         # Threshold below the all-low point: EXS is infeasible and skipped.
         p = paper_platform(3, n_levels=2, t_max_c=37.0)
         theta = p.model.steady_state_cores(np.full(3, 0.6))
         assert theta.max() > p.theta_max
-        cell = run_cell(p, approaches=("EXS",))
+        cell = one_cell(3, 37.0, ("EXS",))
         assert "EXS" not in cell.results
         assert np.isnan(cell.throughput("EXS"))
 
 
 class TestCellResult:
     def test_improvement_math(self):
-        p = paper_platform(3, n_levels=2, t_max_c=65.0)
-        cell = run_cell(p, approaches=("EXS", "AO"), m_cap=10)
+        cell = one_cell(3, 65.0, ("EXS", "AO"), m_cap=10)
         imp = cell.improvement("AO", "EXS")
         expected = cell.throughput("AO") / cell.throughput("EXS") - 1.0
         assert imp == pytest.approx(expected)

@@ -120,7 +120,6 @@ class TestCounters:
         assert stats.peak_evals == 1
         assert stats.batch_calls == 1
         assert stats.batch_candidates == 5
-        assert stats.max_batch == 5
         assert stats.mean_batch == 5.0
 
     def test_expm_applications_counted(self, platform3, engine):
@@ -172,7 +171,6 @@ class TestEngineStats:
             peak_evals=2,
             batch_calls=1,
             batch_candidates=8,
-            max_batch=8,
             phase_seconds={"tpt": 0.01},
         )
         line = stats.summary_line()
@@ -186,6 +184,16 @@ class TestEngineStats:
         assert d["steady_state_solves"] == 2
         assert d["batch_calls"] == 1
         assert "cache_hit_rate" in d
+        assert EngineStats.from_dict(d) == stats
+
+    def test_from_dict_ignores_retired_counters(self):
+        """Journal rows and cache documents written before ``max_batch``
+        and ``expm_cache_hits`` were retired still load."""
+        old = {"batch_calls": 2, "batch_candidates": 53, "max_batch": 50,
+               "expm_cache_hits": 4, "cache_hit_rate": 0.0}
+        stats = EngineStats.from_dict(old)
+        assert stats == EngineStats(batch_calls=2, batch_candidates=53)
+        assert "max_batch" not in stats.as_dict()
 
 
 class TestResultIntegration:

@@ -79,6 +79,33 @@ class TestLazyPackage:
         assert not hasattr(repro, "no_such_name")
 
 
+def _first_imports() -> list[str]:
+    """Every ``repro`` subpackage and every module ``repro._EXPORTS`` names."""
+    import repro
+
+    subpackages = {f"repro.{p.parent.name}" for p in SRC_REPRO.glob("*/__init__.py")}
+    return sorted(subpackages | set(repro._EXPORTS.values()))
+
+
+class TestFirstImport:
+    """Each module imports as the first one in a fresh interpreter.
+
+    An import cycle hides while some other import happens to load its
+    modules in a working order; with lazy packages nothing does.  The
+    public names a module provides are then resolved through ``repro``.
+    """
+
+    @pytest.mark.parametrize("module", _first_imports())
+    def test_module_imports_first(self, module):
+        doc = _modules_after(
+            f"import {module}\n"
+            "import repro\n"
+            f"names = [n for n, m in repro._EXPORTS.items() if m == {module!r}]\n"
+            "print(json.dumps([getattr(repro, n) is not None for n in names]))"
+        )
+        assert all(doc)
+
+
 class TestEntryPointImports:
     @pytest.mark.parametrize(
         "module",

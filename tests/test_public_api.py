@@ -102,6 +102,9 @@ class TestFrozenSurface:
             "platform", "schedule", "general", "grid_per_interval",
         ]
 
+    def test_periodic_schedule_signature(self):
+        assert self._params(repro.PeriodicSchedule) == ["lengths", "voltage_matrix"]
+
     def test_load_platform_signature(self):
         assert self._params(repro.load_platform) == ["spec", "overrides"]
 

@@ -12,8 +12,7 @@ from repro.schedule.builders import (
     random_stepup_schedule,
     two_mode_schedule,
 )
-from repro.schedule.intervals import CoreSegment, StateInterval
-from repro.schedule.periodic import PeriodicSchedule
+from repro.schedule.periodic import PeriodicSchedule, core_runs
 from repro.schedule.properties import (
     core_workloads,
     is_step_up,
@@ -23,42 +22,26 @@ from repro.schedule.properties import (
 
 
 class TestStateInterval:
+    """One state interval is one row of the schedule's arrays."""
+
     def test_basic(self):
-        iv = StateInterval(length=0.5, voltages=(0.6, 1.3))
-        assert iv.n_cores == 2
+        assert PeriodicSchedule([0.5], [[0.6, 1.3]]).n_cores == 2
 
     @pytest.mark.parametrize("length", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_length(self, length):
-        with pytest.raises(ScheduleError):
-            StateInterval(length=length, voltages=(0.6,))
+        with pytest.raises(ScheduleError, match="state interval length"):
+            PeriodicSchedule([length], [[0.6]])
 
     def test_bad_voltages(self):
-        with pytest.raises(ScheduleError):
-            StateInterval(length=1.0, voltages=(-0.1,))
-        with pytest.raises(ScheduleError):
-            StateInterval(length=1.0, voltages=())
-
-    def test_with_voltage(self):
-        iv = StateInterval(length=1.0, voltages=(0.6, 0.6))
-        iv2 = iv.with_voltage(1, 1.3)
-        assert iv2.voltages == (0.6, 1.3)
-        assert iv.voltages == (0.6, 0.6)  # original untouched
-        with pytest.raises(ScheduleError):
-            iv.with_voltage(5, 1.0)
-
-    def test_with_length(self):
-        iv = StateInterval(length=1.0, voltages=(0.6,))
-        assert iv.with_length(0.25).length == 0.25
+        with pytest.raises(ScheduleError, match="voltages must be finite"):
+            PeriodicSchedule([1.0], [[-0.1]])
+        with pytest.raises(ScheduleError, match="at least one core"):
+            PeriodicSchedule([1.0], [[]])
 
 
 class TestPeriodicSchedule:
     def test_shape_accessors(self):
-        s = PeriodicSchedule(
-            (
-                StateInterval(0.3, (0.6, 0.6)),
-                StateInterval(0.7, (1.3, 0.6)),
-            )
-        )
+        s = PeriodicSchedule([0.3, 0.7], [[0.6, 0.6], [1.3, 0.6]])
         assert s.n_cores == 2
         assert s.n_intervals == 2
         assert s.period == pytest.approx(1.0)
@@ -68,41 +51,24 @@ class TestPeriodicSchedule:
 
     def test_rejects_mixed_core_counts(self):
         with pytest.raises(ScheduleError):
-            PeriodicSchedule(
-                (StateInterval(1.0, (0.6,)), StateInterval(1.0, (0.6, 0.6)))
-            )
+            PeriodicSchedule([1.0, 1.0], [[0.6], [0.6, 0.6]])
 
     def test_rejects_empty(self):
         with pytest.raises(ScheduleError):
-            PeriodicSchedule(())
+            PeriodicSchedule([], [])
 
     def test_voltage_at_wraps(self):
-        s = PeriodicSchedule(
-            (StateInterval(0.5, (0.6,)), StateInterval(0.5, (1.3,)))
-        )
+        s = PeriodicSchedule([0.5, 0.5], [[0.6], [1.3]])
         assert s.voltage_at(0.25)[0] == 0.6
         assert s.voltage_at(0.75)[0] == 1.3
         assert s.voltage_at(1.25)[0] == 0.6  # wrapped
 
     def test_core_timeline_merges(self):
-        s = PeriodicSchedule(
-            (
-                StateInterval(0.2, (0.6, 0.6)),
-                StateInterval(0.3, (0.6, 1.3)),
-                StateInterval(0.5, (1.3, 1.3)),
-            )
-        )
-        tl0 = s.core_timeline(0)
-        assert [(seg.length, seg.voltage) for seg in tl0] == [(0.5, 0.6), (0.5, 1.3)]
-        tl1 = s.core_timeline(1, merge=False)
-        assert len(tl1) == 3
-
-    def test_with_interval(self):
-        s = constant_schedule([0.6, 0.6], period=1.0)
-        s2 = s.with_interval(0, StateInterval(1.0, (1.3, 1.3)))
-        assert s2.voltage_matrix[0, 0] == 1.3
-        with pytest.raises(ScheduleError):
-            s.with_interval(3, StateInterval(1.0, (0.6, 0.6)))
+        s = PeriodicSchedule([0.2, 0.3, 0.5], [[0.6, 0.6], [0.6, 1.3], [1.3, 1.3]])
+        seg_len, seg_v, counts = core_runs(s.lengths, s.voltage_matrix)
+        assert counts.tolist() == [2, 2]
+        assert np.allclose(seg_len, [[0.5, 0.5], [0.2, 0.8]])
+        assert seg_v.tolist() == [[0.6, 1.3], [0.6, 1.3]]
 
     def test_scaled(self):
         s = two_mode_schedule([0.6, 0.6], [1.3, 1.3], [0.5, 0.25], 1.0)

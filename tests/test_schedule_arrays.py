@@ -3,12 +3,12 @@
 ``PeriodicSchedule`` stores ``(lengths, voltage_matrix)`` arrays and its
 builders are array code.  The oracle below is the interval-object
 implementation they replaced, kept verbatim (names prefixed ``Old``/
-``old_``): one ``StateInterval``/``CoreSegment`` per piece, per-core
+``old_``): one state-interval or core-segment object per piece, per-core
 Python loops.  Every builder and transform must reproduce it *bit for
 bit* — lengths, voltages, period and wire document — because the solvers'
 outputs (golden pins, committed results, throughput digests) hang on the
 last bit of every interval length.  Invalid inputs must still raise
-:class:`ScheduleError`.
+:class:`ScheduleError`, with the oracle's message where it had one.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ScheduleError
 from repro.schedule import (
-    CoreSegment,
     PeriodicSchedule,
-    StateInterval,
     from_core_timelines,
     m_oscillate_core,
     merge_adjacent,
@@ -38,7 +36,7 @@ from repro.schedule import (
     throughput,
     two_mode_schedule,
 )
-from repro.schedule.intervals import MIN_INTERVAL
+from repro.schedule.periodic import MIN_INTERVAL, core_runs
 from repro.schedule.serialization import schedule_from_dict, schedule_to_dict
 
 settings.register_profile(
@@ -376,6 +374,35 @@ def old_merge_adjacent(schedule: OldSchedule) -> OldSchedule:
     return OldSchedule(tuple(merged))
 
 
+def old_schedule_from_dict(data: dict) -> OldSchedule:
+    """The deserializer's checks over the interval objects: every field is
+    parsed first, then each item becomes one interval, in document order."""
+    if data.get("format") != "repro.schedule":
+        raise ScheduleError(f"not a repro schedule document: {data.get('format')!r}")
+    if data.get("version") != 1:
+        raise ScheduleError(
+            f"unsupported schedule format version {data.get('version')!r} "
+            f"(this library reads version 1)"
+        )
+    try:
+        parsed = [
+            (float(item["length_s"]), [float(v) for v in item["voltages"]])
+            for item in data["intervals"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise ScheduleError(f"malformed schedule document: {exc}") from exc
+    schedule = OldSchedule(
+        tuple(OldStateInterval(length, tuple(row)) for length, row in parsed)
+    )
+    declared = data.get("n_cores")
+    if declared is not None and declared != schedule.n_cores:
+        raise ScheduleError(
+            f"document declares {declared} cores but intervals have "
+            f"{schedule.n_cores}"
+        )
+    return schedule
+
+
 def old_schedule_to_dict(schedule: OldSchedule) -> dict:
     return {
         "format": "repro.schedule",
@@ -397,7 +424,7 @@ def old_schedule_to_dict(schedule: OldSchedule) -> dict:
 def to_old(schedule: PeriodicSchedule) -> OldSchedule:
     """The same schedule in the oracle's representation."""
     return OldSchedule(
-        tuple(OldStateInterval(iv.length, iv.voltages) for iv in schedule.intervals)
+        tuple(OldStateInterval(length, volts) for length, volts in schedule.interval_rows())
     )
 
 
@@ -512,18 +539,14 @@ class TestBuilderParity:
             old = random_old_schedule(rng, n)
             timelines = [old.core_timeline(c, merge=False) for c in range(n)]
             pairs = [[(s.length, s.voltage) for s in segs] for segs in timelines]
-            segments = [
-                [CoreSegment(length, v) for length, v in core] for core in pairs
-            ]
             assert_same(from_core_timelines(pairs), old_from_core_timelines(pairs))
-            assert_same(from_core_timelines(segments), old_from_core_timelines(pairs))
 
     def test_transforms(self):
         rng = np.random.default_rng(4)
         for _ in range(300):
             n = int(rng.integers(1, 17))
             old = random_old_schedule(rng, n)
-            new = PeriodicSchedule.from_arrays(old.lengths, old.voltage_matrix)
+            new = PeriodicSchedule(old.lengths, old.voltage_matrix)
             assert_same(new, old)
             assert_same(step_up(new), old_step_up(old))
             assert_same(merge_adjacent(new), old_merge_adjacent(old))
@@ -536,13 +559,13 @@ class TestBuilderParity:
                 assert_same_outcome(
                     lambda: new.rotated(offset), lambda: old.rotated(offset)
                 )
+            seg_len, seg_v, counts = core_runs(new.lengths, new.voltage_matrix)
             for c in range(n):
-                for merge in (True, False):
-                    got = new.core_timeline(c, merge=merge)
+                merged = zip(seg_len[c, : counts[c]].tolist(), seg_v[c, : counts[c]].tolist())
+                unmerged = zip(new.lengths.tolist(), new.voltage_matrix[:, c].tolist())
+                for got, merge in ((merged, True), (unmerged, False)):
                     want = old.core_timeline(c, merge=merge)
-                    assert [(s.length, s.voltage) for s in got] == [
-                        (s.length, s.voltage) for s in want
-                    ]
+                    assert list(got) == [(s.length, s.voltage) for s in want]
 
     def test_shift_core(self):
         rng = np.random.default_rng(5)
@@ -644,7 +667,7 @@ class TestHypothesisParity:
 
 
 # ----------------------------------------------------------------------
-# representation: value semantics and the compatibility view
+# representation: value semantics
 # ----------------------------------------------------------------------
 
 
@@ -657,37 +680,36 @@ class TestRepresentation:
         with pytest.raises(AttributeError):
             s.period = 1.0  # type: ignore[misc]
 
-    def test_from_arrays_copies_its_input(self):
+    def test_constructor_copies_its_input(self):
         lengths, volts = np.array([0.5, 0.5]), np.array([[0.6], [1.3]])
-        s = PeriodicSchedule.from_arrays(lengths, volts)
+        s = PeriodicSchedule(lengths, volts)
         lengths[0], volts[0, 0] = 9.0, 9.0
         assert s.lengths[0] == 0.5 and s.voltage_matrix[0, 0] == 0.6
-
-    def test_intervals_view_round_trips(self):
-        s = two_mode_schedule([0.6, 0.8], [1.3, 1.3], [0.3, 0.6], 0.02)
-        again = PeriodicSchedule(s.intervals)
-        assert again == s and hash(again) == hash(s)
-        assert s.intervals is s.intervals  # built once
 
     def test_equality_and_hash_match_the_dataclass(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             old = random_old_schedule(rng, int(rng.integers(1, 6)))
-            new = PeriodicSchedule.from_arrays(old.lengths, old.voltage_matrix)
+            new = PeriodicSchedule(old.lengths, old.voltage_matrix)
             assert hash(new) == hash(old)
-            assert new == PeriodicSchedule(new.intervals)
-        a = PeriodicSchedule.from_arrays([0.5, 0.5], [[0.6], [1.3]])
-        assert a != PeriodicSchedule.from_arrays([0.5, 0.5], [[0.6], [1.2]])
-        assert a != PeriodicSchedule.from_arrays([1.0], [[0.6]])
-        assert a != PeriodicSchedule.from_arrays([0.5, 0.5], [[0.6, 0.6], [1.3, 1.3]])
+            rows = new.interval_rows()
+            assert hash(new) == hash((tuple((l, tuple(v)) for l, v in rows),))
+            again = PeriodicSchedule([l for l, _ in rows], [v for _, v in rows])
+            assert again == new and hash(again) == hash(new)
+        a = PeriodicSchedule([0.5, 0.5], [[0.6], [1.3]])
+        assert a != PeriodicSchedule([0.5, 0.5], [[0.6], [1.2]])
+        assert a != PeriodicSchedule([1.0], [[0.6]])
+        assert a != PeriodicSchedule([0.5, 0.5], [[0.6, 0.6], [1.3, 1.3]])
         assert a != "not a schedule"
 
-    def test_pickle_keeps_the_dataclass_state(self):
+    def test_pickle_round_trips_the_arrays(self):
         s = two_mode_schedule([0.6, 0.8], [1.3, 1.3], [0.3, 0.6], 0.02)
-        assert s.__getstate__() == {"intervals": s.intervals}
+        assert s.__reduce__() == (PeriodicSchedule, (s.lengths, s.voltage_matrix))
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             back = pickle.loads(pickle.dumps(s, protocol))
-            assert back == s
+            assert back == s and hash(back) == hash(s)
+            assert not back.lengths.flags.writeable
+            assert not back.voltage_matrix.flags.writeable
             assert_same(back, to_old(s))
 
     def test_wire_document_round_trips_bitwise(self):
@@ -718,14 +740,14 @@ class TestValidation:
     @pytest.mark.parametrize("length", BAD_NUMBERS + GOOD_NUMBERS)
     @pytest.mark.parametrize("volt", [0.0, 1.3, -0.1, float("nan"), float("inf")])
     def test_primitives_match_oracle(self, length, volt):
-        assert _message(lambda: StateInterval(length, (0.6, volt))) == _message(
+        assert _message(lambda: PeriodicSchedule([length], [[0.6, volt]])) == _message(
             lambda: OldStateInterval(length, (0.6, volt))
         )
-        assert _message(lambda: CoreSegment(length, volt)) == _message(
-            lambda: OldCoreSegment(length, volt)
-        )
+        with np.errstate(all="ignore"):
+            want = _message(lambda: old_from_core_timelines([[(length, volt)]]))
+        assert _message(lambda: from_core_timelines([[(length, volt)]])) == want
         assert _message(
-            lambda: PeriodicSchedule.from_arrays([0.5, length], [[0.6], [volt]])
+            lambda: PeriodicSchedule([0.5, length], [[0.6], [volt]])
         ) == _message(
             lambda: OldSchedule(
                 (OldStateInterval(0.5, (0.6,)), OldStateInterval(length, (volt,)))
@@ -733,21 +755,18 @@ class TestValidation:
         )
 
     def test_empty_and_ragged(self):
-        assert _message(lambda: StateInterval(1.0, ())) == _message(
+        assert _message(lambda: PeriodicSchedule([1.0], [[]])) == _message(
             lambda: OldStateInterval(1.0, ())
         )
-        for ivs in ((), (StateInterval(1.0, (0.6,)), StateInterval(1.0, (0.6, 0.6)))):
-            with pytest.raises(ScheduleError):
-                PeriodicSchedule(ivs)
         for lengths, volts in (
             ([], []), ([1.0], [[]]), ([1.0, 1.0], [[0.6], [0.6, 0.6]]),
             ([1.0], [[0.6], [0.6]]), ([[1.0]], [[0.6]]),
         ):
             with pytest.raises(ScheduleError):
-                PeriodicSchedule.from_arrays(lengths, volts)
+                PeriodicSchedule(lengths, volts)
 
     def test_serialization_rejects_what_it_did(self):
-        good = schedule_to_dict(PeriodicSchedule.from_arrays([0.5, 0.5], [[0.6], [1.3]]))
+        good = schedule_to_dict(PeriodicSchedule([0.5, 0.5], [[0.6], [1.3]]))
         cases = [
             {"intervals": []},
             {"intervals": [{"length_s": 0.5}]},
@@ -757,11 +776,27 @@ class TestValidation:
             {"intervals": [{"length_s": 0.5, "voltages": [0.6]},
                            {"length_s": 0.5, "voltages": [-1.0, 0.6]}]},
             {"intervals": [{"length_s": 0.5, "voltages": []}]},
+            {"intervals": [{"length_s": 0.5, "voltages": [0.6]},
+                           {"length_s": 0.5, "voltages": [0.6, 0.6]},
+                           {"length_s": 0.0, "voltages": [0.6]}]},
+            {"intervals": [{"length_s": 0.5, "voltages": [0.6, 0.6]},
+                           {"length_s": 0.5, "voltages": [0.6]},
+                           {"length_s": 0.5, "voltages": [0.6, float("nan")]}]},
+            {"intervals": [{"length_s": 0.5, "voltages": [0.6]},
+                           {"length_s": 0.5, "voltages": []}]},
+            {"intervals": [{"length_s": -0.5, "voltages": [0.6]},
+                           {"length_s": 0.5}]},
+            {"intervals": [{"length_s": 0.5, "voltages": [0.6]}, {"length_s": None}]},
+            {"intervals": None},
             {"n_cores": 3},
+            {"format": "other"},
+            {"version": 2},
         ]
         for patch in cases:
-            with pytest.raises(ScheduleError):
-                schedule_from_dict(dict(good, **patch))
+            doc = dict(good, **patch)
+            want = _message(lambda: old_schedule_from_dict(doc))
+            assert want is not None, patch
+            assert _message(lambda: schedule_from_dict(doc)) == want, patch
 
     def test_builders_reject_what_they_did(self):
         nan, inf = float("nan"), float("inf")
@@ -798,34 +833,3 @@ class TestValidation:
             shift_cores(s, {3: 0.1})
         with pytest.raises(ScheduleError):
             s.scaled(nan)
-
-
-
-# ----------------------------------------------------------------------
-# the solver and serving paths never build the interval view
-# ----------------------------------------------------------------------
-
-
-def test_hot_paths_never_build_the_interval_view(monkeypatch):
-    """Solves, cache round trips and batched pricing read the arrays only.
-
-    Keeping a tuple of ``StateInterval`` objects next to the arrays would
-    double the memory of every cached schedule.
-    """
-    from repro.service import ScheduleCache, SchedulerSession
-
-    def forbidden(self):
-        raise AssertionError("a hot path built PeriodicSchedule.intervals")
-
-    monkeypatch.setattr(PeriodicSchedule, "_build_intervals", forbidden)
-    session = SchedulerSession(cache=ScheduleCache(directory=None))
-    spec = {"name": "paper", "n_cores": 3, "n_levels": 2, "t_max_c": 65.0}
-    schedules = []
-    for solver in ("AO", "PCO", "EXS", "LNS"):
-        params = {"m_cap": 8} if solver in ("AO", "PCO") else {}
-        first = session.solve(spec, solver, params)
-        again = session.solve(spec, solver, params)
-        assert again.cached and again.result.schedule == first.result.schedule
-        schedules.append(first.result.schedule)
-    session.evaluate_many([(spec, s) for s in schedules])
-    session.certify_many([(spec, s) for s in schedules])

@@ -10,8 +10,7 @@ from repro.schedule.builders import (
     random_schedule,
     two_mode_schedule,
 )
-from repro.schedule.intervals import StateInterval
-from repro.schedule.periodic import PeriodicSchedule
+from repro.schedule.periodic import PeriodicSchedule, core_runs
 from repro.schedule.properties import core_workloads, is_step_up, same_workload
 from repro.schedule.transforms import (
     m_oscillate,
@@ -24,13 +23,7 @@ from repro.schedule.transforms import (
 
 class TestStepUp:
     def test_sorts_each_core(self):
-        s = PeriodicSchedule(
-            (
-                StateInterval(0.2, (1.3, 0.6)),
-                StateInterval(0.3, (0.6, 1.0)),
-                StateInterval(0.5, (1.0, 1.3)),
-            )
-        )
+        s = PeriodicSchedule([0.2, 0.3, 0.5], [[1.3, 0.6], [0.6, 1.0], [1.0, 1.3]])
         u = step_up(s)
         assert is_step_up(u)
         volts = u.voltage_matrix
@@ -90,10 +83,10 @@ class TestMOscillateCore:
         s = phase_schedule([0.6, 0.6], [1.3, 1.3], 0.5, [0.0, 0.5], 1.0)
         o = m_oscillate_core(s, core=0, m=2)
         # Core 0 now switches 4 times per period instead of 2.
-        tl = o.core_timeline(0)
-        assert len(tl) == 4
+        counts = core_runs(o.lengths, o.voltage_matrix)[2]
+        assert counts[0] == 4
         # Core 1 untouched.
-        assert len(o.core_timeline(1)) == len(s.core_timeline(1))
+        assert counts[1] == core_runs(s.lengths, s.voltage_matrix)[2][1]
 
     def test_workload_preserved(self):
         s = phase_schedule([0.6, 0.6], [1.3, 1.3], 0.5, [0.0, 0.5], 1.0)
@@ -140,13 +133,7 @@ class TestShiftCore:
 
 class TestMergeAdjacent:
     def test_merges_identical_neighbours(self):
-        s = PeriodicSchedule(
-            (
-                StateInterval(0.2, (0.6, 0.6)),
-                StateInterval(0.3, (0.6, 0.6)),
-                StateInterval(0.5, (1.3, 0.6)),
-            )
-        )
+        s = PeriodicSchedule([0.2, 0.3, 0.5], [[0.6, 0.6], [0.6, 0.6], [1.3, 0.6]])
         m = merge_adjacent(s)
         assert m.n_intervals == 2
         assert m.lengths[0] == pytest.approx(0.5)

@@ -75,8 +75,8 @@ class TestPeriodicSteadyState:
         s = two_mode_schedule([0.6] * 3, [1.3] * 3, [0.5] * 3, 0.01)
         sol = periodic_steady_state(model3, s)
         theta = sol.start_temperature
-        for q, iv in enumerate(s.intervals, start=1):
-            theta = model3.propagate(theta, iv.length, iv.voltages)
+        for q, (length, volts) in enumerate(s.interval_rows(), start=1):
+            theta = model3.propagate(theta, length, volts)
             assert np.allclose(theta, sol.boundary_temperatures[q], atol=1e-10)
 
     def test_interval_solutions_stitch(self, model3):
