@@ -43,6 +43,7 @@ from repro.platform import Platform
 from repro.schedule.builders import constant_schedule
 from repro.schedule.periodic import PeriodicSchedule
 from repro.thermal.peak import PeakResult
+from repro.tolerances import FILL_HEADROOM, IMPROVEMENT_MARGIN, within_threshold
 
 __all__ = ["AOCore", "ao", "ao_core", "best_constant_above", "constant_floor_guard"]
 
@@ -77,8 +78,8 @@ def best_constant_above(
 
     floor = plan.v_low.astype(float)
     if (
-        float(model.steady_state_cores(floor).max()) <= theta_max + 1e-9
-        and float(floor.sum()) > best_sum + 1e-12
+        within_threshold(float(model.steady_state_cores(floor).max()), theta_max)
+        and float(floor.sum()) > best_sum + IMPROVEMENT_MARGIN
     ):
         best_sum = float(floor.sum())
         best_volts = floor.copy()
@@ -233,8 +234,6 @@ def ao(
         :func:`repro.algorithms.dark.dark_silicon_ao`).
     """
     platform = engine.platform
-    mark = engine.checkpoint()
-    t0 = time.perf_counter()
     core = ao_core(
         engine, period, m_cap=m_cap, m_step=m_step, t_unit=t_unit,
         adaptive=adaptive, active_mask=active_mask,
@@ -245,7 +244,7 @@ def ao(
     details = core.details
 
     fill_iters = 0
-    if fill and peak.value < platform.theta_max - 1e-6 and plan.oscillating.any():
+    if fill and peak.value < platform.theta_max - FILL_HEADROOM and plan.oscillating.any():
         with engine.phase("ao/fill"):
             ratios, sched, peak, fill_iters = fill_headroom(
                 engine, plan, ratios, period, m_opt,
@@ -267,7 +266,6 @@ def ao(
         sched, peak_value, throughput, floor_volts = constant_floor_guard(
             platform, plan, period, sched, peak_value, throughput
         )
-    elapsed = time.perf_counter() - t0
     details.update(
         {
             "m_opt": m_opt,
@@ -283,8 +281,6 @@ def ao(
         schedule=sched,
         throughput=throughput,
         peak_theta=peak_value,
-        feasible=bool(peak_value <= platform.theta_max + 1e-6),
-        runtime_s=elapsed,
+        feasible=bool(within_threshold(peak_value, platform.theta_max)),
         details=details,
-        stats=engine.stats_since(mark),
     )

@@ -31,16 +31,19 @@ class SchedulerResult:
         Stable-status peak core temperature above ambient (K) as computed
         by the algorithm's own peak engine.
     feasible:
-        Whether ``peak_theta`` respects the platform threshold.
+        Whether ``peak_theta`` respects the platform threshold, by the
+        package's one rule :func:`repro.tolerances.within_threshold`
+        (``peak_theta <= theta_max + FEASIBILITY_SLACK``).
     runtime_s:
-        Wall-clock seconds the algorithm spent.
+        Wall-clock seconds of the whole entry-point call, filled in by
+        :func:`repro.engine.engine_entrypoint`.
     details:
         Algorithm-specific extras (chosen m, mode plan, search statistics).
     stats:
         Thermal-engine counters attributed to this run
         (:class:`~repro.engine.EngineStats`) — steady-state solves, cache
-        hit rates, batch sizes, per-phase wall time.  ``None`` when the
-        algorithm ran outside an instrumented engine.
+        hit rates, batch sizes, per-phase wall time.  ``None`` for a
+        result built outside :func:`repro.engine.engine_entrypoint`.
     certificate:
         Independent :class:`~repro.safety.certificate.SafetyCertificate`
         re-verifying the emitted schedule through a different numerical

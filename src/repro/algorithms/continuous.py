@@ -24,6 +24,7 @@ import numpy as np
 from repro.engine import ThermalEngine, as_platform
 from repro.errors import SolverError
 from repro.platform import Platform
+from repro.tolerances import VOLTAGE_ATOL, within_threshold
 from repro.util.linalg import solve_linear
 
 __all__ = ["ContinuousAssignment", "continuous_assignment"]
@@ -134,10 +135,10 @@ def continuous_assignment(
 
         newly_clamped = False
         for k, core in enumerate(free_idx):
-            if v_free[k] > v_hi + 1e-12:
+            if v_free[k] > v_hi + VOLTAGE_ATOL:
                 fixed_v[core] = v_hi
                 newly_clamped = True
-            elif v_free[k] < v_lo - 1e-12:
+            elif v_free[k] < v_lo - VOLTAGE_ATOL:
                 fixed_v[core] = v_lo
                 newly_clamped = True
         if not newly_clamped:
@@ -156,11 +157,11 @@ def continuous_assignment(
     # continuous reduction (the continuous analogue of the TPT loop):
     # repeatedly lower the voltage that cools the hottest core most per
     # unit of throughput until the constraint holds.
-    if theta_cores.max() > theta_max + 1e-9:
+    if not within_threshold(theta_cores.max(), theta_max):
         floor_v = np.full(n, v_lo)
         if active_mask is not None:
             floor_v[~active_mask] = 0.0
-        if model.steady_state_cores(floor_v).max() > theta_max + 1e-9:
+        if not within_threshold(model.steady_state_cores(floor_v).max(), theta_max):
             raise SolverError(
                 f"infeasible: even v_min on all active cores exceeds theta_max "
                 f"({model.steady_state_cores(floor_v).max():.3f} > "
@@ -201,10 +202,10 @@ def _greedy_reduce(
     ]
     theta = model.steady_state_cores(volts)
     for _ in range(max_iter):
-        if theta.max() <= theta_max + 1e-9:
+        if within_threshold(theta.max(), theta_max):
             return volts, theta
         hot = int(np.argmax(theta))
-        movable = volts > v_lo + 1e-12
+        movable = volts > v_lo + VOLTAGE_ATOL
         if not movable.any():  # pragma: no cover - guarded by the v_min check
             raise SolverError("greedy reduction exhausted all voltages")
         dpsi = power.alpha_lin + 3.0 * power.gamma * volts**2

@@ -43,7 +43,6 @@ oscillating schedules, which is what makes the comparison in the
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,6 +54,7 @@ from repro.obs import METRICS, span
 from repro.safety.faults import FaultSpec
 from repro.schedule.builders import constant_schedule
 from repro.sim.engine import simulate_closed_loop
+from repro.tolerances import within_threshold
 
 __all__ = [
     "ControllerTrace",
@@ -222,7 +222,6 @@ def integral_controller(
             f"hot_gain must be >= 1 (safety bias), got {hot_gain}"
         )
     faults = FaultSpec.coerce(faults)
-    mark = engine.checkpoint()
     model = engine.model
     ladder = engine.ladder
     n = engine.n_cores
@@ -244,7 +243,6 @@ def integral_controller(
     n_steps = int(np.ceil(horizon / sensor_period))
     settle_steps = int(settle_fraction * n_steps)
 
-    t0 = time.perf_counter()
     levels_arr = np.asarray(ladder.levels)
     v_lo, v_hi = ladder.v_min, ladder.v_max
     u_mid = 0.5 * (v_lo + v_hi)
@@ -291,7 +289,6 @@ def integral_controller(
             settle_steps=settle_steps,
             faults=faults,
         )
-    elapsed = time.perf_counter() - t0
     peak = loop.peak_theta
     overshoot = float(max(0.0, peak - theta_max))
     METRICS.counter("controller.runs").inc()
@@ -317,8 +314,7 @@ def integral_controller(
         schedule=schedule,
         throughput=loop.throughput,
         peak_theta=peak,
-        feasible=bool(peak <= theta_max + 1e-9),
-        runtime_s=elapsed,
+        feasible=bool(within_threshold(peak, theta_max)),
         details={
             "trace": trace,
             "overshoot_k": overshoot,
@@ -332,7 +328,6 @@ def integral_controller(
             "sensor_period": sensor_period,
             "faults": faults.as_dict() if faults is not None else None,
         },
-        stats=engine.stats_since(mark),
     )
 
 

@@ -16,7 +16,7 @@ well-cooled cores.
 
 from __future__ import annotations
 
-import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from repro.algorithms.base import SchedulerResult
 from repro.engine import ThermalEngine, engine_entrypoint
 from repro.errors import InfeasibleError, SolverError
 from repro.platform import Platform
+from repro.tolerances import IMPROVEMENT_MARGIN
 
 __all__ = ["dark_silicon_ao"]
 
@@ -68,8 +69,6 @@ def dark_silicon_ao(
         If no active set (down to a single core) is feasible.
     """
     platform = engine.platform
-    mark = engine.checkpoint()
-    t0 = time.perf_counter()
     n = platform.n_cores
     if max_dark is None:
         max_dark = n - 1
@@ -86,7 +85,7 @@ def dark_silicon_ao(
             continue  # this active set is thermally infeasible; gate more
         if found_at is None:
             found_at = dark_count
-        if best is None or result.throughput > best.throughput + 1e-12:
+        if best is None or result.throughput > best.throughput + IMPROVEMENT_MARGIN:
             best = result
             best.details["dark_cores"] = sorted(int(c) for c in order[:dark_count])
         if found_at is not None and dark_count >= found_at + explore_extra:
@@ -97,14 +96,4 @@ def dark_silicon_ao(
             f"no active subset of up to {n} cores is feasible at "
             f"T_max={platform.t_max_c} C"
         )
-    elapsed = time.perf_counter() - t0
-    return SchedulerResult(
-        name="AO-dark",
-        schedule=best.schedule,
-        throughput=best.throughput,
-        peak_theta=best.peak_theta,
-        feasible=best.feasible,
-        runtime_s=elapsed,
-        details=best.details,
-        stats=engine.stats_since(mark),
-    )
+    return replace(best, name="AO-dark")

@@ -23,38 +23,31 @@ highest total speed.  Two searches over that constant lattice:
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.algorithms.base import SchedulerResult
-from repro.engine import EngineStats, ThermalEngine, engine_entrypoint
+from repro.engine import ThermalEngine, engine_entrypoint
 from repro.errors import InfeasibleError, SolverError
 from repro.platform import Platform
 from repro.schedule.builders import constant_schedule
+from repro.tolerances import BAND_FLOOR, FEASIBILITY_SLACK, IMPROVEMENT_MARGIN, TIE
+from repro.tolerances import within_threshold
 
 __all__ = ["exs", "exs_pruned", "pruned_lattice_search"]
 
 #: Assignments evaluated per vectorized block (bounds peak memory).
 BATCH = 65536
-#: Smallest half-width (K) of the threshold band :func:`exs` re-prices.
-BAND_FLOOR = 1e-9
-#: Feasible rows within this of the best superposed sum are re-summed exactly.
-TIE = 1e-9
 
 
-def _result(voltages: np.ndarray, peak: float, elapsed: float,
-            name: str, evaluations: int,
-            stats: EngineStats | None = None) -> SchedulerResult:
+def _result(voltages: np.ndarray, peak: float, name: str,
+            evaluations: int) -> SchedulerResult:
     return SchedulerResult(
         name=name,
         schedule=constant_schedule(voltages, period=0.02),
         throughput=float(np.mean(voltages)),
         peak_theta=float(peak),
         feasible=True,
-        runtime_s=elapsed,
         details={"evaluations": evaluations},
-        stats=stats,
     )
 
 
@@ -113,8 +106,6 @@ def exs(engine: ThermalEngine) -> SchedulerResult:
     SolverError
         If the lattice is too large to index in int64.
     """
-    mark = engine.checkpoint()
-    t0 = time.perf_counter()
     levels = np.asarray(engine.ladder.levels)
     n = engine.n_cores
     radix = levels.size
@@ -125,7 +116,7 @@ def exs(engine: ThermalEngine) -> SchedulerResult:
         )
     model = engine.model
     theta_max = engine.theta_max
-    threshold = theta_max + 1e-9
+    threshold = theta_max + FEASIBILITY_SLACK
     band = _band(engine, threshold)
 
     # Per-core contributions: temps[i][:, l] = psi_i(level l) * R[:, i].
@@ -155,8 +146,8 @@ def exs(engine: ThermalEngine) -> SchedulerResult:
         if near.size:
             rows = _lattice_rows(levels, n, p * width + near)
             exact_rows += near.size
-            feasible[near] = (
-                engine.steady_state_batch(rows).max(axis=1) <= threshold
+            feasible[near] = within_threshold(
+                engine.steady_state_batch(rows).max(axis=1), theta_max
             )
         sums = np.where(feasible, head_v[p] + tail_v, -np.inf)
         top = sums.max()
@@ -178,15 +169,11 @@ def exs(engine: ThermalEngine) -> SchedulerResult:
     # and winner rows are not counted again.
     model.ss_batch_rows += total - exact_rows
 
-    elapsed = time.perf_counter() - t0
     if best_voltages is None:
         raise InfeasibleError(
             f"no constant assignment fits under theta_max={theta_max:.2f} K"
         )
-    return _result(
-        best_voltages, best_peak, elapsed, "EXS", total,
-        stats=engine.stats_since(mark),
-    )
+    return _result(best_voltages, best_peak, "EXS", total)
 
 
 def _band(engine: ThermalEngine, threshold: float) -> float:
@@ -220,8 +207,8 @@ def pruned_lattice_search(
     to low, which skips a level whose *optimistic* completion (remaining
     active cores at the lowest level) already tops ``T_max``
     (monotonicity), skips a node whose partial sum plus ``v_max`` per
-    unassigned core does not beat the incumbent by 1e-12, and lets a leaf
-    that does become the incumbent.
+    unassigned core does not beat the incumbent by ``IMPROVEMENT_MARGIN``,
+    and lets a leaf that does become the incumbent.
 
     Here the tree grows one core at a time instead: each depth prices the
     children of the whole surviving frontier (rows in depth-first order)
@@ -255,7 +242,7 @@ def pruned_lattice_search(
             steady_state_batch(kids[i : i + BATCH]).max(axis=1)
             for i in range(0, kids.shape[0], BATCH)
         ])
-        ok = peaks <= theta_max + 1e-9
+        ok = within_threshold(peaks, theta_max)
         return kids[ok], kid_sums[ok], peaks[ok]
 
     base = np.zeros((1, platform.n_cores))
@@ -263,32 +250,32 @@ def pruned_lattice_search(
     best, best_volts, best_peak = float(incumbent), None, np.inf
     if n == 0:  # the all-gated vector is the only leaf
         peak = float(steady_state_batch(base).max())
-        if peak <= theta_max + 1e-9 and 0.0 > best + 1e-12:
+        if within_threshold(peak, theta_max) and 0.0 > best + IMPROVEMENT_MARGIN:
             return base[0], peak, 1
         return None, np.inf, 1
 
     nodes, sums = base, np.zeros(1)
     for pos in range(n):  # greedy dive: first feasible child each time
-        if sums[0] + (n - pos) * v_max <= best + 1e-12:
+        if sums[0] + (n - pos) * v_max <= best + IMPROVEMENT_MARGIN:
             break
         nodes, sums, peaks = (a[:1] for a in expand(nodes, sums, pos))
         if not sums.size:
             break
     else:
-        if sums[0] > best + 1e-12:
+        if sums[0] > best + IMPROVEMENT_MARGIN:
             best, best_volts, best_peak = (
                 float(sums[0]), nodes[0].copy(), float(peaks[0])
             )
 
     nodes, sums = base, np.zeros(1)
     for pos in range(n):
-        keep = ~(sums + (n - pos) * v_max <= best + 1e-12)
+        keep = ~(sums + (n - pos) * v_max <= best + IMPROVEMENT_MARGIN)
         if not keep.any():
             return best_volts, best_peak, rows
         nodes, sums, peaks = expand(nodes[keep], sums[keep], pos)
 
     start = 0  # replay the depth-first acceptance over the leaves
-    while (beat := np.flatnonzero(sums[start:] > best + 1e-12)).size:
+    while (beat := np.flatnonzero(sums[start:] > best + IMPROVEMENT_MARGIN)).size:
         start += int(beat[0])
         best, best_volts, best_peak = (
             float(sums[start]), nodes[start].copy(), float(peaks[start])
@@ -304,17 +291,11 @@ def exs_pruned(engine: ThermalEngine) -> SchedulerResult:
     :func:`pruned_lattice_search` over every core with no incumbent;
     ``details["evaluations"]`` counts the voltage rows it priced.
     """
-    mark = engine.checkpoint()
-    t0 = time.perf_counter()
     volts, peak, rows = pruned_lattice_search(
         engine.platform, np.arange(engine.n_cores), incumbent=-np.inf
     )
-    elapsed = time.perf_counter() - t0
     if volts is None:
         raise InfeasibleError(
             f"no constant assignment fits under theta_max={engine.theta_max:.2f} K"
         )
-    return _result(
-        volts, peak, elapsed, "EXS-pruned", rows,
-        stats=engine.stats_since(mark),
-    )
+    return _result(volts, peak, "EXS-pruned", rows)

@@ -27,6 +27,7 @@ from repro.engine import ThermalEngine, engine_entrypoint
 from repro.errors import SolverError
 from repro.schedule.periodic import PeriodicSchedule
 from repro.thermal.peak import PeakResult
+from repro.tolerances import VOLTAGE_SPILL
 
 __all__ = ["MinPeakResult", "minimize_peak"]
 
@@ -107,8 +108,8 @@ def minimize_peak(
             f"target_speeds must have shape ({platform.n_cores},), got {targets.shape}"
         )
     v_lo, v_hi = platform.ladder.v_min, platform.ladder.v_max
-    active = targets > 0
-    if np.any((targets[active] < v_lo - 1e-9) | (targets[active] > v_hi + 1e-9)):
+    busy = targets[targets > 0]
+    if np.any((busy < v_lo - VOLTAGE_SPILL) | (busy > v_hi + VOLTAGE_SPILL)):
         raise SolverError(
             f"target speeds must be 0 (idle) or within [{v_lo}, {v_hi}], "
             f"got {targets}"

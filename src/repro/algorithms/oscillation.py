@@ -31,6 +31,7 @@ from repro.platform import Platform
 from repro.schedule.builders import two_mode_rows, two_mode_schedule
 from repro.schedule.periodic import PeriodicSchedule
 from repro.thermal.batch import Rows
+from repro.tolerances import IMPROVEMENT_MARGIN, RATIO_ATOL, VOLTAGE_ATOL
 
 __all__ = [
     "ModePlan",
@@ -70,8 +71,10 @@ class ModePlan:
     @property
     def oscillating(self) -> np.ndarray:
         """Mask of cores that genuinely use two distinct modes."""
-        return (self.v_high > self.v_low + 1e-12) & (self.high_ratio > 1e-12) & (
-            self.high_ratio < 1 - 1e-12
+        return (
+            (self.v_high > self.v_low + VOLTAGE_ATOL)
+            & (self.high_ratio > RATIO_ATOL)
+            & (self.high_ratio < 1 - RATIO_ATOL)
         )
 
     @property
@@ -177,7 +180,7 @@ def oscillating_rows(plan: ModePlan, high_ratios, period: float, m) -> Rows:
     m = np.broadcast_to(np.asarray(m), ratios.shape[:1])
     if m.size and m.min() < 1:
         raise SolverError(f"m must be >= 1, got {m.min()}")
-    if np.any((ratios < -1e-12) | (ratios > 1 + 1e-12)):
+    if np.any((ratios < -RATIO_ATOL) | (ratios > 1 + RATIO_ATOL)):
         raise ScheduleError(f"high_ratio must be within [0, 1], got {ratios}")
     return Rows(*two_mode_rows(plan.v_low, plan.v_high, ratios, period / m))
 
@@ -216,7 +219,7 @@ def _select_m(candidates, peaks) -> tuple[int, list[tuple[int, float]]]:
     best, best_peak = 0, np.inf
     for i, (m, peak) in enumerate(zip(candidates, peaks)):
         history.append((m, peak))
-        if peak < best_peak - 1e-12:
+        if peak < best_peak - IMPROVEMENT_MARGIN:
             best, best_peak = i, peak
     return best, history
 

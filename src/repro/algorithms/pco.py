@@ -15,8 +15,6 @@ consistently slower than AO.
 
 from __future__ import annotations
 
-import time
-
 from repro.algorithms.ao import ao_core, constant_floor_guard
 from repro.algorithms.base import SchedulerResult
 from repro.algorithms.oscillation import DEFAULT_M_CAP, effective_throughput
@@ -24,6 +22,7 @@ from repro.algorithms.tpt import fill_headroom
 from repro.engine import ThermalEngine, engine_entrypoint
 from repro.schedule.transforms import shift_core, shift_core_arrays
 from repro.thermal.batch import stack_rows
+from repro.tolerances import FILL_HEADROOM, IMPROVEMENT_MARGIN, within_threshold
 
 __all__ = ["pco"]
 
@@ -48,8 +47,6 @@ def pco(
     Other parameters are forwarded to :func:`repro.algorithms.ao.ao_core`.
     """
     platform = engine.platform
-    mark = engine.checkpoint()
-    t0 = time.perf_counter()
     base = ao_core(
         engine, period, m_cap=m_cap, m_step=m_step, t_unit=t_unit,
         adaptive=adaptive,
@@ -74,7 +71,7 @@ def pco(
                 )
             )
             for off, val in zip(candidates[1:], trials.value.tolist()):
-                if val < best_val - 1e-12:
+                if val < best_val - IMPROVEMENT_MARGIN:
                     best_off, best_val = off, val
             if best_off > 0.0:
                 sched = shift_core(sched, core, best_off)
@@ -84,7 +81,7 @@ def pco(
     # Refill the headroom the interleaving created (ratios grow under the
     # general peak engine, with the shifts re-applied on every rebuild).
     fill_iters = 0
-    if peak.value < platform.theta_max - 1e-6 and plan.oscillating.any():
+    if peak.value < platform.theta_max - FILL_HEADROOM and plan.oscillating.any():
         with engine.phase("pco/fill"):
             ratios, sched, peak, fill_iters = fill_headroom(
                 engine, plan, ratios, period, m_opt,
@@ -100,7 +97,6 @@ def pco(
         sched, peak_value, throughput, floor_volts = constant_floor_guard(
             platform, plan, period, sched, peak_value, throughput
         )
-    elapsed = time.perf_counter() - t0
     details = dict(base.details)
     details.update(
         {
@@ -119,8 +115,6 @@ def pco(
         schedule=sched,
         throughput=throughput,
         peak_theta=peak_value,
-        feasible=bool(peak_value <= platform.theta_max + 1e-6),
-        runtime_s=elapsed,
+        feasible=bool(within_threshold(peak_value, platform.theta_max)),
         details=details,
-        stats=engine.stats_since(mark),
     )

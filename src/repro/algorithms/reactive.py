@@ -15,7 +15,6 @@ offline.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from repro.errors import SolverError
 from repro.safety.faults import FaultSpec
 from repro.schedule.builders import constant_schedule
 from repro.sim.engine import simulate_closed_loop
+from repro.tolerances import within_threshold
 
 __all__ = ["ReactiveTrace", "reactive_throttling"]
 
@@ -104,7 +104,6 @@ def reactive_throttling(
     if sensor_period <= 0:
         raise SolverError(f"sensor_period must be > 0, got {sensor_period}")
     faults = FaultSpec.coerce(faults)
-    mark = engine.checkpoint()
     model = engine.model
     ladder = engine.ladder
     n = engine.n_cores
@@ -117,7 +116,6 @@ def reactive_throttling(
     n_steps = int(np.ceil(horizon / sensor_period))
     settle_steps = int(settle_fraction * n_steps)
 
-    t0 = time.perf_counter()
     level_idx = np.full(n, len(ladder) - 1, dtype=int)  # start at full speed
 
     def policy(_step: int, reading: np.ndarray) -> np.ndarray:
@@ -138,7 +136,6 @@ def reactive_throttling(
         settle_steps=settle_steps,
         faults=faults,
     )
-    elapsed = time.perf_counter() - t0
     peak = loop.peak_theta
     trace = ReactiveTrace(
         times=loop.times,
@@ -155,8 +152,7 @@ def reactive_throttling(
         schedule=schedule,
         throughput=loop.throughput,
         peak_theta=peak,
-        feasible=bool(peak <= theta_max + 1e-9),
-        runtime_s=elapsed,
+        feasible=bool(within_threshold(peak, theta_max)),
         details={
             "trace": trace,
             "overshoot_k": float(max(0.0, peak - theta_max)),
@@ -164,5 +160,4 @@ def reactive_throttling(
             "sensor_period": sensor_period,
             "faults": faults.as_dict() if faults is not None else None,
         },
-        stats=engine.stats_since(mark),
     )

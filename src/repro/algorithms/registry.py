@@ -21,7 +21,6 @@ entry points remain available unchanged.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 
@@ -59,6 +58,7 @@ from repro.safety.certificate import (
 # __init__) while the fallback module is still half-initialised.
 from repro.safety import fallback
 from repro.schedule.builders import constant_schedule
+from repro.tolerances import within_threshold
 
 __all__ = [
     "MARGIN_POLICIES",
@@ -81,20 +81,15 @@ def _solve_continuous(
     continuous voltages — the upper bound AO chases, not something
     discrete hardware can run.
     """
-    mark = engine.checkpoint()
-    t0 = time.perf_counter()
     cont = continuous_assignment(engine.platform)
     peak = float(engine.steady_state_cores(cont.voltages).max())
-    elapsed = time.perf_counter() - t0
     return SchedulerResult(
         name="continuous",
         schedule=constant_schedule(cont.voltages, period=period),
         throughput=cont.throughput,
         peak_theta=peak,
-        feasible=bool(peak <= engine.theta_max + 1e-9),
-        runtime_s=elapsed,
+        feasible=bool(within_threshold(peak, engine.theta_max)),
         details={"clamped": cont.clamped, "core_theta": cont.core_theta},
-        stats=engine.stats_since(mark),
     )
 
 
@@ -113,29 +108,24 @@ def _solve_minpeak(
     would try to schedule.  ``feasible`` compares the minimized peak
     against the platform threshold — the dual itself does not enforce it.
     """
-    mark = engine.checkpoint()
-    t0 = time.perf_counter()
     if target_speeds is None:
         target_speeds = continuous_assignment(engine.platform).voltages
     kwargs = {} if m_cap is None else {"m_cap": m_cap}
     mp = minimize_peak(
         engine, target_speeds, period=period, m_step=m_step, **kwargs
     )
-    elapsed = time.perf_counter() - t0
     targets = np.asarray(mp.target_speeds, dtype=float)
     return SchedulerResult(
         name="minpeak",
         schedule=mp.schedule,
         throughput=float(np.mean(targets)),
         peak_theta=float(mp.peak.value),
-        feasible=bool(mp.peak.value <= engine.theta_max + 1e-6),
-        runtime_s=elapsed,
+        feasible=bool(within_threshold(mp.peak.value, engine.theta_max)),
         details={
             "m": mp.m,
             "target_speeds": targets,
             "constant_bound_theta": mp.constant_bound_theta,
         },
-        stats=engine.stats_since(mark),
     )
 
 

@@ -44,6 +44,8 @@ from repro.schedule.periodic import PeriodicSchedule
 from repro.schedule.transforms import shift_core_arrays, shift_cores
 from repro.thermal.batch import PeakRows, Rows, stack_rows
 from repro.thermal.peak import PeakResult
+from repro.tolerances import FEASIBILITY_SLACK, RATIO_ATOL, RISE_FLOOR, SLOPE_FLOOR
+from repro.tolerances import VOLTAGE_ATOL, within_threshold
 
 __all__ = ["enforce_threshold", "fill_headroom"]
 
@@ -101,20 +103,20 @@ def enforce_threshold(
     theta_max = engine.theta_max
 
     ratios = np.asarray(ratios, dtype=float).copy()
-    movable = plan.v_high > plan.v_low + 1e-12
+    movable = plan.v_high > plan.v_low + VOLTAGE_ATOL
     swing = plan.v_high - plan.v_low
 
     sched = build_oscillating_schedule(plan, ratios, period, m)
     peak = engine.stepup_peak(sched)
     iterations = 0
 
-    while peak.value > theta_max + 1e-9:
+    while not within_threshold(peak.value, theta_max):
         if iterations >= max_iter:
             raise ConvergenceError(
                 f"TPT loop exceeded {max_iter} iterations "
                 f"(peak {peak.value:.3f} > {theta_max:.3f} K)"
             )
-        movers = np.flatnonzero(movable & (ratios > 1e-12))
+        movers = np.flatnonzero(movable & (ratios > RATIO_ATOL))
         if not movers.size:
             raise ConvergenceError(
                 "no adjustable core left but the peak still exceeds T_max; "
@@ -130,7 +132,7 @@ def enforce_threshold(
         best_j, best_drop = int(movers[best]), drops[best]
 
         steps = 1
-        if adaptive and best_drop > 1e-12:
+        if adaptive and best_drop > SLOPE_FLOOR:
             needed = peak.value - theta_max
             # Undershoot the linear extrapolation slightly; the outer loop
             # re-verifies and tops up.  Cap each batch so the greedy
@@ -194,7 +196,7 @@ def fill_headroom(
     theta_max = engine.theta_max
 
     ratios = np.asarray(ratios, dtype=float).copy()
-    movable = plan.v_high > plan.v_low + 1e-12
+    movable = plan.v_high > plan.v_low + VOLTAGE_ATOL
     swing = plan.v_high - plan.v_low
 
     offsets = {core: off for core, off in enumerate(shifts or ()) if off > 0}
@@ -222,21 +224,21 @@ def fill_headroom(
     sched, peak = start
     iterations = 0
 
-    while peak.value <= theta_max - 1e-9 and iterations < max_iter:
-        movers = np.flatnonzero(movable & (ratios < 1 - 1e-12))
+    while peak.value <= theta_max - FEASIBILITY_SLACK and iterations < max_iter:
+        movers = np.flatnonzero(movable & (ratios < 1 - RATIO_ATOL))
         if not movers.size:
             break
         trials = _moved(ratios, movers, np.minimum(1.0, ratios[movers] + unit_ratio))
         trial_peaks = price_rows(trials)
-        feasible = trial_peaks.value <= theta_max + 1e-9
+        feasible = within_threshold(trial_peaks.value, theta_max)
         if not feasible.any():
             break  # no single-quantum move stays feasible
-        rise = np.maximum(trial_peaks.value - peak.value, 1e-15)
+        rise = np.maximum(trial_peaks.value - peak.value, RISE_FLOOR)
         best = int(np.argmax(np.where(feasible, swing[movers] / rise, -np.inf)))
         best_j, best_rise = int(movers[best]), rise[best]
 
         steps = 1
-        if adaptive and best_rise > 1e-12:
+        if adaptive and best_rise > SLOPE_FLOOR:
             headroom = theta_max - peak.value
             steps = max(1, int(0.9 * headroom / best_rise))
             steps = min(
@@ -249,7 +251,7 @@ def fill_headroom(
             trial[best_j] = min(1.0, trial[best_j] + steps * unit_ratio)
             trial_sched = rebuild(trial)
             trial_peak = price(trial_sched)
-            if trial_peak.value > theta_max + 1e-9:
+            if not within_threshold(trial_peak.value, theta_max):
                 steps = 1  # fall back to the single-quantum move
         if steps > 1:
             ratios, sched, peak = trial, trial_sched, trial_peak

@@ -22,6 +22,7 @@ from repro.schedule.periodic import PeriodicSchedule
 from repro.schedule.transforms import step_up
 from repro.thermal.model import ThermalModel
 from repro.thermal.peak import peak_temperature, stepup_peak_temperature
+from repro.tolerances import within_threshold
 
 __all__ = ["Screen", "ScreeningReport", "stepup_bound", "classify_schedule",
            "prune_candidates"]
@@ -118,7 +119,7 @@ def prune_candidates(
         else:
             verified.append(k)
             true_peak = peak_temperature(model, schedule).value
-            (feasible if true_peak <= theta_max + 1e-9 else infeasible).append(k)
+            (feasible if within_threshold(true_peak, theta_max) else infeasible).append(k)
     return ScreeningReport(
         feasible=tuple(feasible),
         infeasible=tuple(infeasible),

@@ -28,6 +28,7 @@ from repro.platform import Platform
 from repro.platforms import PlatformSpec
 from repro.schedule.periodic import PeriodicSchedule
 from repro.schedule.properties import throughput as schedule_throughput
+from repro.tolerances import within_threshold
 
 __all__ = ["load_platform", "EvaluationResult", "evaluate"]
 
@@ -135,7 +136,7 @@ def evaluate(
     return EvaluationResult(
         peak_theta=float(peak.value),
         theta_max=float(theta_max),
-        feasible=bool(peak.value <= theta_max + 1e-9),
+        feasible=bool(within_threshold(peak.value, theta_max)),
         throughput=float(schedule_throughput(schedule)),
         t_ambient_c=float(engine.model.t_ambient_c),
     )

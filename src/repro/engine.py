@@ -35,12 +35,12 @@ import functools
 import time
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
-from repro.obs import METRICS, TRACER, span as obs_span
+from repro.obs import METRICS, span as obs_span
 from repro.platform import Platform
 from repro.schedule.periodic import PeriodicSchedule
 from repro.thermal.batch import PeakRows, Rows, peak_rows, stepup_peak_rows
@@ -70,24 +70,33 @@ def engine_entrypoint(name: str | None = None):
     solver bodies no longer repeat ``ThermalEngine.ensure`` (or
     isinstance checks) themselves.
 
-    With a ``name``, the run is additionally wrapped in a
-    ``solve/<name>`` tracing span whose attributes carry the run's
-    thermal-work counters (steady-state solves, cache hit rate, expm
-    applications, batch shape).  While tracing is disabled the wrapper
-    costs one attribute check beyond the coercion.
+    With a ``name``, the decorator owns the run's accounting: one engine
+    checkpoint and one timer around the whole call fill the returned
+    :class:`~repro.algorithms.base.SchedulerResult`'s ``runtime_s`` and
+    ``stats``, and the run is wrapped in a ``solve/<name>`` tracing span
+    whose attributes are those same :class:`EngineStats` counters.
     """
 
     def decorate(func: Callable) -> Callable:
+        if name is None:
+            @functools.wraps(func)
+            def coerce(platform: "Platform | ThermalEngine", *args, **kwargs):
+                return func(ThermalEngine.ensure(platform), *args, **kwargs)
+
+            return coerce
+
+        span_name = f"solve/{name}"
+
         @functools.wraps(func)
         def wrapper(platform: "Platform | ThermalEngine", *args, **kwargs):
             engine = ThermalEngine.ensure(platform)
-            if name is None or not TRACER.enabled:
-                return func(engine, *args, **kwargs)
             mark = engine.checkpoint()
-            with obs_span(f"solve/{name}") as sp:
+            t0 = time.perf_counter()
+            with obs_span(span_name) as sp:
                 try:
-                    return func(engine, *args, **kwargs)
+                    result = func(engine, *args, **kwargs)
                 finally:
+                    runtime_s = time.perf_counter() - t0
                     st = engine.stats_since(mark)
                     sp.set_attrs(
                         solver=name,
@@ -100,6 +109,7 @@ def engine_entrypoint(name: str | None = None):
                         batch_calls=st.batch_calls,
                         batch_candidates=st.batch_candidates,
                     )
+            return replace(result, runtime_s=runtime_s, stats=st)
 
         return wrapper
 

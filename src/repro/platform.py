@@ -22,6 +22,7 @@ from repro.power.model import PowerModel
 from repro.thermal.model import ThermalModel
 from repro.thermal.params import RCParams, SingleLayerParams
 from repro.thermal.rc import build_rc_network, build_single_layer_network
+from repro.tolerances import VOLTAGE_SPILL, within_threshold
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.platforms import PlatformSpec
@@ -63,7 +64,8 @@ class Platform:
                 f"T_max={self.t_max_c} C must exceed ambient {self.model.t_ambient_c} C"
             )
         pm = self.model.power
-        if self.ladder.v_min < pm.v_min - 1e-9 or self.ladder.v_max > pm.v_max + 1e-9:
+        lo, hi = pm.v_min - VOLTAGE_SPILL, pm.v_max + VOLTAGE_SPILL
+        if self.ladder.v_min < lo or self.ladder.v_max > hi:
             raise ConfigurationError(
                 f"ladder {self.ladder.levels} exceeds the power model's "
                 f"supported range [{pm.v_min}, {pm.v_max}]"
@@ -110,7 +112,7 @@ class Platform:
     def feasible_constant(self, voltages) -> bool:
         """Whether a constant-mode assignment keeps ``T_inf`` under ``T_max``."""
         theta = self.model.steady_state_cores(np.asarray(voltages, dtype=float))
-        return bool(theta.max() <= self.theta_max + 1e-9)
+        return bool(within_threshold(theta.max(), self.theta_max))
 
 
 def platform_3d(

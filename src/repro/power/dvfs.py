@@ -21,6 +21,7 @@ from math import floor
 import numpy as np
 
 from repro.errors import ModeError, PowerModelError
+from repro.tolerances import LEVEL_ATOL
 
 __all__ = [
     "VoltageLadder",
@@ -29,9 +30,6 @@ __all__ = [
     "paper_ladder",
     "full_ladder",
 ]
-
-#: Matching tolerance when looking a voltage up in a ladder.
-_LEVEL_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,12 +72,12 @@ class VoltageLadder:
 
     def contains(self, v: float) -> bool:
         """Whether ``v`` is one of the discrete levels (within tolerance)."""
-        return any(abs(v - lvl) <= _LEVEL_ATOL for lvl in self.levels)
+        return any(abs(v - lvl) <= LEVEL_ATOL for lvl in self.levels)
 
     def index_of(self, v: float) -> int:
         """Index of level ``v``; raises :class:`ModeError` if absent."""
         for i, lvl in enumerate(self.levels):
-            if abs(v - lvl) <= _LEVEL_ATOL:
+            if abs(v - lvl) <= LEVEL_ATOL:
                 return i
         raise ModeError(f"voltage {v} is not a ladder level {self.levels}")
 
@@ -91,7 +89,7 @@ class VoltageLadder:
         ModeError
             If ``v`` is below the lowest level — no feasible rounding exists.
         """
-        candidates = [lvl for lvl in self.levels if lvl <= v + _LEVEL_ATOL]
+        candidates = [lvl for lvl in self.levels if lvl <= v + LEVEL_ATOL]
         if not candidates:
             raise ModeError(
                 f"no ladder level at or below {v} (lowest is {self.v_min})"
@@ -100,7 +98,7 @@ class VoltageLadder:
 
     def upper_neighbor(self, v: float) -> float:
         """Smallest level ``>= v``."""
-        candidates = [lvl for lvl in self.levels if lvl >= v - _LEVEL_ATOL]
+        candidates = [lvl for lvl in self.levels if lvl >= v - LEVEL_ATOL]
         if not candidates:
             raise ModeError(
                 f"no ladder level at or above {v} (highest is {self.v_max})"
@@ -234,7 +232,7 @@ def full_ladder(step: float = 0.05, v_min: float = 0.6, v_max: float = 1.3) -> V
     """
     n = int(round((v_max - v_min) / step)) + 1
     levels = tuple(round(v_min + i * step, 10) for i in range(n))
-    if abs(levels[-1] - v_max) > 1e-9:
+    if abs(levels[-1] - v_max) > LEVEL_ATOL:
         raise ModeError(
             f"step {step} does not evenly divide [{v_min}, {v_max}]"
         )

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.errors import PowerModelError
 from repro.power.model import PowerModel
+from repro.tolerances import ROOT_IMAG_ATOL, VOLTAGE_SPILL
 
 __all__ = ["HeterogeneousPowerModel", "big_little_power_model"]
 
@@ -104,7 +105,7 @@ class HeterogeneousPowerModel:
         roots = np.roots(
             [float(self.gamma[core]), 0.0, float(self.alpha_lin[core]), -float(power)]
         )
-        real = roots[np.abs(roots.imag) < 1e-9].real
+        real = roots[np.abs(roots.imag) < ROOT_IMAG_ATOL].real
         positive = real[real >= 0]
         if positive.size == 0:  # pragma: no cover - impossible for valid coeffs
             raise PowerModelError(f"no root for psi(v) = {power} on core {core}")
@@ -138,7 +139,7 @@ class HeterogeneousPowerModel:
         if active.size == 0:
             return
         lo, hi = float(active.min()), float(active.max())
-        if lo < self.v_min - 1e-9 or hi > self.v_max + 1e-9:
+        if lo < self.v_min - VOLTAGE_SPILL or hi > self.v_max + VOLTAGE_SPILL:
             raise PowerModelError(
                 f"voltage outside supported range [{self.v_min}, {self.v_max}]: "
                 f"min={lo}, max={hi}"

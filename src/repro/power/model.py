@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import PowerModelError
+from repro.tolerances import ROOT_IMAG_ATOL, VOLTAGE_SPILL
 
 __all__ = ["PowerModel"]
 
@@ -113,7 +114,7 @@ class PowerModel:
             return 0.0
         # psi is strictly increasing on v >= 0, so the root is unique.
         roots = np.roots([self.gamma, 0.0, self.alpha_lin, -float(power)])
-        real = roots[np.abs(roots.imag) < 1e-9].real
+        real = roots[np.abs(roots.imag) < ROOT_IMAG_ATOL].real
         positive = real[real >= 0]
         if positive.size == 0:  # pragma: no cover - cannot happen for valid coeffs
             raise PowerModelError(f"no non-negative root for psi(v) = {power}")
@@ -142,7 +143,7 @@ class PowerModel:
             return
         lo, hi = float(active.min()), float(active.max())
         # Allow tiny numerical spill from continuous solvers.
-        if lo < self.v_min - 1e-9 or hi > self.v_max + 1e-9:
+        if lo < self.v_min - VOLTAGE_SPILL or hi > self.v_max + VOLTAGE_SPILL:
             raise PowerModelError(
                 f"voltage outside supported range [{self.v_min}, {self.v_max}]: "
                 f"min={lo}, max={hi}"

@@ -30,6 +30,7 @@ from repro.obs import METRICS
 from repro.schedule.periodic import PeriodicSchedule
 from repro.schedule.properties import is_step_up, throughput as schedule_throughput
 from repro.thermal.peak import peak_temperature, stepup_peak_temperature
+from repro.tolerances import FEASIBILITY_SLACK, THROUGHPUT_SLACK
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.platform import Platform
@@ -41,11 +42,6 @@ __all__ = ["SafetyCertificate", "certify", "certify_grid", "claim_certificate"]
 #: leaves two orders of magnitude of slack for grid-resolution noise
 #: while still catching any genuinely wrong peak claim.
 DEFAULT_TOLERANCE = 0.05
-
-#: One-sided slack for the throughput invariant (claims may sit *below*
-#: the raw schedule throughput — DVFS overhead only subtracts — but
-#: never meaningfully above it).
-THROUGHPUT_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -108,8 +104,8 @@ class SafetyCertificate:
 
     @property
     def feasible(self) -> bool:
-        """Whether the *certified* peak respects the threshold."""
-        return self.margin >= -1e-9
+        """Whether the *certified* peak respects the threshold (margin form)."""
+        return self.margin >= -FEASIBILITY_SLACK
 
     def summary(self) -> str:
         """One-line human-readable digest."""

@@ -23,8 +23,8 @@ name and records the hop in ``details["fallback"]``.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,30 +33,20 @@ from repro.algorithms.base import SchedulerResult
 from repro.algorithms.continuous import continuous_assignment
 from repro.algorithms.lns import lns
 from repro.algorithms.oscillation import plan_modes
-from repro.engine import ThermalEngine
+from repro.engine import ThermalEngine, engine_entrypoint
 from repro.errors import SolverError
 from repro.schedule.builders import constant_schedule
+from repro.tolerances import within_threshold
 
 __all__ = ["FALLBACK_CHAIN", "run_fallback_hop"]
 
 
 def _neighbor_rounding(engine: ThermalEngine, period: float) -> SchedulerResult:
-    result = lns(engine, period=period)
-    return SchedulerResult(
-        name="neighbor_rounding",
-        schedule=result.schedule,
-        throughput=result.throughput,
-        peak_theta=result.peak_theta,
-        feasible=result.feasible,
-        runtime_s=result.runtime_s,
-        details=result.details,
-        stats=result.stats,
-    )
+    return replace(lns(engine, period=period), name="neighbor_rounding")
 
 
+@engine_entrypoint("best_constant")
 def _best_constant(engine: ThermalEngine, period: float) -> SchedulerResult:
-    mark = engine.checkpoint()
-    t0 = time.perf_counter()
     cont = continuous_assignment(engine.platform)
     plan = plan_modes(engine.platform, cont.voltages)
     volts = best_constant_above(engine.platform, plan, incumbent_sum=-1.0)
@@ -68,16 +58,13 @@ def _best_constant(engine: ThermalEngine, period: float) -> SchedulerResult:
         schedule=constant_schedule(volts, period=period),
         throughput=float(np.mean(volts)),
         peak_theta=peak,
-        feasible=bool(peak <= engine.theta_max + 1e-9),
-        runtime_s=time.perf_counter() - t0,
+        feasible=bool(within_threshold(peak, engine.theta_max)),
         details={"voltages": volts},
-        stats=engine.stats_since(mark),
     )
 
 
+@engine_entrypoint("lowest_mode")
 def _lowest_mode(engine: ThermalEngine, period: float) -> SchedulerResult:
-    mark = engine.checkpoint()
-    t0 = time.perf_counter()
     volts = np.full(engine.n_cores, engine.ladder.v_min)
     peak = float(engine.steady_state_cores(volts).max())
     return SchedulerResult(
@@ -85,10 +72,8 @@ def _lowest_mode(engine: ThermalEngine, period: float) -> SchedulerResult:
         schedule=constant_schedule(volts, period=period),
         throughput=float(np.mean(volts)),
         peak_theta=peak,
-        feasible=bool(peak <= engine.theta_max + 1e-9),
-        runtime_s=time.perf_counter() - t0,
+        feasible=bool(within_threshold(peak, engine.theta_max)),
         details={"voltages": volts},
-        stats=engine.stats_since(mark),
     )
 
 

@@ -29,13 +29,13 @@ import numpy as np
 
 from repro.errors import ScheduleError
 from repro.schedule.periodic import (
-    MIN_INTERVAL,
     PeriodicSchedule,
     check_segment,
     check_segments,
     combine_timelines,
     padded,
 )
+from repro.tolerances import MIN_INTERVAL, PERIOD_RTOL, RATIO_ATOL
 
 __all__ = [
     "from_core_timelines",
@@ -58,7 +58,7 @@ def _segment(item) -> tuple[float, float]:
 
 def from_core_timelines(
     timelines: Sequence[Sequence],
-    atol: float = 1e-9,
+    atol: float = PERIOD_RTOL,
 ) -> PeriodicSchedule:
     """Combine per-core timelines into a state-interval schedule.
 
@@ -134,7 +134,7 @@ def two_mode_schedule(
         Schedule period ``t_p`` in seconds.
     """
     v_low, v_high, ratio = _per_core(v_low, v_high, high_ratio)
-    if np.any((ratio < -1e-12) | (ratio > 1 + 1e-12)):
+    if np.any((ratio < -RATIO_ATOL) | (ratio > 1 + RATIO_ATOL)):
         raise ScheduleError(f"high_ratio must be within [0, 1], got {ratio}")
     if np.any(v_high < v_low):
         raise ScheduleError("two_mode_schedule requires v_high >= v_low per core")
@@ -226,7 +226,7 @@ def phase_schedule(
     """
     v_low, v_high, h_len, h_start = _per_core(v_low, v_high, high_length, high_start)
     _check_period(period)
-    if np.any((h_len < 0) | (h_len > period + 1e-12)):
+    if np.any((h_len < 0) | (h_len > period + MIN_INTERVAL)):
         raise ScheduleError("high_length must lie in [0, period]")
 
     # An infinite start wraps to NaN, as Python's float modulo does.

@@ -20,12 +20,9 @@ import math
 import numpy as np
 
 from repro.errors import ScheduleError
+from repro.tolerances import MIN_INTERVAL, PERIOD_RTOL, VOLTAGE_ATOL
 
 __all__ = ["PeriodicSchedule", "MIN_INTERVAL"]
-
-#: Durations below this (seconds) are treated as degenerate and rejected or
-#: dropped by builders.  Far below any DVFS-relevant timescale.
-MIN_INTERVAL = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -234,12 +231,12 @@ def core_runs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every core's merged timeline, as padded ``(n, k)`` arrays plus counts.
 
-    Consecutive intervals whose voltages differ by less than 1e-12 merge
+    Consecutive intervals whose voltages differ by less than ``VOLTAGE_ATOL`` merge
     into one segment that keeps the last interval's voltage.
     """
     z, n = volts.shape
     split = np.ones((n, z), dtype=bool)
-    split[:, 1:] = ~(np.abs(np.diff(volts.T, axis=1)) < 1e-12)
+    split[:, 1:] = ~(np.abs(np.diff(volts.T, axis=1)) < VOLTAGE_ATOL)
     merged, last = run_sums(np.tile(lengths, n), split.ravel())
     counts = split.sum(axis=1)
     return padded(merged, counts), padded(volts.T.ravel()[last], counts), counts
@@ -282,7 +279,7 @@ def combine_timelines(
     seg_lengths: np.ndarray,
     seg_volts: np.ndarray,
     counts: np.ndarray,
-    atol: float = 1e-9,
+    atol: float = PERIOD_RTOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge per-core timelines into state-interval ``(lengths, voltage_matrix)``.
 

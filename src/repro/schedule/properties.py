@@ -13,11 +13,12 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.schedule.periodic import PeriodicSchedule
+from repro.tolerances import PERIOD_RTOL, VOLTAGE_ATOL, WORK_ATOL
 
 __all__ = ["is_step_up", "throughput", "core_workloads", "same_workload"]
 
 
-def is_step_up(schedule: PeriodicSchedule, atol: float = 1e-12) -> bool:
+def is_step_up(schedule: PeriodicSchedule, atol: float = VOLTAGE_ATOL) -> bool:
     """Definition 1: every core's voltage is non-decreasing across intervals."""
     volts = schedule.voltage_matrix
     return bool(np.all(np.diff(volts, axis=0) >= -atol))
@@ -54,7 +55,7 @@ def core_workloads(
 def same_workload(
     a: PeriodicSchedule,
     b: PeriodicSchedule,
-    rtol: float = 1e-9,
+    rtol: float = PERIOD_RTOL,
 ) -> bool:
     """Whether two schedules complete the same per-core work per period.
 
@@ -66,5 +67,5 @@ def same_workload(
     if abs(a.period - b.period) > rtol * max(a.period, b.period):
         return False
     return bool(
-        np.allclose(core_workloads(a), core_workloads(b), rtol=rtol, atol=1e-12)
+        np.allclose(core_workloads(a), core_workloads(b), rtol=rtol, atol=WORK_ATOL)
     )

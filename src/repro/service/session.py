@@ -56,6 +56,7 @@ from repro.service.cache import (
     schedule_cache_key,
 )
 from repro.thermal.grid import peak_temperature_grid
+from repro.tolerances import within_threshold
 
 __all__ = [
     "SchedulerSession",
@@ -410,7 +411,7 @@ class SchedulerSession:
                 EvaluationResult(
                     peak_theta=float(peak.value),
                     theta_max=float(theta_max),
-                    feasible=bool(peak.value <= theta_max + 1e-9),
+                    feasible=bool(within_threshold(peak.value, theta_max)),
                     throughput=float(schedule_throughput(schedule)),
                     t_ambient_c=float(engine.model.t_ambient_c),
                 )

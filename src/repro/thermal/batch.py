@@ -58,6 +58,7 @@ from repro.thermal.matex import GRID_CHUNK_ELEMENTS
 from repro.thermal.model import ThermalModel
 from repro.thermal.peak import PeakResult
 from repro.thermal.periodic import PeriodicSolution
+from repro.tolerances import VOLTAGE_ATOL
 from repro.util.roots import brentq
 
 __all__ = [
@@ -108,7 +109,7 @@ def _stack_schedules(schedules) -> Rows:
     return stack_rows((s.lengths, s.voltage_matrix) for s in schedules)
 
 
-def _stepup_mask(rows: Rows, atol: float = 1e-12) -> np.ndarray:
+def _stepup_mask(rows: Rows, atol: float = VOLTAGE_ATOL) -> np.ndarray:
     """Per row, :func:`~repro.schedule.properties.is_step_up` of its schedule."""
     rise = rows.volts[:, 1:] - rows.volts[:, :-1]
     real = np.arange(1, rows.lengths.shape[1])[None, :] < rows.z[:, None]

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.errors import ThermalModelError
 from repro.thermal.model import ThermalModel
+from repro.tolerances import MIN_INTERVAL
 from repro.util.roots import brentq
 from repro.util.validation import as_1d_float
 
@@ -68,7 +69,7 @@ class IntervalSolution:
         Returns shape ``(len(times), n_nodes)``.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        if np.any(times < -1e-12) or np.any(times > self.length + 1e-12):
+        if np.any(times < -MIN_INTERVAL) or np.any(times > self.length + MIN_INTERVAL):
             raise ThermalModelError(
                 f"times outside interval [0, {self.length}]"
             )

@@ -16,6 +16,7 @@ import numpy as np
 from repro.algorithms.minpeak import MinPeakResult, minimize_peak
 from repro.errors import SolverError
 from repro.platform import Platform
+from repro.tolerances import FEASIBILITY_SLACK, VOLTAGE_ATOL
 from repro.workload.mapping import Mapping, thermal_aware_mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.realtime imports repro.sim)
@@ -90,7 +91,7 @@ def schedule_taskset(
     # up to v_min (EDF idles through the slack).
     v_min = platform.ladder.v_min
     speeds = np.where((speeds > 0) & (speeds < v_min), v_min, speeds)
-    if np.any(speeds > platform.ladder.v_max + 1e-12):
+    if np.any(speeds > platform.ladder.v_max + VOLTAGE_ATOL):
         raise SolverError(
             f"required speeds {np.round(speeds, 3)} exceed the platform "
             f"maximum {platform.ladder.v_max}"
@@ -101,6 +102,6 @@ def schedule_taskset(
     return WorkloadResult(
         mapping=mapping,
         minpeak=minpeak,
-        thermally_feasible=bool(slack >= -1e-9),
+        thermally_feasible=bool(slack >= -FEASIBILITY_SLACK),
         slack_theta=float(slack),
     )

@@ -205,6 +205,34 @@ class TestGuardedSolve:
             assert np.isfinite(result.peak_theta)
 
 
+class TestOneFeasibilityRule:
+    """A solver's ``feasible`` claim is the package's own verdict.
+
+    The ``minpeak`` solver once claimed feasibility up to ``theta_max +
+    1e-6`` while ``api.evaluate`` and the certificate's ``feasible`` used
+    ``theta_max + 1e-9``; a peak between the two got both answers.
+    """
+
+    def test_claims_agree_just_above_the_threshold(self, platform3):
+        from repro.algorithms.continuous import continuous_assignment
+        from repro.algorithms.minpeak import minimize_peak
+        from repro.api import evaluate
+
+        targets = continuous_assignment(platform3).voltages
+        peak = minimize_peak(platform3, targets).peak.value
+        # theta_max 5e-7 K below the minimized peak: inside 1e-6, outside 1e-9.
+        tight = platform3.with_t_max(platform3.model.t_ambient_c + peak - 5e-7)
+        assert 1e-9 < peak - tight.theta_max < 1e-6
+
+        raw = get_solver("minpeak").solve(tight, target_speeds=targets)
+        verdict = evaluate(tight, raw.schedule).feasible
+        assert verdict is False
+        assert raw.feasible == verdict
+        assert raw.certificate.feasible == verdict
+        guarded = guarded_solve("minpeak", tight, target_speeds=targets)
+        assert guarded.feasible == verdict
+
+
 class TestMarginPolicy:
     """The ``"shrink"`` margin policy of :func:`guarded_solve`.
 
