@@ -36,6 +36,7 @@ from repro.algorithms.oscillation import (
     choose_m,
     effective_throughput,
     plan_modes,
+    scan_key,
 )
 from repro.algorithms.tpt import enforce_threshold, fill_headroom
 from repro.engine import ThermalEngine, as_platform, engine_entrypoint
@@ -171,11 +172,13 @@ def ao_core(
         details["m_history"] = [(1, peak.value)]
     else:
         with engine.phase("ao/choose_m"):
-            # Grid-batched dispatch precomputes the m scan for a whole
-            # (platform × schedule) grid and plants it as a hint; consume
-            # it when present (one-shot), otherwise scan normally.  The
-            # hint key pins every parameter the scan depends on.
-            hinted = engine.take_hint("choose_m", (period, m_cap, m_step))
+            # The comparison sweep's executor runs the m scan ahead of the
+            # unit and plants it as a hint; consume it when present
+            # (one-shot), otherwise scan normally.  The key pins the plan
+            # (and so active_mask) as well as the scan parameters.
+            hinted = engine.take_hint(
+                "choose_m", scan_key(plan, period, m_cap, m_step)
+            )
             if hinted is not None:
                 m_opt, sched, history = hinted
             else:

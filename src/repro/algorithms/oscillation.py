@@ -41,6 +41,7 @@ __all__ = [
     "oscillating_rows",
     "choose_m",
     "choose_m_grid",
+    "scan_key",
     "effective_throughput",
 ]
 
@@ -208,20 +209,15 @@ def choose_m(
     peaks = engine.stepup_peak_rows(
         oscillating_rows(plan, ratios, period, candidates)
     ).value.tolist()
-    best, history = _select_m(candidates.tolist(), peaks)
-    m_opt = int(candidates[best])
-    return m_opt, build_oscillating_schedule(plan, ratios[best], period, m_opt), history
-
-
-def _select_m(candidates, peaks) -> tuple[int, list[tuple[int, float]]]:
-    """Shared selection rule: index of the first m whose peak strictly improves."""
+    # The first m whose peak strictly improves wins.
     history: list[tuple[int, float]] = []
     best, best_peak = 0, np.inf
-    for i, (m, peak) in enumerate(zip(candidates, peaks)):
+    for i, (m, peak) in enumerate(zip(candidates.tolist(), peaks)):
         history.append((m, peak))
         if peak < best_peak - IMPROVEMENT_MARGIN:
             best, best_peak = i, peak
-    return best, history
+    m_opt = int(candidates[best])
+    return m_opt, build_oscillating_schedule(plan, ratios[best], period, m_opt), history
 
 
 def choose_m_grid(
@@ -230,53 +226,33 @@ def choose_m_grid(
     m_cap: int = DEFAULT_M_CAP,
     m_step: int = 1,
 ) -> list[tuple[int, PeriodicSchedule, list[tuple[int, float]]]]:
-    """Run :func:`choose_m` for many (platform, plan) pairs in one grid call.
+    """Run :func:`choose_m` for many (platform, plan) pairs.
 
-    Parameters
-    ----------
-    targets:
-        Sequence of ``(platform_or_engine, plan)`` pairs.  Platforms may
-        differ in core count and thermal model; all scans share ``period``,
-        ``m_cap`` and ``m_step`` (the shape the comparison sweep needs).
-
-    Returns
-    -------
-    One ``(m_opt, schedule, history)`` triple per target, in input order
-    — identical to calling :func:`choose_m` per target, but every
-    candidate across every platform is priced through one
-    :func:`repro.thermal.grid.stepup_peak_temperature_grid` evaluation.
+    ``targets`` is a sequence of ``(platform_or_engine, plan)`` pairs;
+    all scans share ``period``, ``m_cap`` and ``m_step`` (the shape the
+    comparison sweep needs).  Returns one ``(m_opt, schedule, history)``
+    triple per target, in input order.  Each scan is :func:`choose_m`
+    itself, priced on its engine's row kernel: one batch per target is
+    what a solver's own scan prices, so the triples are the solver's
+    bit for bit.
     """
-    from repro.thermal.grid import stepup_peak_temperature_grid
+    return [
+        choose_m(platform, plan, period, m_cap=m_cap, m_step=m_step)
+        for platform, plan in targets
+    ]
 
-    targets = list(targets)
-    rows: list[tuple] = []  # (model, schedule) grid rows
-    spans: list[tuple[ThermalEngine, list[int], list[PeriodicSchedule]]] = []
-    for platform, plan in targets:
-        engine = ThermalEngine.ensure(platform)
-        m_max = max_m_bound(engine, plan, period, cap=m_cap)
-        candidates = list(range(1, m_max + 1, max(1, m_step)))
-        schedules = [
-            build_oscillating_schedule(
-                plan, adjusted_high_ratios(engine, plan, m, period), period, m
-            )
-            for m in candidates
-        ]
-        # Attribute the batched pricing to each target's engine so stats
-        # stay comparable with the per-target scalar path.
-        engine._count_batch(len(schedules))
-        spans.append((engine, candidates, schedules))
-        rows.extend((engine.model, sched) for sched in schedules)
 
-    peaks = [r.value for r in stepup_peak_temperature_grid(rows, check=False)]
+def scan_key(plan: ModePlan, period: float, m_cap: int, m_step: int) -> tuple:
+    """Engine-hint key of one :func:`choose_m` scan on a given engine.
 
-    out = []
-    offset = 0
-    for _engine, candidates, schedules in spans:
-        span_peaks = peaks[offset : offset + len(schedules)]
-        offset += len(schedules)
-        best, history = _select_m(candidates, span_peaks)
-        out.append((candidates[best], schedules[best], history))
-    return out
+    Pins every input the scan reads besides the platform: the plan's
+    modes and base ratios (so a scan for the unmasked plan is never
+    consumed by a dark-silicon solve) and the scan parameters.
+    """
+    return (
+        period, m_cap, m_step,
+        plan.v_low.tobytes(), plan.v_high.tobytes(), plan.high_ratio.tobytes(),
+    )
 
 
 def effective_throughput(

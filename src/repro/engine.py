@@ -415,11 +415,13 @@ class ThermalEngine:
     def set_hint(self, key: str, params_key: Any, value: Any) -> None:
         """Stash a precomputed result for a solver phase to pick up.
 
-        Grid-batched dispatch (:mod:`repro.experiments.comparison`)
-        evaluates expensive phases — ``choose_m`` across a whole
-        (platform × schedule) grid — *before* the per-unit solver runs,
-        then injects the results here.  The solver body consumes them via
-        :meth:`take_hint` with the same ``(key, params_key)`` pair, so
+        The comparison sweep's executor
+        (:func:`repro.experiments.comparison.grid_batch_executor`) runs
+        each engine's ``choose_m`` scan once, *before* the AO/PCO units
+        that share it, and plants one copy per unit here, keyed by
+        :func:`repro.algorithms.oscillation.scan_key`.  The solver body
+        consumes it via :meth:`take_hint` with the same ``(key,
+        params_key)`` pair, so
         the registry path (parameter validation, certificates, fallback
         chains) stays byte-for-byte identical whether or not a hint was
         planted.  Hints are one-shot: ``take_hint`` removes them, so a

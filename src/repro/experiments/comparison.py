@@ -176,15 +176,18 @@ def _assemble_cells(
 def grid_batch_executor(
     units: Sequence[WorkUnit],
 ) -> dict[str, tuple[dict[str, Any], float]]:
-    """Grid-batched execution of AO/PCO comparison units (sequential mode).
+    """Sequential execution of comparison units with shared m scans.
 
-    Groups the grid-dispatchable units by their shared
-    ``(period, m_cap, m_step)``, evaluates every unit's ``choose_m`` scan
-    in one :func:`repro.algorithms.oscillation.choose_m_grid` call — a
-    single cross-platform tensor evaluation instead of one batched call
-    per unit — and plants the results as engine hints before running each
-    unit through the normal :func:`~repro.runner.units.solve_cell_outcome`
-    path (registry dispatch, certificates and fallback chains unchanged).
+    The AO and PCO units of one cell run on one session engine and
+    start from the same ideal-speed plan and the same ``choose_m`` scan.
+    This executor prepares each plan once per engine and each scan once
+    per ``(engine, scan key)`` — through
+    :func:`repro.algorithms.oscillation.choose_m_grid`, i.e.
+    ``choose_m`` on the engine's row kernel — outside every unit's timed
+    window, and plants one hint per consuming unit before running the
+    units, in order, through the normal
+    :func:`~repro.runner.units.solve_cell_outcome` path (registry
+    dispatch, certificates and fallback chains unchanged).
 
     Any per-unit failure simply omits that unit from the returned map, so
     the runner re-executes it through the ordinary per-unit path with
@@ -195,12 +198,15 @@ def grid_batch_executor(
         DEFAULT_M_CAP,
         choose_m_grid,
         plan_modes,
+        scan_key,
     )
-    from repro.runner.units import solve_cell_outcome
+    from repro.runner.units import _platform_spec_doc, solve_cell_outcome
     from repro.service.session import default_session
 
     session = default_session()
-    prepared: list[tuple[WorkUnit, Any, Any, tuple, Any]] = []
+    prepared: list[tuple[WorkUnit, Any, Any]] = []
+    plans: dict[int, Any] = {}  # id(engine) -> oscillating plan, or None
+    scans: dict[tuple, Any] = {}  # (id(engine), scan key) -> scan, or None
     for unit in units:
         if unit.kind != "solve_cell":
             continue
@@ -211,51 +217,49 @@ def grid_batch_executor(
         try:
             # Session engines: units for the same platform content share
             # one engine (and its caches) instead of rebuilding it.
-            from repro.runner.units import _platform_spec_doc
-
             engine = session.engine_for(_platform_spec_doc(payload))
             # The checkpoint must precede the shared precompute so its
             # thermal work lands in this unit's stats row.
             mark = engine.checkpoint()
         except Exception:  # noqa: BLE001 - normal path will surface this
             continue
-        # Mirror ao()'s parameter defaults — the hint key must match the
-        # key the solver body derives from its actual arguments.
-        key = (
-            float(params.get("period", 0.02)),
-            int(params.get("m_cap", DEFAULT_M_CAP)),
-            int(params.get("m_step", 1)),
-        )
-        plan = None
-        try:
-            cont = continuous_assignment(engine.platform)
-            cand = plan_modes(engine.platform, cont.voltages)
-            if cand.oscillating.any():
-                plan = cand
-        except Exception:  # noqa: BLE001 - solver recomputes honestly
-            plan = None
-        prepared.append((unit, engine, mark, key, plan))
-
-    groups: dict[tuple, list[int]] = {}
-    for idx, (_unit, _engine, _mark, key, plan) in enumerate(prepared):
-        if plan is not None:
-            groups.setdefault(key, []).append(idx)
-    for key, idxs in groups.items():
-        period, m_cap, m_step = key
-        try:
-            scans = choose_m_grid(
-                [(prepared[i][1], prepared[i][4]) for i in idxs],
-                period, m_cap=m_cap, m_step=m_step,
+        prepared.append((unit, engine, mark))
+        if id(engine) not in plans:
+            try:
+                cont = continuous_assignment(engine.platform)
+                plan = plan_modes(engine.platform, cont.voltages)
+            except Exception:  # noqa: BLE001 - solver recomputes honestly
+                plan = None
+            plans[id(engine)] = (
+                plan if plan is not None and plan.oscillating.any() else None
             )
-        except Exception:  # noqa: BLE001 - units fall back to scalar scans
-            METRICS.counter("comparison.grid_precompute_errors").inc()
+        plan = plans[id(engine)]
+        if plan is None:
             continue
-        for i, scan in zip(idxs, scans):
-            prepared[i][1].set_hint("choose_m", key, scan)
+        # Mirror ao()'s parameter defaults: the key must match the one
+        # the solver body derives from its actual arguments.
+        scan_params = (
+            params.get("period", 0.02),
+            params.get("m_cap", DEFAULT_M_CAP),
+            params.get("m_step", 1),
+        )
+        key = scan_key(plan, *scan_params)
+        slot = (id(engine), key)
+        if slot not in scans:
+            try:
+                [scans[slot]] = choose_m_grid([(engine, plan)], *scan_params)
+            except Exception:  # noqa: BLE001 - units fall back to their own scans
+                METRICS.counter("comparison.grid_precompute_errors").inc()
+                scans[slot] = None
+        if scans[slot] is not None:
+            m_opt, sched, history = scans[slot]
+            # A history list of its own: it becomes this unit's
+            # details["m_history"].
+            engine.set_hint("choose_m", key, (m_opt, sched, list(history)))
 
     handled: dict[str, tuple[dict[str, Any], float]] = {}
     seen_engines: set[int] = set()
-    for unit, engine, mark, _key, _plan in prepared:
+    for unit, engine, mark in prepared:
         t0 = time.perf_counter()
         # Session-shared engines: only the first unit on an engine keeps
         # its prepare-time mark (attributing the shared precompute once);
@@ -303,9 +307,9 @@ def build_grid(
     ``grid.report``) instead of aborting the sweep.
 
     ``grid_dispatch`` (sequential mode only) routes the AO/PCO units
-    through :func:`grid_batch_executor`, pricing every unit's m scan in
-    one cross-platform grid kernel call; results are identical to
-    per-unit execution, and any batching failure falls back to it.
+    through :func:`grid_batch_executor`, which runs each cell's m scan
+    once for its AO and PCO units; results are identical to per-unit
+    execution, and any batching failure falls back to it.
     """
     config = runner or RunnerConfig()
     if grid_dispatch and not config.parallel and config.batch_executor is None:

@@ -231,7 +231,16 @@ class SchedulerSession:
         <repro.platforms.PlatformSpec.coerce>` form — a preset name, a
         spec, a spec document or a legacy flat dict.
         """
-        key, built, spec = self._resolve(platform)
+        return self._engine(platform, *self._resolve(platform))
+
+    def _engine(
+        self, platform, key: str, built: Platform | None, spec: Any
+    ) -> ThermalEngine:
+        """:meth:`engine_for` once ``platform`` has been :meth:`_resolve`-d.
+
+        A spec resolved for the first time arrives with the platform it
+        was hashed from, so a new engine reuses that build.
+        """
         engine = self._engines.get(key)
         if engine is not None:
             self._engines.move_to_end(key)
@@ -290,7 +299,7 @@ class SchedulerSession:
         self.solve_requests += 1
         METRICS.counter("service.requests").inc()
 
-        key, _built, _spec = self._resolve(platform)
+        key, built, platform_spec = self._resolve(platform)
         cache_key = schedule_cache_key(
             key, spec.name, params, certify_tolerance, margin_policy
         )
@@ -302,29 +311,11 @@ class SchedulerSession:
                 value, cached=True, platform_key=key, cache_key=cache_key
             )
 
-        return self._solve_uncached(
-            platform, spec, params,
-            certify_tolerance=certify_tolerance,
-            margin_policy=margin_policy,
-            platform_key=key, cache_key=cache_key,
-        )
-
-    def _solve_uncached(
-        self,
-        platform,
-        spec,
-        params: dict[str, Any],
-        *,
-        certify_tolerance: float | None,
-        margin_policy: str | None = None,
-        platform_key: str,
-        cache_key: str,
-    ) -> SolveOutcome:
-        engine = self.engine_for(platform)
+        engine = self._engine(platform, key, built, platform_spec)
         mark = engine.checkpoint()
         t0 = time.perf_counter()
         with span(
-            "service/solve", solver=spec.name, platform=platform_key[:8]
+            "service/solve", solver=spec.name, platform=key[:8]
         ):
             try:
                 result = guarded_solve(
@@ -346,7 +337,7 @@ class SchedulerSession:
             result=result,
             detail=detail,
             cached=False,
-            platform_key=platform_key,
+            platform_key=key,
             cache_key=cache_key,
             stats=stats,
         )

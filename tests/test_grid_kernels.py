@@ -1,9 +1,10 @@
 """Eigenbasis cache and the grid-batched consumers.
 
 Covers the process-wide eigenbasis memo (:mod:`repro.util.eigcache`)
-and the consumers of the cross-platform grid kernels (``choose_m_grid``,
-``certify_grid``, ``perturbed_peak_batch``, the comparison batch
-executor) against their scalar counterparts.  The kernels' own parity
+and the consumers of the cross-platform grid kernels (``certify_grid``,
+``perturbed_peak_batch``) against their scalar counterparts, plus the
+comparison sweep's shared m scans (``choose_m_grid``, the batch
+executor and its engine hints) against per-unit solves.  The kernels' own parity
 suite is ``tests/test_batch.py``.
 """
 
@@ -92,13 +93,9 @@ class TestGridConsumers:
             plan = plan_modes(engine.platform, cont.voltages)
             targets.append((engine, plan))
         grid = choose_m_grid(targets, period=0.02, m_cap=8)
-        for (engine, plan), (m_opt, sched, history) in zip(targets, grid):
-            m_ref, sched_ref, hist_ref = choose_m(
-                engine, plan, 0.02, m_cap=8
-            )
-            assert m_opt == m_ref
-            assert sched == sched_ref
-            assert [m for m, _ in history] == [m for m, _ in hist_ref]
+        assert grid == [
+            choose_m(engine, plan, 0.02, m_cap=8) for engine, plan in targets
+        ]
 
     def test_engine_hints_one_shot(self):
         engine = ThermalEngine(paper_platform(2, n_levels=2, t_max_c=65.0))
@@ -106,6 +103,30 @@ class TestGridConsumers:
         engine.set_hint("choose_m", (0.02, 8, 1), "payload")
         assert engine.take_hint("choose_m", (0.02, 8, 1)) == "payload"
         assert engine.take_hint("choose_m", (0.02, 8, 1)) is None
+
+    def test_masked_ao_ignores_unmasked_scan_hint(self):
+        """A scan planted for the full plan must not steer dark-silicon AO."""
+        from repro.algorithms.ao import ao
+        from repro.algorithms.continuous import continuous_assignment
+        from repro.algorithms.oscillation import choose_m, plan_modes, scan_key
+
+        def platform():
+            return paper_platform(3, n_levels=2, t_max_c=65.0)
+
+        mask = np.array([True, False, True])
+        fresh = ao(ThermalEngine(platform()), m_cap=16, active_mask=mask)
+        engine = ThermalEngine(platform())
+        plan = plan_modes(
+            engine.platform, continuous_assignment(engine.platform).voltages
+        )
+        key = scan_key(plan, 0.02, 16, 1)
+        engine.set_hint("choose_m", key, choose_m(engine, plan, 0.02, m_cap=16))
+        hinted = ao(engine, m_cap=16, active_mask=mask)
+        assert hinted.details["m_opt"] == fresh.details["m_opt"] == 5
+        assert hinted.throughput == fresh.throughput
+        assert hinted.schedule == fresh.schedule
+        # The unmasked solve the scan was planted for still finds it.
+        assert engine.take_hint("choose_m", key) is not None
 
     def test_certify_grid_matches_scalar(self, rng):
         from repro.safety.certificate import certify, certify_grid
@@ -164,21 +185,61 @@ class TestGridConsumers:
             )
         assert perturbed_peak_batch(engine, sched, []) == []
 
-    def test_comparison_grid_dispatch_equivalence(self):
+    def test_comparison_grid_dispatch_equivalence(self, monkeypatch):
+        from importlib import import_module
+
         from repro.experiments.comparison import build_grid
 
+        # import_module: the package attribute ``ao`` is the solver
+        # function, not its module.
+        ao_mod = import_module("repro.algorithms.ao")
+        continuous_mod = import_module("repro.algorithms.continuous")
+        oscillation_mod = import_module("repro.algorithms.oscillation")
+
+        calls = {"plan": 0, "scan": 0, "solver_scan": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        # The executor looks both names up at call time; ao_core holds
+        # its own reference to choose_m, counted apart.
+        monkeypatch.setattr(
+            continuous_mod, "continuous_assignment",
+            counted("plan", continuous_mod.continuous_assignment),
+        )
+        monkeypatch.setattr(
+            oscillation_mod, "choose_m", counted("scan", oscillation_mod.choose_m)
+        )
+        monkeypatch.setattr(
+            ao_mod, "choose_m", counted("solver_scan", ao_mod.choose_m)
+        )
         kwargs = dict(
             core_counts=(2, 3),
             level_counts=(2,),
             t_max_values=(65.0,),
-            approaches=("AO",),
+            approaches=("AO", "PCO"),
             m_cap=8,
         )
         plain = build_grid(grid_dispatch=False, **kwargs)
+        assert calls == {"plan": 0, "scan": 0, "solver_scan": 4}
+        calls.update(plan=0, scan=0, solver_scan=0)
         dispatched = build_grid(grid_dispatch=True, **kwargs)
-        assert len(plain.cells) == len(dispatched.cells)
+        # One plan and one scan per engine (the AO and PCO units of a
+        # cell share one), and no unit scans on its own.
+        assert calls == {"plan": 2, "scan": 2, "solver_scan": 0}
+        assert len(plain.cells) == len(dispatched.cells) == 2
         for a, b in zip(plain.cells, dispatched.cells):
-            ra, rb = a.results["AO"], b.results["AO"]
-            assert rb.throughput == pytest.approx(ra.throughput, abs=1e-12)
-            assert rb.peak_theta == pytest.approx(ra.peak_theta, abs=1e-12)
-            assert rb.schedule == ra.schedule
+            for name in ("AO", "PCO"):
+                ra, rb = a.results[name], b.results[name]
+                assert rb.throughput == ra.throughput
+                assert rb.peak_theta == ra.peak_theta
+                assert rb.schedule == ra.schedule
+                assert rb.details["m_history"] == ra.details["m_history"]
+                assert rb.details["m_history"] is not ra.details["m_history"]
+        ao_history = dispatched.cells[0].results["AO"].details["m_history"]
+        pco_history = dispatched.cells[0].results["PCO"].details["m_history"]
+        assert ao_history == pco_history and ao_history is not pco_history

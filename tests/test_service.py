@@ -288,6 +288,24 @@ class TestSession:
         assert session.n_engines == 2
         assert session.engines_built == 3 and session.engines_evicted == 1
 
+    def test_fresh_solve_builds_the_platform_once(self, session, monkeypatch):
+        from repro.platforms import PlatformSpec
+
+        builds = []
+        build = PlatformSpec.build
+
+        def counted(spec):
+            builds.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(PlatformSpec, "build", counted)
+        outcome = session.solve(SPEC2, "LNS")
+        assert outcome.status == "ok" and not outcome.cached
+        assert len(builds) == 1
+        assert _deterministic(result_to_dict(outcome.result)) == _deterministic(
+            _direct_solve_doc(SPEC2, "LNS", {})
+        )
+
     def test_engines_are_shared_by_content(self, session):
         a = session.engine_for(SPEC2)
         b = session.engine_for(dict(SPEC2))
