@@ -36,7 +36,6 @@ from repro.algorithms.oscillation import (
     choose_m,
     effective_throughput,
     plan_modes,
-    scan_key,
 )
 from repro.algorithms.tpt import enforce_threshold, fill_headroom
 from repro.engine import ThermalEngine, as_platform, engine_entrypoint
@@ -132,7 +131,7 @@ class AOCore(NamedTuple):
     peak: PeakResult  # the schedule's scalar Theorem-1 peak
     tpt_iterations: int
     details: dict
-    runtime_s: float
+    runtime_s: float  # building the core; a memo hit keeps the builder's
 
 
 def ao_core(
@@ -147,8 +146,41 @@ def ao_core(
     """Ideal speeds, mode planning, the m scan and the TPT loop (steps 1-4).
 
     No headroom fill, verification or constant-floor guard; parameters
-    as for :func:`ao`.
+    as for :func:`ao`.  The core is memoized on the engine
+    (:meth:`~repro.engine.ThermalEngine.memo`), keyed by every argument,
+    so PCO reuses the core an AO solve with the same parameters built.
+    Each call gets its own ``ratios``, ``details`` and
+    ``details["m_history"]``.  ``details["ao_core_reused"]`` says whether
+    the core was reused; on reuse ``details["ao_runtime_s"]`` is what
+    building it cost, as ``runtime_s`` is on every call.
     """
+    mask = None if active_mask is None else np.asarray(active_mask, bool).tobytes()
+    core, reused = engine.memo(
+        ("ao_core", period, m_cap, m_step, t_unit, adaptive, mask),
+        lambda: _build_core(
+            engine, period, m_cap, m_step, t_unit, adaptive, active_mask
+        ),
+    )
+    details = dict(
+        core.details, m_history=list(core.details["m_history"]), ao_core_reused=reused
+    )
+    if reused:
+        # What the reusing solve did not pay (a wall-clock value, so
+        # only here: a solve that built its core stays deterministic).
+        details["ao_runtime_s"] = core.runtime_s
+    return core._replace(ratios=core.ratios.copy(), details=details)
+
+
+def _build_core(
+    engine: ThermalEngine,
+    period: float,
+    m_cap: int,
+    m_step: int,
+    t_unit: float | None,
+    adaptive: bool,
+    active_mask,
+) -> AOCore:
+    """:func:`ao_core` without the memo."""
     platform = engine.platform
     t0 = time.perf_counter()
     with engine.phase("ao/continuous"):
@@ -172,19 +204,9 @@ def ao_core(
         details["m_history"] = [(1, peak.value)]
     else:
         with engine.phase("ao/choose_m"):
-            # The comparison sweep's executor runs the m scan ahead of the
-            # unit and plants it as a hint; consume it when present
-            # (one-shot), otherwise scan normally.  The key pins the plan
-            # (and so active_mask) as well as the scan parameters.
-            hinted = engine.take_hint(
-                "choose_m", scan_key(plan, period, m_cap, m_step)
+            m_opt, sched, history = choose_m(
+                engine, plan, period, m_cap=m_cap, m_step=m_step
             )
-            if hinted is not None:
-                m_opt, sched, history = hinted
-            else:
-                m_opt, sched, history = choose_m(
-                    engine, plan, period, m_cap=m_cap, m_step=m_step
-                )
         details["m_history"] = history
         ratios = adjusted_high_ratios(platform, plan, m_opt, period)
         with engine.phase("ao/tpt"):
@@ -192,6 +214,13 @@ def ao_core(
                 engine, plan, ratios, period, m_opt,
                 t_unit=t_unit, adaptive=adaptive,
             )
+    # The core is shared by every caller of the memo: freeze its arrays
+    # (ao_core hands each caller ratios of its own).
+    for a in (
+        cont.voltages, plan.v_low, plan.v_high, plan.high_ratio,
+        plan.target_voltages, ratios, peak.core_peaks,
+    ):
+        a.setflags(write=False)
     return AOCore(
         plan=plan,
         m_opt=m_opt,

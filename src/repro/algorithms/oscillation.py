@@ -41,7 +41,6 @@ __all__ = [
     "oscillating_rows",
     "choose_m",
     "choose_m_grid",
-    "scan_key",
     "effective_throughput",
 ]
 
@@ -229,30 +228,17 @@ def choose_m_grid(
     """Run :func:`choose_m` for many (platform, plan) pairs.
 
     ``targets`` is a sequence of ``(platform_or_engine, plan)`` pairs;
-    all scans share ``period``, ``m_cap`` and ``m_step`` (the shape the
-    comparison sweep needs).  Returns one ``(m_opt, schedule, history)``
-    triple per target, in input order.  Each scan is :func:`choose_m`
-    itself, priced on its engine's row kernel: one batch per target is
-    what a solver's own scan prices, so the triples are the solver's
-    bit for bit.
+    all scans share ``period``, ``m_cap`` and ``m_step``.  Returns one
+    ``(m_opt, schedule, history)`` triple per target, in input order.
+    Each scan is :func:`choose_m` itself, so the triples are the
+    solver's bit for bit.  The comparison sweep no longer calls it (a
+    cell's PCO reuses its AO's memoized core, m scan included); the name
+    stays while ``perfbench/tracer.py`` wraps it.
     """
     return [
         choose_m(platform, plan, period, m_cap=m_cap, m_step=m_step)
         for platform, plan in targets
     ]
-
-
-def scan_key(plan: ModePlan, period: float, m_cap: int, m_step: int) -> tuple:
-    """Engine-hint key of one :func:`choose_m` scan on a given engine.
-
-    Pins every input the scan reads besides the platform: the plan's
-    modes and base ratios (so a scan for the unmasked plan is never
-    consumed by a dark-silicon solve) and the scan parameters.
-    """
-    return (
-        period, m_cap, m_step,
-        plan.v_low.tobytes(), plan.v_high.tobytes(), plan.high_ratio.tobytes(),
-    )
 
 
 def effective_throughput(

@@ -2,7 +2,8 @@
 
 AO constrains every candidate to be a step-up schedule so the peak is
 cheap to verify; the price is purely *temporal* interleaving.  PCO starts
-from AO's schedule after the TPT loop (:func:`~repro.algorithms.ao.ao_core`)
+from AO's schedule after the TPT loop (:func:`~repro.algorithms.ao.ao_core`,
+memoized on the engine, so PCO after AO on one engine reuses AO's core)
 and additionally interleaves *spatially*: each core's cycle is
 phase-shifted so that neighbours' high-power bursts avoid coinciding,
 which lowers the peak and frees headroom that a final ratio fill converts

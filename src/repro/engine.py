@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import time
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -53,6 +53,9 @@ __all__ = [
     "as_platform",
     "engine_entrypoint",
 ]
+
+#: Values :meth:`ThermalEngine.memo` keeps per engine (oldest dropped first).
+MEMO_SIZE = 4
 
 
 def as_platform(platform_or_engine: "Platform | ThermalEngine") -> Platform:
@@ -290,8 +293,9 @@ class ThermalEngine:
     platform:
         The platform whose model, ladder, overhead and threshold the
         engine serves.  The engine adds no state of its own beyond
-        counters — two engines over the same platform share the model's
-        caches (and attribute work to themselves via checkpoints).
+        counters and a small solver :meth:`memo` — two engines over the
+        same platform share the model's caches (and attribute work to
+        themselves via checkpoints) but not their memos.
     """
 
     def __init__(self, platform: Platform) -> None:
@@ -302,7 +306,7 @@ class ThermalEngine:
         self._phase_seconds: dict[str, float] = {}
         self._batch_histogram = METRICS.histogram("engine.batch_size")
         self._condition_number: float | None = None
-        self._hints: dict[tuple[str, Any], list[Any]] = {}
+        self._memo: dict[Hashable, Any] = {}
         self._baseline = self.checkpoint()
 
     @classmethod
@@ -409,38 +413,26 @@ class ThermalEngine:
         return peak_rows(self.model, rows)
 
     # ------------------------------------------------------------------
-    # precomputation hints
+    # solver memo
     # ------------------------------------------------------------------
 
-    def set_hint(self, key: str, params_key: Any, value: Any) -> None:
-        """Stash a precomputed result for a solver phase to pick up.
+    def memo(self, key: Hashable, build: Callable[[], Any]) -> tuple[Any, bool]:
+        """``build()``'s value for ``key``, computed once per engine.
 
-        The comparison sweep's executor
-        (:func:`repro.experiments.comparison.grid_batch_executor`) runs
-        each engine's ``choose_m`` scan once, *before* the AO/PCO units
-        that share it, and plants one copy per unit here, keyed by
-        :func:`repro.algorithms.oscillation.scan_key`.  The solver body
-        consumes it via :meth:`take_hint` with the same ``(key,
-        params_key)`` pair, so
-        the registry path (parameter validation, certificates, fallback
-        chains) stays byte-for-byte identical whether or not a hint was
-        planted.  Hints are one-shot: ``take_hint`` removes them, so a
-        retry after a failure recomputes honestly.  Each ``(key,
-        params_key)`` pair holds a FIFO stack, so session-shared engines
-        can carry hints for several queued units with identical
-        parameters without one unit consuming another's precompute.
+        Returns ``(value, reused)``.  The key must pin every input of
+        ``build`` besides the platform, which is fixed per engine.  The
+        memo keeps the last :data:`MEMO_SIZE` values; a ``build`` that
+        raises stores nothing.  Callers share the stored value, so each
+        copies what it may change.  Work done by ``build`` is counted
+        once, in the counters of the call that missed.
         """
-        self._hints.setdefault((key, params_key), []).append(value)
-
-    def take_hint(self, key: str, params_key: Any) -> Any:
-        """Pop the oldest hint planted by :meth:`set_hint` (``None`` when absent)."""
-        stack = self._hints.get((key, params_key))
-        if not stack:
-            return None
-        value = stack.pop(0)
-        if not stack:
-            del self._hints[(key, params_key)]
-        return value
+        if key in self._memo:
+            return self._memo[key], True
+        value = build()
+        self._memo[key] = value
+        if len(self._memo) > MEMO_SIZE:
+            del self._memo[next(iter(self._memo))]
+        return value, False
 
     # ------------------------------------------------------------------
     # instrumentation

@@ -42,7 +42,7 @@ __all__ = [
 
 APPROACHES = ("LNS", "EXS", "AO", "PCO")
 
-#: Solvers whose dominant phase (the m scan) grid-dispatch can precompute.
+#: Solvers that grid dispatch runs (their units share memoized AO cores).
 GRID_DISPATCH_SOLVERS = frozenset({"AO", "PCO"})
 
 
@@ -61,9 +61,19 @@ class CellResult:
         return r.throughput if r is not None else float("nan")
 
     def runtime(self, name: str) -> float:
-        """Wall-clock seconds of one approach."""
+        """Wall-clock seconds of one approach, built from scratch.
+
+        A solve that reused a memoized AO core
+        (:func:`repro.algorithms.ao.ao_core`) did not pay for it; the
+        core's own build time is added back, so PCO reads what it costs
+        on its own (Table V).
+        """
         r = self.results.get(name)
-        return r.runtime_s if r is not None else float("nan")
+        if r is None:
+            return float("nan")
+        if r.details.get("ao_core_reused"):
+            return r.runtime_s + float(r.details["ao_runtime_s"])
+        return r.runtime_s
 
     def improvement(self, name: str, over: str = "EXS") -> float:
         """Relative throughput improvement of ``name`` over ``over``."""
@@ -176,101 +186,30 @@ def _assemble_cells(
 def grid_batch_executor(
     units: Sequence[WorkUnit],
 ) -> dict[str, tuple[dict[str, Any], float]]:
-    """Sequential execution of comparison units with shared m scans.
+    """Sequential execution of a sweep's AO and PCO units, in unit order.
 
-    The AO and PCO units of one cell run on one session engine and
-    start from the same ideal-speed plan and the same ``choose_m`` scan.
-    This executor prepares each plan once per engine and each scan once
-    per ``(engine, scan key)`` — through
-    :func:`repro.algorithms.oscillation.choose_m_grid`, i.e.
-    ``choose_m`` on the engine's row kernel — outside every unit's timed
-    window, and plants one hint per consuming unit before running the
-    units, in order, through the normal
-    :func:`~repro.runner.units.solve_cell_outcome` path (registry
-    dispatch, certificates and fallback chains unchanged).
+    Each unit runs through the normal
+    :func:`~repro.runner.units.solve_cell_outcome` path (session engine,
+    registry dispatch, certificates and fallback chains) and is timed on
+    its own.  A cell's AO and PCO units share one session engine, so the
+    PCO unit reuses the core (ideal speeds, plan, m scan, TPT loop) that
+    the AO unit memoized there (:func:`repro.algorithms.ao.ao_core`).
 
     Any per-unit failure simply omits that unit from the returned map, so
     the runner re-executes it through the ordinary per-unit path with
     full retry semantics.  Returns ``{unit_id: (outcome, elapsed_s)}``.
     """
-    from repro.algorithms.continuous import continuous_assignment
-    from repro.algorithms.oscillation import (
-        DEFAULT_M_CAP,
-        choose_m_grid,
-        plan_modes,
-        scan_key,
-    )
-    from repro.runner.units import _platform_spec_doc, solve_cell_outcome
-    from repro.service.session import default_session
+    from repro.runner.units import solve_cell_outcome
 
-    session = default_session()
-    prepared: list[tuple[WorkUnit, Any, Any]] = []
-    plans: dict[int, Any] = {}  # id(engine) -> oscillating plan, or None
-    scans: dict[tuple, Any] = {}  # (id(engine), scan key) -> scan, or None
+    handled: dict[str, tuple[dict[str, Any], float]] = {}
     for unit in units:
         if unit.kind != "solve_cell":
             continue
-        payload = unit.payload
-        if str(payload.get("algo")) not in GRID_DISPATCH_SOLVERS:
+        if str(unit.payload.get("algo")) not in GRID_DISPATCH_SOLVERS:
             continue
-        params = dict(payload.get("params") or {})
-        try:
-            # Session engines: units for the same platform content share
-            # one engine (and its caches) instead of rebuilding it.
-            engine = session.engine_for(_platform_spec_doc(payload))
-            # The checkpoint must precede the shared precompute so its
-            # thermal work lands in this unit's stats row.
-            mark = engine.checkpoint()
-        except Exception:  # noqa: BLE001 - normal path will surface this
-            continue
-        prepared.append((unit, engine, mark))
-        if id(engine) not in plans:
-            try:
-                cont = continuous_assignment(engine.platform)
-                plan = plan_modes(engine.platform, cont.voltages)
-            except Exception:  # noqa: BLE001 - solver recomputes honestly
-                plan = None
-            plans[id(engine)] = (
-                plan if plan is not None and plan.oscillating.any() else None
-            )
-        plan = plans[id(engine)]
-        if plan is None:
-            continue
-        # Mirror ao()'s parameter defaults: the key must match the one
-        # the solver body derives from its actual arguments.
-        scan_params = (
-            params.get("period", 0.02),
-            params.get("m_cap", DEFAULT_M_CAP),
-            params.get("m_step", 1),
-        )
-        key = scan_key(plan, *scan_params)
-        slot = (id(engine), key)
-        if slot not in scans:
-            try:
-                [scans[slot]] = choose_m_grid([(engine, plan)], *scan_params)
-            except Exception:  # noqa: BLE001 - units fall back to their own scans
-                METRICS.counter("comparison.grid_precompute_errors").inc()
-                scans[slot] = None
-        if scans[slot] is not None:
-            m_opt, sched, history = scans[slot]
-            # A history list of its own: it becomes this unit's
-            # details["m_history"].
-            engine.set_hint("choose_m", key, (m_opt, sched, list(history)))
-
-    handled: dict[str, tuple[dict[str, Any], float]] = {}
-    seen_engines: set[int] = set()
-    for unit, engine, mark in prepared:
         t0 = time.perf_counter()
-        # Session-shared engines: only the first unit on an engine keeps
-        # its prepare-time mark (attributing the shared precompute once);
-        # later units re-checkpoint here so their stats rows never count
-        # a sibling's precompute or solve work.
-        if id(engine) in seen_engines:
-            mark = engine.checkpoint()
-        else:
-            seen_engines.add(id(engine))
         try:
-            outcome = solve_cell_outcome(unit.payload, engine=engine, mark=mark)
+            outcome = solve_cell_outcome(unit.payload)
         except Exception:  # noqa: BLE001 - normal path retries this unit
             METRICS.counter("comparison.grid_dispatch_errors").inc()
             continue
@@ -307,9 +246,11 @@ def build_grid(
     ``grid.report``) instead of aborting the sweep.
 
     ``grid_dispatch`` (sequential mode only) routes the AO/PCO units
-    through :func:`grid_batch_executor`, which runs each cell's m scan
-    once for its AO and PCO units; results are identical to per-unit
-    execution, and any batching failure falls back to it.
+    through :func:`grid_batch_executor`, ahead of the other units;
+    results are identical to per-unit execution, and any batching
+    failure falls back to it.  In a sequential run either way, a cell's
+    PCO unit reuses the AO core its AO unit built on the same session
+    engine; :meth:`CellResult.runtime` still reports PCO's full cost.
     """
     config = runner or RunnerConfig()
     if grid_dispatch and not config.parallel and config.batch_executor is None:

@@ -117,11 +117,7 @@ def solve_cell_platform(payload: Mapping[str, Any]):
     return PlatformSpec.coerce(_platform_spec_doc(payload)).build()
 
 
-def solve_cell_outcome(
-    payload: Mapping[str, Any],
-    engine=None,
-    mark: dict[str, Any] | None = None,
-) -> dict[str, Any]:
+def solve_cell_outcome(payload: Mapping[str, Any]) -> dict[str, Any]:
     """Run one registered solver on one platform configuration.
 
     Returns an ``{"status", "result", "stats", "certificate", "spans"}``
@@ -140,32 +136,22 @@ def solve_cell_outcome(
     span's attributes are set from the *same* stats dict stored in the
     row, which is what makes a trace file reconcile with the journal.
 
-    ``engine`` / ``mark`` let grid-batched dispatch
-    (:func:`repro.experiments.comparison.grid_batch_executor`) pass in a
-    pre-hinted engine plus the checkpoint taken *before* its shared
-    precomputation, so the precompute work is attributed to the unit that
-    consumes it.
+    The unit runs on the process's session engine for its platform
+    (session-per-worker: identical cells in one worker share an engine
+    and its caches instead of paying the platform build per unit), so a
+    PCO unit can reuse the AO core an earlier AO unit memoized there;
+    its stats row then lacks that core's thermal work.
     """
     from repro.algorithms.registry import get_solver, guarded_solve
     from repro.errors import InfeasibleError
     from repro.obs import capture_spans, span
     from repro.schedule.serialization import result_to_dict
+    from repro.service.session import default_session
 
-    if engine is None:
-        # Session-per-worker: identical cells in one worker share an
-        # engine (and its steady-state/eigen caches) instead of paying
-        # the platform build per unit.
-        from repro.service.session import default_session
-
-        engine = default_session().engine_for(_platform_spec_doc(payload))
+    engine = default_session().engine_for(_platform_spec_doc(payload))
     spec = get_solver(str(payload["algo"]))
     params = dict(payload.get("params") or {})
-    # With a caller-provided mark the stats row must span from *that*
-    # checkpoint — it covers shared precompute (eigen resolution, grid
-    # m scans) done for this unit before the solver body ran.
-    span_from_mark = mark is not None
-    if mark is None:
-        mark = engine.checkpoint()
+    mark = engine.checkpoint()
     outcome: dict[str, Any]
     with capture_spans(isolate=True) as captured:
         with span(
@@ -188,10 +174,9 @@ def solve_cell_outcome(
                     "detail": str(exc),
                 }
             else:
-                if span_from_mark or result.stats is None:
+                st = result.stats
+                if st is None:
                     st = engine.stats_since(mark)
-                else:
-                    st = result.stats
                 stats = st.as_dict()
                 cert = result.certificate
                 outcome = {

@@ -164,6 +164,24 @@ class TestTable5:
         assert cell.runtime("PCO") > 0
         assert "Table V" in r.format()
 
+    def test_pco_runtime_keeps_its_ao_core(self):
+        """A PCO unit that reuses its cell's AO core still reports its cost."""
+        from repro.service.session import reset_default_session
+
+        reset_default_session()
+        try:
+            r = table5(core_counts=(2, 3), level_counts=(2,), m_cap=16)
+        finally:
+            reset_default_session()
+        for cell in r.grid.cells:
+            pco = cell.results["PCO"]
+            assert pco.details["ao_core_reused"] is True
+            assert not cell.results["AO"].details["ao_core_reused"]
+            assert cell.runtime("PCO") >= pco.details["ao_runtime_s"] > 0
+            assert cell.runtime("PCO") == (
+                pco.runtime_s + pco.details["ao_runtime_s"]
+            )
+
 
 class TestHeadline:
     def test_improvements_positive_on_small_grid(self):

@@ -3,9 +3,10 @@
 Covers the process-wide eigenbasis memo (:mod:`repro.util.eigcache`)
 and the consumers of the cross-platform grid kernels (``certify_grid``,
 ``perturbed_peak_batch``) against their scalar counterparts, plus the
-comparison sweep's shared m scans (``choose_m_grid``, the batch
-executor and its engine hints) against per-unit solves.  The kernels' own parity
-suite is ``tests/test_batch.py``.
+comparison sweep's sharing of AO work (``choose_m_grid``, the batch
+executor and the engine's memo of ``ao_core``) against per-unit solves
+on fresh engines.  The kernels' own parity suite is
+``tests/test_batch.py``.
 """
 
 import numpy as np
@@ -97,18 +98,59 @@ class TestGridConsumers:
             choose_m(engine, plan, 0.02, m_cap=8) for engine, plan in targets
         ]
 
-    def test_engine_hints_one_shot(self):
-        engine = ThermalEngine(paper_platform(2, n_levels=2, t_max_c=65.0))
-        assert engine.take_hint("choose_m", (0.02, 8, 1)) is None
-        engine.set_hint("choose_m", (0.02, 8, 1), "payload")
-        assert engine.take_hint("choose_m", (0.02, 8, 1)) == "payload"
-        assert engine.take_hint("choose_m", (0.02, 8, 1)) is None
+    def test_ao_core_memo_isolation(self):
+        """Changing one caller's core leaves the next caller's copy intact."""
+        from repro.algorithms.ao import ao_core
 
-    def test_masked_ao_ignores_unmasked_scan_hint(self):
-        """A scan planted for the full plan must not steer dark-silicon AO."""
+        engine = ThermalEngine(paper_platform(3, n_levels=2, t_max_c=55.0))
+        first = ao_core(engine, 0.02, m_cap=16)
+        assert first.details["ao_core_reused"] is False
+        pristine = (
+            list(first.details["m_history"]), first.ratios.copy(),
+            sorted(first.details),
+        )
+        first.details["m_history"].append((99, 0.0))
+        first.details["m_opt"] = -1
+        first.ratios[:] = -1.0
+        # What every caller shares is read-only.
+        for shared in (first.plan.v_low, first.details["continuous_voltages"],
+                       first.peak.core_peaks):
+            with pytest.raises(ValueError):
+                shared[0] = 0.0
+        second = ao_core(engine, 0.02, m_cap=16)
+        assert second.details["ao_core_reused"] is True
+        assert "ao_runtime_s" not in first.details
+        assert second.details.pop("ao_runtime_s") == first.runtime_s
+        assert second.runtime_s == first.runtime_s
+        assert second.details["m_history"] == pristine[0]
+        assert np.array_equal(second.ratios, pristine[1])
+        assert sorted(second.details) == pristine[2]
+        # Another parameter set is another core.
+        assert ao_core(engine, 0.02, m_cap=8).details["ao_core_reused"] is False
+
+    def test_engine_memo_bounded(self):
+        from repro.engine import MEMO_SIZE
+
+        engine = ThermalEngine(paper_platform(2, n_levels=2, t_max_c=65.0))
+        builds = []
+
+        def build(i):
+            builds.append(i)
+            return i
+
+        for i in range(3 * MEMO_SIZE):
+            assert engine.memo(("k", i), lambda: build(i)) == (i, False)
+        assert len(engine._memo) == MEMO_SIZE
+        # The newest entries stay; the oldest were dropped and rebuild.
+        last = 3 * MEMO_SIZE - 1
+        assert engine.memo(("k", last), lambda: build(-1)) == (last, True)
+        assert engine.memo(("k", 0), lambda: build(0)) == (0, False)
+        assert len(engine._memo) == MEMO_SIZE
+        assert builds == [*range(3 * MEMO_SIZE), 0]
+
+    def test_masked_ao_never_reuses_unmasked_core(self):
+        """A core built for the full chip must not steer dark-silicon AO."""
         from repro.algorithms.ao import ao
-        from repro.algorithms.continuous import continuous_assignment
-        from repro.algorithms.oscillation import choose_m, plan_modes, scan_key
 
         def platform():
             return paper_platform(3, n_levels=2, t_max_c=65.0)
@@ -116,17 +158,18 @@ class TestGridConsumers:
         mask = np.array([True, False, True])
         fresh = ao(ThermalEngine(platform()), m_cap=16, active_mask=mask)
         engine = ThermalEngine(platform())
-        plan = plan_modes(
-            engine.platform, continuous_assignment(engine.platform).voltages
-        )
-        key = scan_key(plan, 0.02, 16, 1)
-        engine.set_hint("choose_m", key, choose_m(engine, plan, 0.02, m_cap=16))
-        hinted = ao(engine, m_cap=16, active_mask=mask)
-        assert hinted.details["m_opt"] == fresh.details["m_opt"] == 5
-        assert hinted.throughput == fresh.throughput
-        assert hinted.schedule == fresh.schedule
-        # The unmasked solve the scan was planted for still finds it.
-        assert engine.take_hint("choose_m", key) is not None
+        unmasked = ao(engine, m_cap=16)
+        masked = ao(engine, m_cap=16, active_mask=mask)
+        assert masked.details["ao_core_reused"] is False
+        assert masked.details["m_opt"] == fresh.details["m_opt"] == 5
+        assert unmasked.details["m_opt"] != 5
+        assert masked.throughput == fresh.throughput
+        assert masked.schedule == fresh.schedule
+        # Each parameter set reuses its own core.
+        again = ao(engine, m_cap=16, active_mask=mask.tolist())
+        assert again.details["ao_core_reused"] is True
+        assert again.schedule == fresh.schedule
+        assert ao(engine, m_cap=16).schedule == unmasked.schedule
 
     def test_certify_grid_matches_scalar(self, rng):
         from repro.safety.certificate import certify, certify_grid
@@ -189,14 +232,12 @@ class TestGridConsumers:
         from importlib import import_module
 
         from repro.experiments.comparison import build_grid
+        from repro.service.session import reset_default_session
 
         # import_module: the package attribute ``ao`` is the solver
         # function, not its module.
         ao_mod = import_module("repro.algorithms.ao")
-        continuous_mod = import_module("repro.algorithms.continuous")
-        oscillation_mod = import_module("repro.algorithms.oscillation")
-
-        calls = {"plan": 0, "scan": 0, "solver_scan": 0}
+        calls = {"plan": 0, "scan": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -205,18 +246,11 @@ class TestGridConsumers:
 
             return wrapper
 
-        # The executor looks both names up at call time; ao_core holds
-        # its own reference to choose_m, counted apart.
         monkeypatch.setattr(
-            continuous_mod, "continuous_assignment",
-            counted("plan", continuous_mod.continuous_assignment),
+            ao_mod, "continuous_assignment",
+            counted("plan", ao_mod.continuous_assignment),
         )
-        monkeypatch.setattr(
-            oscillation_mod, "choose_m", counted("scan", oscillation_mod.choose_m)
-        )
-        monkeypatch.setattr(
-            ao_mod, "choose_m", counted("solver_scan", ao_mod.choose_m)
-        )
+        monkeypatch.setattr(ao_mod, "choose_m", counted("scan", ao_mod.choose_m))
         kwargs = dict(
             core_counts=(2, 3),
             level_counts=(2,),
@@ -224,13 +258,21 @@ class TestGridConsumers:
             approaches=("AO", "PCO"),
             m_cap=8,
         )
-        plain = build_grid(grid_dispatch=False, **kwargs)
-        assert calls == {"plan": 0, "scan": 0, "solver_scan": 4}
-        calls.update(plan=0, scan=0, solver_scan=0)
-        dispatched = build_grid(grid_dispatch=True, **kwargs)
-        # One plan and one scan per engine (the AO and PCO units of a
-        # cell share one), and no unit scans on its own.
-        assert calls == {"plan": 2, "scan": 2, "solver_scan": 0}
+        grids = {}
+        try:
+            for dispatch in (False, True):
+                # Session engines (and their memos) live for the whole
+                # process: a fresh session per sweep, so neither sweep
+                # reuses the other's cores.
+                reset_default_session()
+                calls.update(plan=0, scan=0)
+                grids[dispatch] = build_grid(grid_dispatch=dispatch, **kwargs)
+                # One plan and one scan per cell: each cell's PCO unit
+                # reuses the core its AO unit memoized.
+                assert calls == {"plan": 2, "scan": 2}
+        finally:
+            reset_default_session()
+        plain, dispatched = grids[False], grids[True]
         assert len(plain.cells) == len(dispatched.cells) == 2
         for a, b in zip(plain.cells, dispatched.cells):
             for name in ("AO", "PCO"):
@@ -239,7 +281,64 @@ class TestGridConsumers:
                 assert rb.peak_theta == ra.peak_theta
                 assert rb.schedule == ra.schedule
                 assert rb.details["m_history"] == ra.details["m_history"]
-                assert rb.details["m_history"] is not ra.details["m_history"]
+                assert rb.details["ao_core_reused"] == (name == "PCO")
         ao_history = dispatched.cells[0].results["AO"].details["m_history"]
         pco_history = dispatched.cells[0].results["PCO"].details["m_history"]
         assert ao_history == pco_history and ao_history is not pco_history
+
+    def test_sweep_units_match_fresh_solves(self):
+        """Every AO/PCO unit of a sweep equals its solve on a fresh engine.
+
+        Pins schedules, not just throughputs: AO/PCO throughput is nearly
+        tau-invariant, while the interval lengths move with tau.
+        """
+        from repro.algorithms.registry import get_solver, guarded_solve
+        from repro.experiments.comparison import build_grid
+        from repro.runner import comparison_units
+        from repro.runner.units import solve_cell_platform
+        from repro.schedule.serialization import result_from_dict, result_to_dict
+        from repro.service.session import reset_default_session
+
+        grid_args = dict(
+            core_counts=(2, 3), level_counts=(2,), t_max_values=(65.0,),
+            approaches=("AO", "PCO"),
+        )
+        params = dict(period=0.02, m_cap=16, m_step=1, shift_grid=8)
+        reset_default_session()
+        try:
+            sweeps = {
+                tau: build_grid(tau=tau, **grid_args, **params)
+                for tau in (5e-6, 5.004e-6)
+            }
+        finally:
+            reset_default_session()
+        lengths = {tau: [] for tau in sweeps}
+        for tau, grid in sweeps.items():
+            units = comparison_units(
+                grid_args["core_counts"], grid_args["level_counts"],
+                grid_args["t_max_values"], grid_args["approaches"], params,
+                tau=tau,
+            )
+            assert len(units) == 4
+            for unit in units:
+                payload = unit.payload
+                algo = str(payload["algo"])
+                swept = grid.find(int(payload["n_cores"])).results[algo]
+                engine = ThermalEngine(solve_cell_platform(payload))
+                fresh = result_from_dict(result_to_dict(guarded_solve(
+                    get_solver(algo), engine, **payload["params"]
+                )))
+                assert swept.throughput == fresh.throughput
+                assert swept.peak_theta == fresh.peak_theta
+                assert np.array_equal(swept.schedule.lengths, fresh.schedule.lengths)
+                assert np.array_equal(
+                    swept.schedule.voltage_matrix, fresh.schedule.voltage_matrix
+                )
+                assert swept.details["m_opt"] == fresh.details["m_opt"]
+                assert swept.details["m_history"] == fresh.details["m_history"]
+                assert swept.details["ao_core_reused"] == (algo == "PCO")
+                assert fresh.details["ao_core_reused"] is False
+                lengths[tau].append(swept.schedule.lengths)
+        # The two tau values give two different sets of schedules.
+        a, b = lengths.values()
+        assert any(not np.array_equal(x, y) for x, y in zip(a, b))
