@@ -20,7 +20,6 @@ this is what buys the orders-of-magnitude speedup over EXS at scale.
 
 from __future__ import annotations
 
-import time
 from typing import NamedTuple
 
 import numpy as np
@@ -131,7 +130,6 @@ class AOCore(NamedTuple):
     peak: PeakResult  # the schedule's scalar Theorem-1 peak
     tpt_iterations: int
     details: dict
-    runtime_s: float  # building the core; a memo hit keeps the builder's
 
 
 def ao_core(
@@ -150,24 +148,17 @@ def ao_core(
     (:meth:`~repro.engine.ThermalEngine.memo`), keyed by every argument,
     so PCO reuses the core an AO solve with the same parameters built.
     Each call gets its own ``ratios``, ``details`` and
-    ``details["m_history"]``.  ``details["ao_core_reused"]`` says whether
-    the core was reused; on reuse ``details["ao_runtime_s"]`` is what
-    building it cost, as ``runtime_s`` is on every call.
+    ``details["m_history"]``, the same whether the core was built or
+    reused.
     """
     mask = None if active_mask is None else np.asarray(active_mask, bool).tobytes()
-    core, reused = engine.memo(
+    core, _ = engine.memo(
         ("ao_core", period, m_cap, m_step, t_unit, adaptive, mask),
         lambda: _build_core(
             engine, period, m_cap, m_step, t_unit, adaptive, active_mask
         ),
     )
-    details = dict(
-        core.details, m_history=list(core.details["m_history"]), ao_core_reused=reused
-    )
-    if reused:
-        # What the reusing solve did not pay (a wall-clock value, so
-        # only here: a solve that built its core stays deterministic).
-        details["ao_runtime_s"] = core.runtime_s
+    details = dict(core.details, m_history=list(core.details["m_history"]))
     return core._replace(ratios=core.ratios.copy(), details=details)
 
 
@@ -182,7 +173,6 @@ def _build_core(
 ) -> AOCore:
     """:func:`ao_core` without the memo."""
     platform = engine.platform
-    t0 = time.perf_counter()
     with engine.phase("ao/continuous"):
         cont = continuous_assignment(platform, active_mask=active_mask)
         plan = plan_modes(platform, cont.voltages)
@@ -229,7 +219,6 @@ def _build_core(
         peak=peak,
         tpt_iterations=tpt_iters,
         details=details,
-        runtime_s=time.perf_counter() - t0,
     )
 
 

@@ -35,7 +35,8 @@ class SchedulerResult:
         package's one rule :func:`repro.tolerances.within_threshold`
         (``peak_theta <= theta_max + FEASIBILITY_SLACK``).
     runtime_s:
-        Wall-clock seconds of the whole entry-point call, filled in by
+        Wall-clock seconds of the whole entry-point call, plus the build
+        time of memoized work it reused, filled in by
         :func:`repro.engine.engine_entrypoint`.
     details:
         Algorithm-specific extras (chosen m, mode plan, search statistics).

@@ -106,7 +106,6 @@ def pco(
             "tpt_iterations": base.tpt_iterations,
             "fill_iterations": fill_iters,
             "shifts": shifts,
-            "ao_runtime_s": base.runtime_s,
         }
     )
     if floor_volts is not None:

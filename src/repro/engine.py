@@ -78,6 +78,9 @@ def engine_entrypoint(name: str | None = None):
     :class:`~repro.algorithms.base.SchedulerResult`'s ``runtime_s`` and
     ``stats``, and the run is wrapped in a ``solve/<name>`` tracing span
     whose attributes are those same :class:`EngineStats` counters.
+    ``runtime_s`` also counts the build time of every
+    :meth:`ThermalEngine.memo` value the call reused, so a solve reads
+    what it costs from scratch.
     """
 
     def decorate(func: Callable) -> Callable:
@@ -94,12 +97,15 @@ def engine_entrypoint(name: str | None = None):
         def wrapper(platform: "Platform | ThermalEngine", *args, **kwargs):
             engine = ThermalEngine.ensure(platform)
             mark = engine.checkpoint()
+            reused_s = engine._reused_s
             t0 = time.perf_counter()
             with obs_span(span_name) as sp:
                 try:
                     result = func(engine, *args, **kwargs)
                 finally:
-                    runtime_s = time.perf_counter() - t0
+                    runtime_s = (
+                        time.perf_counter() - t0 + engine._reused_s - reused_s
+                    )
                     st = engine.stats_since(mark)
                     sp.set_attrs(
                         solver=name,
@@ -306,7 +312,8 @@ class ThermalEngine:
         self._phase_seconds: dict[str, float] = {}
         self._batch_histogram = METRICS.histogram("engine.batch_size")
         self._condition_number: float | None = None
-        self._memo: dict[Hashable, Any] = {}
+        self._memo: dict[Hashable, tuple[Any, float]] = {}
+        self._reused_s = 0.0  # build seconds of every memo hit so far
         self._baseline = self.checkpoint()
 
     @classmethod
@@ -424,12 +431,17 @@ class ThermalEngine:
         memo keeps the last :data:`MEMO_SIZE` values; a ``build`` that
         raises stores nothing.  Callers share the stored value, so each
         copies what it may change.  Work done by ``build`` is counted
-        once, in the counters of the call that missed.
+        once, in the counters of the call that missed; its wall time is
+        added to the ``runtime_s`` of every solve that hits
+        (:func:`engine_entrypoint`).
         """
         if key in self._memo:
-            return self._memo[key], True
+            value, build_s = self._memo[key]
+            self._reused_s += build_s
+            return value, True
+        t0 = time.perf_counter()
         value = build()
-        self._memo[key] = value
+        self._memo[key] = (value, time.perf_counter() - t0)
         if len(self._memo) > MEMO_SIZE:
             del self._memo[next(iter(self._memo))]
         return value, False

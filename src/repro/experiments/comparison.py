@@ -11,15 +11,16 @@ finished units are journaled to disk as they settle and
 ``resume=True`` continues an interrupted sweep, re-running only the
 missing units; either way each worker rebuilds its platform from the
 cell spec, so nothing heavier than a JSON row travels across process
-boundaries.
+boundaries.  Sequentially, units run cell by cell in approach order, so
+PCO starts from the AO core its cell's AO unit memoized on the shared
+session engine (:func:`repro.algorithms.ao.ao_core`).
 """
 
 from __future__ import annotations
 
 import os
-import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Any
 
@@ -42,9 +43,6 @@ __all__ = [
 
 APPROACHES = ("LNS", "EXS", "AO", "PCO")
 
-#: Solvers that grid dispatch runs (their units share memoized AO cores).
-GRID_DISPATCH_SOLVERS = frozenset({"AO", "PCO"})
-
 
 @dataclass(frozen=True)
 class CellResult:
@@ -63,17 +61,12 @@ class CellResult:
     def runtime(self, name: str) -> float:
         """Wall-clock seconds of one approach, built from scratch.
 
-        A solve that reused a memoized AO core
-        (:func:`repro.algorithms.ao.ao_core`) did not pay for it; the
-        core's own build time is added back, so PCO reads what it costs
-        on its own (Table V).
+        A solve's ``runtime_s`` already counts the memoized work it
+        reused (:meth:`repro.engine.ThermalEngine.memo`), so PCO reads
+        what it costs on its own (Table V).
         """
         r = self.results.get(name)
-        if r is None:
-            return float("nan")
-        if r.details.get("ao_core_reused"):
-            return r.runtime_s + float(r.details["ao_runtime_s"])
-        return r.runtime_s
+        return r.runtime_s if r is not None else float("nan")
 
     def improvement(self, name: str, over: str = "EXS") -> float:
         """Relative throughput improvement of ``name`` over ``over``."""
@@ -183,38 +176,22 @@ def _assemble_cells(
     return tuple(out)
 
 
-def grid_batch_executor(
-    units: Sequence[WorkUnit],
-) -> dict[str, tuple[dict[str, Any], float]]:
-    """Sequential execution of a sweep's AO and PCO units, in unit order.
+def grid_batch_executor(units: Sequence[WorkUnit]) -> dict[str, dict[str, Any]]:
+    """Solve the ``solve_cell`` units one by one: ``{unit_id: outcome}``.
 
-    Each unit runs through the normal
-    :func:`~repro.runner.units.solve_cell_outcome` path (session engine,
-    registry dispatch, certificates and fallback chains) and is timed on
-    its own.  A cell's AO and PCO units share one session engine, so the
-    PCO unit reuses the core (ideal speeds, plan, m scan, TPT loop) that
-    the AO unit memoized there (:func:`repro.algorithms.ao.ao_core`).
-
-    Any per-unit failure simply omits that unit from the returned map, so
-    the runner re-executes it through the ordinary per-unit path with
-    full retry semantics.  Returns ``{unit_id: (outcome, elapsed_s)}``.
+    Nothing in the package calls this.  It is kept only because the
+    end-to-end benchmark's tracer wraps it by name (as it does
+    :func:`~repro.algorithms.oscillation.choose_m_grid`); both go with
+    the benchmark change that stops wrapping them.  Sweeps run every
+    unit through :func:`~repro.runner.run`.
     """
     from repro.runner.units import solve_cell_outcome
 
-    handled: dict[str, tuple[dict[str, Any], float]] = {}
-    for unit in units:
-        if unit.kind != "solve_cell":
-            continue
-        if str(unit.payload.get("algo")) not in GRID_DISPATCH_SOLVERS:
-            continue
-        t0 = time.perf_counter()
-        try:
-            outcome = solve_cell_outcome(unit.payload)
-        except Exception:  # noqa: BLE001 - normal path retries this unit
-            METRICS.counter("comparison.grid_dispatch_errors").inc()
-            continue
-        handled[unit.unit_id] = (outcome, time.perf_counter() - t0)
-    return handled
+    return {
+        unit.unit_id: solve_cell_outcome(unit.payload)
+        for unit in units
+        if unit.kind == "solve_cell"
+    }
 
 
 def build_grid(
@@ -231,7 +208,6 @@ def build_grid(
     run_dir: str | os.PathLike | None = None,
     resume: bool = False,
     progress: Callable | None = None,
-    grid_dispatch: bool = True,
 ) -> ComparisonGrid:
     """Run the comparison over a (cores x levels x T_max) grid.
 
@@ -245,16 +221,9 @@ def build_grid(
     terminally records a structured error row (see
     ``grid.report``) instead of aborting the sweep.
 
-    ``grid_dispatch`` (sequential mode only) routes the AO/PCO units
-    through :func:`grid_batch_executor`, ahead of the other units;
-    results are identical to per-unit execution, and any batching
-    failure falls back to it.  In a sequential run either way, a cell's
-    PCO unit reuses the AO core its AO unit built on the same session
-    engine; :meth:`CellResult.runtime` still reports PCO's full cost.
+    :meth:`CellResult.runtime` reports each approach's full cost, also
+    for a PCO unit that reused its cell's memoized AO core.
     """
-    config = runner or RunnerConfig()
-    if grid_dispatch and not config.parallel and config.batch_executor is None:
-        config = replace(config, batch_executor=grid_batch_executor)
     common = {
         "period": period,
         "m_cap": m_cap,
@@ -267,7 +236,7 @@ def build_grid(
     with span("experiment/build_grid", units=len(units)):
         report = run_units(
             units,
-            config=config,
+            config=runner,
             run_dir=run_dir,
             resume=resume,
             progress=progress,
@@ -332,7 +301,6 @@ def comparison(
     run_dir: str | os.PathLike | None = None,
     resume: bool = False,
     progress: Callable | None = None,
-    grid_dispatch: bool = True,
 ) -> ComparisonResult:
     """The bare comparison sweep as a first-class experiment.
 
@@ -354,6 +322,5 @@ def comparison(
         run_dir=run_dir,
         resume=resume,
         progress=progress,
-        grid_dispatch=grid_dispatch,
     )
     return ComparisonResult(grid=grid)

@@ -79,16 +79,6 @@ class RunnerConfig:
     retry_failed:
         On resume, re-run units whose journal row is an error row
         (default: error rows are settled — the sweep completed them).
-    mp_context:
-        Multiprocessing start method; default prefers ``fork``.
-    batch_executor:
-        Optional hook for cross-unit batched execution (sequential mode
-        only): called once with the full todo list, it may execute any
-        subset and return ``{unit_id: (outcome, elapsed_s)}``.  Handled
-        units settle from those outcomes; unhandled units — and the
-        whole set, if the hook raises — fall through to the normal
-        per-unit path, so batching is strictly an optimization, never a
-        correctness dependency.
     """
 
     parallel: bool = False
@@ -97,10 +87,6 @@ class RunnerConfig:
     retries: int = 1
     backoff_s: float = 0.5
     retry_failed: bool = False
-    mp_context: str | None = None
-    batch_executor: (
-        "Callable[[Sequence[WorkUnit]], Mapping[str, tuple[Mapping[str, Any], float]]] | None"
-    ) = None
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -110,7 +96,6 @@ class RunnerConfig:
             "retries": self.retries,
             "backoff_s": self.backoff_s,
             "retry_failed": self.retry_failed,
-            "grid_dispatch": self.batch_executor is not None,
         }
 
     def resolve_workers(self) -> int:
@@ -119,9 +104,8 @@ class RunnerConfig:
         return max(1, os.cpu_count() or 1)
 
     def resolve_context(self) -> mp.context.BaseContext:
-        method = self.mp_context
-        if method is None:
-            method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        """``fork`` where the platform has it, else ``spawn``."""
+        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         return mp.get_context(method)
 
 
@@ -361,44 +345,9 @@ def _backoff(config: RunnerConfig, attempts: int) -> float:
 # ----------------------------------------------------------------------
 
 
-def _run_batch(todo: Sequence[WorkUnit], config: RunnerConfig,
-               state: _RunState) -> list[WorkUnit]:
-    """Offer the todo set to the batch executor; return the remainder.
-
-    Outcomes the executor hands back settle immediately (journal rows
-    identical to per-unit execution); everything else — including the
-    whole set when the executor raises — is returned for the normal
-    sequential path.
-    """
-    assert config.batch_executor is not None
-    try:
-        with span("runner/batch_execute", units=len(todo)):
-            handled = dict(config.batch_executor(todo) or {})
-    except Exception as exc:  # noqa: BLE001 - batching must never fail a run
-        METRICS.counter("runner.batch_executor_errors").inc()
-        if todo:
-            state.note_retry(
-                todo[0], 0,
-                f"batch executor failed, falling back: "
-                f"{type(exc).__name__}: {exc}",
-            )
-        return list(todo)
-    remainder: list[WorkUnit] = []
-    for unit in todo:
-        entry = handled.get(unit.unit_id)
-        if entry is None:
-            remainder.append(unit)
-            continue
-        outcome, elapsed = entry
-        state.settle(unit, 1, float(elapsed), outcome, None)
-    return remainder
-
-
 def _run_sequential(todo: Sequence[WorkUnit], config: RunnerConfig,
                     state: _RunState) -> None:
     """In-process execution: no timeout enforcement, same journaling."""
-    if config.batch_executor is not None and todo:
-        todo = _run_batch(todo, config, state)
     for unit in todo:
         attempts = 0
         while True:

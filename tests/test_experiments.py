@@ -1,5 +1,7 @@
 """Tests for the experiment harness (quick-scale runs of every artifact)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -164,23 +166,33 @@ class TestTable5:
         assert cell.runtime("PCO") > 0
         assert "Table V" in r.format()
 
-    def test_pco_runtime_keeps_its_ao_core(self):
+    def test_pco_runtime_keeps_its_ao_core(self, monkeypatch):
         """A PCO unit that reuses its cell's AO core still reports its cost."""
+        from importlib import import_module
+
         from repro.service.session import reset_default_session
 
+        ao_mod = import_module("repro.algorithms.ao")
+        build = ao_mod._build_core
+        builds = []
+        delay = 0.05
+
+        def slow_build(*args, **kwargs):
+            builds.append(args)
+            time.sleep(delay)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(ao_mod, "_build_core", slow_build)
         reset_default_session()
         try:
             r = table5(core_counts=(2, 3), level_counts=(2,), m_cap=16)
         finally:
             reset_default_session()
+        assert len(builds) == len(r.grid.cells)  # PCO built no core
         for cell in r.grid.cells:
-            pco = cell.results["PCO"]
-            assert pco.details["ao_core_reused"] is True
-            assert not cell.results["AO"].details["ao_core_reused"]
-            assert cell.runtime("PCO") >= pco.details["ao_runtime_s"] > 0
-            assert cell.runtime("PCO") == (
-                pco.runtime_s + pco.details["ao_runtime_s"]
-            )
+            assert cell.runtime("PCO") == cell.results["PCO"].runtime_s
+            assert cell.runtime("AO") >= delay
+            assert cell.runtime("PCO") >= delay
 
 
 class TestHeadline:

@@ -3,10 +3,9 @@
 Covers the process-wide eigenbasis memo (:mod:`repro.util.eigcache`)
 and the consumers of the cross-platform grid kernels (``certify_grid``,
 ``perturbed_peak_batch``) against their scalar counterparts, plus the
-comparison sweep's sharing of AO work (``choose_m_grid``, the batch
-executor and the engine's memo of ``ao_core``) against per-unit solves
-on fresh engines.  The kernels' own parity suite is
-``tests/test_batch.py``.
+comparison sweep's sharing of AO work (``choose_m_grid`` and the
+engine's memo of ``ao_core``) against per-unit solves on fresh engines.
+The kernels' own parity suite is ``tests/test_batch.py``.
 """
 
 import numpy as np
@@ -104,7 +103,6 @@ class TestGridConsumers:
 
         engine = ThermalEngine(paper_platform(3, n_levels=2, t_max_c=55.0))
         first = ao_core(engine, 0.02, m_cap=16)
-        assert first.details["ao_core_reused"] is False
         pristine = (
             list(first.details["m_history"]), first.ratios.copy(),
             sorted(first.details),
@@ -117,16 +115,15 @@ class TestGridConsumers:
                        first.peak.core_peaks):
             with pytest.raises(ValueError):
                 shared[0] = 0.0
+        mark = engine.checkpoint()
         second = ao_core(engine, 0.02, m_cap=16)
-        assert second.details["ao_core_reused"] is True
-        assert "ao_runtime_s" not in first.details
-        assert second.details.pop("ao_runtime_s") == first.runtime_s
-        assert second.runtime_s == first.runtime_s
+        assert engine.stats_since(mark).peak_evals == 0  # a memo hit
         assert second.details["m_history"] == pristine[0]
         assert np.array_equal(second.ratios, pristine[1])
         assert sorted(second.details) == pristine[2]
         # Another parameter set is another core.
-        assert ao_core(engine, 0.02, m_cap=8).details["ao_core_reused"] is False
+        ao_core(engine, 0.02, m_cap=8)
+        assert engine.stats_since(mark).peak_evals > 0
 
     def test_engine_memo_bounded(self):
         from repro.engine import MEMO_SIZE
@@ -160,14 +157,16 @@ class TestGridConsumers:
         engine = ThermalEngine(platform())
         unmasked = ao(engine, m_cap=16)
         masked = ao(engine, m_cap=16, active_mask=mask)
-        assert masked.details["ao_core_reused"] is False
+        # Built its own core: the same thermal work as on a fresh engine.
+        assert masked.stats.peak_evals == fresh.stats.peak_evals
         assert masked.details["m_opt"] == fresh.details["m_opt"] == 5
         assert unmasked.details["m_opt"] != 5
         assert masked.throughput == fresh.throughput
         assert masked.schedule == fresh.schedule
         # Each parameter set reuses its own core.
         again = ao(engine, m_cap=16, active_mask=mask.tolist())
-        assert again.details["ao_core_reused"] is True
+        assert again.stats.peak_evals < fresh.stats.peak_evals
+        assert sorted(again.details) == sorted(masked.details)
         assert again.schedule == fresh.schedule
         assert ao(engine, m_cap=16).schedule == unmasked.schedule
 
@@ -228,7 +227,7 @@ class TestGridConsumers:
             )
         assert perturbed_peak_batch(engine, sched, []) == []
 
-    def test_comparison_grid_dispatch_equivalence(self, monkeypatch):
+    def test_comparison_sweep_shares_one_core_per_cell(self, monkeypatch):
         from importlib import import_module
 
         from repro.experiments.comparison import build_grid
@@ -251,40 +250,26 @@ class TestGridConsumers:
             counted("plan", ao_mod.continuous_assignment),
         )
         monkeypatch.setattr(ao_mod, "choose_m", counted("scan", ao_mod.choose_m))
-        kwargs = dict(
-            core_counts=(2, 3),
-            level_counts=(2,),
-            t_max_values=(65.0,),
-            approaches=("AO", "PCO"),
-            m_cap=8,
-        )
-        grids = {}
+        # Session engines (and their memos) live for the whole process: a
+        # fresh session, so the sweep reuses no core built before it.
+        reset_default_session()
         try:
-            for dispatch in (False, True):
-                # Session engines (and their memos) live for the whole
-                # process: a fresh session per sweep, so neither sweep
-                # reuses the other's cores.
-                reset_default_session()
-                calls.update(plan=0, scan=0)
-                grids[dispatch] = build_grid(grid_dispatch=dispatch, **kwargs)
-                # One plan and one scan per cell: each cell's PCO unit
-                # reuses the core its AO unit memoized.
-                assert calls == {"plan": 2, "scan": 2}
+            grid = build_grid(
+                core_counts=(2, 3), level_counts=(2,), t_max_values=(65.0,),
+                m_cap=8,
+            )
         finally:
             reset_default_session()
-        plain, dispatched = grids[False], grids[True]
-        assert len(plain.cells) == len(dispatched.cells) == 2
-        for a, b in zip(plain.cells, dispatched.cells):
-            for name in ("AO", "PCO"):
-                ra, rb = a.results[name], b.results[name]
-                assert rb.throughput == ra.throughput
-                assert rb.peak_theta == ra.peak_theta
-                assert rb.schedule == ra.schedule
-                assert rb.details["m_history"] == ra.details["m_history"]
-                assert rb.details["ao_core_reused"] == (name == "PCO")
-        ao_history = dispatched.cells[0].results["AO"].details["m_history"]
-        pco_history = dispatched.cells[0].results["PCO"].details["m_history"]
-        assert ao_history == pco_history and ao_history is not pco_history
+        # One plan and one scan per cell: units run cell by cell (LNS,
+        # EXS, AO, PCO), and each cell's PCO unit reuses the core its AO
+        # unit memoized on the shared session engine.
+        assert calls == {"plan": 2, "scan": 2}
+        assert len(grid.cells) == 2
+        for cell in grid.cells:
+            assert set(cell.results) == {"LNS", "EXS", "AO", "PCO"}
+            ao_history = cell.results["AO"].details["m_history"]
+            pco_history = cell.results["PCO"].details["m_history"]
+            assert ao_history == pco_history and ao_history is not pco_history
 
     def test_sweep_units_match_fresh_solves(self):
         """Every AO/PCO unit of a sweep equals its solve on a fresh engine.
@@ -336,8 +321,11 @@ class TestGridConsumers:
                 )
                 assert swept.details["m_opt"] == fresh.details["m_opt"]
                 assert swept.details["m_history"] == fresh.details["m_history"]
-                assert swept.details["ao_core_reused"] == (algo == "PCO")
-                assert fresh.details["ao_core_reused"] is False
+                # Only the PCO unit reused a core: it skipped the AO
+                # core's thermal work.
+                assert (swept.stats.peak_evals < fresh.stats.peak_evals) == (
+                    algo == "PCO"
+                )
                 lengths[tau].append(swept.schedule.lengths)
         # The two tau values give two different sets of schedules.
         a, b = lengths.values()

@@ -439,7 +439,9 @@ class TestKillAndResumeCLI:
         "-o", "core_counts=2,3",
         "-o", "level_counts=2,",
         "-o", "t_max_values=55.0,",
-        "-o", "approaches=LNS,EXS,AO",
+        # With PCO: the sequential baseline reuses each cell's memoized AO
+        # core, while a one-unit worker builds its own; rows must agree.
+        "-o", "approaches=LNS,EXS,AO,PCO",
         "-o", "m_cap=12",
     ]
 
@@ -484,7 +486,7 @@ class TestKillAndResumeCLI:
 
         base_rows = Journal.load(baseline_dir / "journal.jsonl")
         resumed_rows = Journal.load(victim_dir / "journal.jsonl")
-        assert set(base_rows) == set(resumed_rows) and len(base_rows) == 6
+        assert set(base_rows) == set(resumed_rows) and len(base_rows) == 8
         for uid in base_rows:
             assert strip_timing(resumed_rows[uid]) == strip_timing(
                 base_rows[uid]
