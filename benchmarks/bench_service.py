@@ -9,7 +9,7 @@ What the serving layer's throughput claims rest on:
 * the content key itself (platform hash memoized, request document
   hashed) prices every request, hit or miss;
 * ``evaluate_many`` turns R independent evaluations into one grid-kernel
-  call — the coalescer's win over the scalar loop.
+  call — the coalescer's win over R one-row calls.
 """
 
 import pytest
@@ -78,8 +78,9 @@ def test_evaluate_many_grid(benchmark, evaluation_rows):
     assert len(out) == len(evaluation_rows) and all(e.feasible for e in out)
 
 
-def test_evaluate_scalar_loop(benchmark, evaluation_rows):
-    """Baseline: the same rows priced one `api.evaluate` at a time."""
+def test_evaluate_one_row_loop(benchmark, evaluation_rows):
+    """Baseline: the same rows priced one `api.evaluate` (one grid row)
+    at a time."""
     engines = {
         n: ThermalEngine(paper_platform(n, n_levels=2, t_max_c=65.0))
         for n in (2, 3)

@@ -58,7 +58,7 @@ from repro.safety.certificate import (
 # __init__) while the fallback module is still half-initialised.
 from repro.safety import fallback
 from repro.schedule.builders import constant_schedule
-from repro.tolerances import within_threshold
+from repro.tolerances import ROUTE_AGREEMENT, within_threshold
 
 __all__ = [
     "MARGIN_POLICIES",
@@ -180,15 +180,19 @@ class SolverSpec:
         checkpointed, so ``result.stats`` attributes exactly the work
         the solver itself did.
         """
+        self.check_params(params)
+        engine = ThermalEngine.ensure(platform)
+        result = self.func(engine, **params)
+        return self.attach_certificate(engine, result, certify_tolerance)
+
+    def check_params(self, params: Mapping[str, object]) -> None:
+        """Raise :class:`~repro.errors.SolverError` on unknown names."""
         unknown = set(params) - set(self.params)
         if unknown:
             raise SolverError(
                 f"solver {self.name!r} does not accept "
                 f"{sorted(unknown)}; valid parameters: {sorted(self.params)}"
             )
-        engine = ThermalEngine.ensure(platform)
-        result = self.func(engine, **params)
-        return self.attach_certificate(engine, result, certify_tolerance)
 
     def attach_certificate(
         self,
@@ -387,7 +391,8 @@ def guarded_solve(
     ``margin_policy="shrink"`` adds a post-hoc robustness pass for
     ill-conditioned platforms: when the conductance system's condition
     number is at least :data:`MARGIN_POLICY_CONDITION` and the
-    certificate's two reference routes disagree, the solve is repeated
+    certificate's routes disagree by more than
+    :data:`~repro.tolerances.ROUTE_AGREEMENT`, the solve is repeated
     against ``T_max`` shrunk by that observed disagreement, and the
     tightened result is kept if it stays feasible (re-certified against
     the *original* threshold, so the bought margin is visible).  The
@@ -398,6 +403,9 @@ def guarded_solve(
     ------
     InfeasibleError
         Propagated untouched — infeasibility is an answer, not a crash.
+    SolverError
+        Before any solve, when ``params`` names a parameter the solver
+        does not accept — a misspelling is not a failure to degrade.
     """
     if margin_policy not in MARGIN_POLICIES:
         raise ConfigurationError(
@@ -405,6 +413,7 @@ def guarded_solve(
             f"expected one of {MARGIN_POLICIES}"
         )
     spec = solver if isinstance(solver, SolverSpec) else get_solver(solver)
+    spec.check_params(params)
     engine = ThermalEngine.ensure(platform)
     tolerance = DEFAULT_TOLERANCE if certify_tolerance is None else certify_tolerance
     result = _guarded(spec, engine, tolerance, fallback_period, params)
@@ -427,8 +436,9 @@ def _apply_margin_policy(
 
     Tightens ``T_max`` by the certificate's observed reference-route
     disagreement and re-solves; keeps the original result whenever the
-    platform is well conditioned, there is no disagreement, or the
-    tightened problem turns out infeasible.
+    platform is well conditioned, the routes agree within
+    :data:`~repro.tolerances.ROUTE_AGREEMENT`, or the tightened problem
+    turns out infeasible.
     """
     cond = float(engine.condition_number())
     cert = result.certificate
@@ -444,7 +454,7 @@ def _apply_margin_policy(
     if cond < MARGIN_POLICY_CONDITION:
         record["reason"] = "well conditioned"
         return replace(result, details={**result.details, "margin_policy": record})
-    if disagreement <= 0.0:
+    if disagreement <= ROUTE_AGREEMENT:
         record["reason"] = "reference routes agree"
         return replace(result, details={**result.details, "margin_policy": record})
     shrunk_t_max = engine.platform.t_max_c - disagreement

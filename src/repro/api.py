@@ -19,7 +19,7 @@ cannot drift silently.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -28,6 +28,7 @@ from repro.platform import Platform
 from repro.platforms import PlatformSpec
 from repro.schedule.periodic import PeriodicSchedule
 from repro.schedule.properties import throughput as schedule_throughput
+from repro.thermal.grid import peak_temperature_grid, stepup_peak_temperature_grid
 from repro.tolerances import within_threshold
 
 __all__ = ["load_platform", "EvaluationResult", "evaluate"]
@@ -116,8 +117,8 @@ def evaluate(
 
     Platforms (as opposed to pre-built engines) resolve through the
     process-wide :class:`~repro.service.session.SchedulerSession`, so
-    repeated evaluations of the same physics share one engine's
-    steady-state and eigenbasis caches.
+    repeated evaluations of the same physics share one engine.  The
+    one-row call of :func:`evaluate_rows`.
     """
     if isinstance(platform, ThermalEngine):
         engine = platform
@@ -125,18 +126,35 @@ def evaluate(
         from repro.service.session import default_session
 
         engine = default_session().engine_for(platform)
+    return evaluate_rows([(engine, schedule)], general, grid_per_interval)[0]
+
+
+def evaluate_rows(
+    rows: Sequence[tuple[ThermalEngine, PeriodicSchedule]],
+    general: bool = True,
+    grid_per_interval: int | None = None,
+) -> list[EvaluationResult]:
+    """:func:`evaluate` for ``(engine, schedule)`` rows in one grid call.
+
+    :func:`repro.thermal.grid.peak_temperature_grid` prices general
+    rows, :func:`repro.thermal.grid.stepup_peak_temperature_grid` (with
+    its step-up check) the others; results in input order.
+    """
+    items = [(engine.model, schedule) for engine, schedule in rows]
     if general:
         kwargs: dict[str, Any] = {}
         if grid_per_interval is not None:
             kwargs["grid_per_interval"] = int(grid_per_interval)
-        peak = engine.general_peak(schedule, **kwargs)
+        peaks = peak_temperature_grid(items, **kwargs)
     else:
-        peak = engine.stepup_peak(schedule, check=True)
-    theta_max = engine.theta_max
-    return EvaluationResult(
-        peak_theta=float(peak.value),
-        theta_max=float(theta_max),
-        feasible=bool(within_threshold(peak.value, theta_max)),
-        throughput=float(schedule_throughput(schedule)),
-        t_ambient_c=float(engine.model.t_ambient_c),
-    )
+        peaks = stepup_peak_temperature_grid(items, check=True)
+    return [
+        EvaluationResult(
+            peak_theta=float(peak.value),
+            theta_max=float(engine.theta_max),
+            feasible=bool(within_threshold(peak.value, engine.theta_max)),
+            throughput=float(schedule_throughput(schedule)),
+            t_ambient_c=float(engine.model.t_ambient_c),
+        )
+        for (engine, schedule), peak in zip(rows, peaks)
+    ]

@@ -387,7 +387,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     from repro.algorithms.registry import SOLVERS, get_solver, guarded_solve
     from repro.errors import ConfigurationError, InfeasibleError
     from repro.safety.certificate import certify_grid
-    from repro.safety.faults import FaultSpec, stuck_schedule
+    from repro.safety.faults import FaultSpec, perturbed_peak
     from repro.service.session import default_session
 
     names = args.solvers or list(CERTIFY_DEFAULT_SOLVERS)
@@ -435,7 +435,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
     # Pass 1 — solve the whole sweep, collecting rows; the expensive
     # re-derivations (--reference recertification, --faults perturbed
-    # peaks) are deferred so they can run grid-batched across platforms.
+    # peaks) are deferred to the passes below.
     cells = [
         (n, lv, tm, str(flavor))
         for n in core_counts
@@ -503,26 +503,13 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         for e, cert in zip(recert, certs):
             e["cert"] = cert
 
-    # Pass 3 — perturbed peaks for every real schedule in one grid call.
+    # Pass 3 — the perturbed peak of every real schedule.
     if faults is not None:
-        from repro.thermal.grid import peak_temperature_grid
-
-        faulted = [e for e in solved if e["spec"].schedule_is_artifact]
-        if faulted:
-            results = peak_temperature_grid(
-                [
-                    (
-                        e["engine"].model,
-                        stuck_schedule(
-                            e["result"].schedule, e["engine"].ladder, faults
-                        ),
-                    )
-                    for e in faulted
-                ],
-                stepup_fast_path=False,
-            )
-            for e, res in zip(faulted, results):
-                e["faulted_peak"] = float(res.value + faults.ambient_drift_k)
+        for e in solved:
+            if e["spec"].schedule_is_artifact:
+                e["faulted_peak"] = perturbed_peak(
+                    e["engine"], e["result"].schedule, faults
+                )
 
     # Pass 4 — report in sweep order.
     certified = rejected = fallbacks = 0

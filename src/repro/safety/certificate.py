@@ -29,7 +29,7 @@ from repro.engine import ThermalEngine
 from repro.obs import METRICS
 from repro.schedule.periodic import PeriodicSchedule
 from repro.schedule.properties import is_step_up, throughput as schedule_throughput
-from repro.thermal.peak import peak_temperature, stepup_peak_temperature
+from repro.thermal.grid import peak_temperature_grid, stepup_peak_temperature_grid
 from repro.tolerances import FEASIBILITY_SLACK, THROUGHPUT_SLACK
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -85,7 +85,7 @@ class SafetyCertificate:
     reference_samples_used:
         Per-interval sampling density the LSODA reference route actually
         ran at (``None`` when the route did not run).  Adaptive
-        subsampling (see :func:`certify`) reduces it for schedules whose
+        subsampling (see :func:`certify_grid`) reduces it for schedules whose
         certified margin is far from the threshold.
     """
 
@@ -207,8 +207,7 @@ def _assemble(
     claimed_throughput: float | None,
     reference_samples_used: int | None = None,
 ) -> SafetyCertificate:
-    """Turn a route->peak map into a counted certificate (shared by the
-    scalar and grid entry points, so the checks cannot drift apart)."""
+    """Turn a route->peak map into a counted certificate."""
     certified = max(peaks.values())
     disagreement = float(certified - min(peaks.values()))
     margin = theta_max - certified
@@ -250,29 +249,6 @@ def _assemble(
     )
 
 
-def _reference_route(
-    engine: ThermalEngine,
-    schedule: PeriodicSchedule,
-    peaks: dict[str, float],
-    theta_max: float,
-    *,
-    tolerance: float,
-    reference_samples: int,
-    adaptive_reference: bool,
-) -> int:
-    """Run the LSODA oracle and add it to ``peaks``; returns the density."""
-    from repro.thermal.reference import reference_peak
-
-    samples = reference_samples
-    if adaptive_reference and peaks:
-        gap = abs(theta_max - max(peaks.values()))
-        samples = _reference_budget(gap, tolerance, reference_samples)
-    peaks["reference"] = float(
-        reference_peak(engine.model, schedule, samples_per_interval=samples)
-    )
-    return samples
-
-
 def certify(
     engine: "Platform | ThermalEngine",
     schedule: PeriodicSchedule,
@@ -289,19 +265,8 @@ def certify(
 ) -> SafetyCertificate:
     """Independently re-verify one schedule against ``theta_max``.
 
-    The primary route is the MatEx-style analytic extrema search with the
-    Theorem-1 step-up shortcut *disabled* — the solvers lean on that
-    shortcut, so running the general search exercises a genuinely
-    different code path over the same stable status.  For step-up
-    schedules the Theorem-1 value is added as a second cross-check, and
-    ``reference=True`` additionally runs the LSODA ODE oracle
-    (:func:`repro.thermal.reference.reference_peak`).  The oracle's
-    per-interval density is subsampled adaptively by default: the
-    analytic routes run first, and when their certified margin is far
-    from ``theta_max`` (``>= 8x`` / ``>= 2x`` the tolerance) the oracle
-    runs at a quarter / half of ``reference_samples`` — cheap enough for
-    the default CI gate while tight calls keep the full budget.  Pass
-    ``adaptive_reference=False`` for the fixed-density audit behavior.
+    The one-row call of :func:`certify_grid`, so a solve's certificate
+    and a served ``certify`` of the same schedule are the same numbers.
 
     Parameters
     ----------
@@ -316,41 +281,20 @@ def certify(
         throughput claim must not exceed the raw schedule throughput
         (transition overhead only ever subtracts).
     """
-    engine = ThermalEngine.ensure(engine)
-    if theta_max is None:
-        theta_max = engine.theta_max
-    theta_max = float(theta_max)
-
-    step_up = is_step_up(schedule)
-    peaks: dict[str, float] = {}
-    if claimed_peak is not None:
-        peaks["claimed"] = float(claimed_peak)
-    peaks["matex"] = float(
-        engine.general_peak(
-            schedule, grid_per_interval=grid_per_interval, stepup_fast_path=False
-        ).value
-    )
-    if step_up:
-        peaks["stepup"] = float(
-            stepup_peak_temperature(engine.model, schedule, check=False).value
-        )
-    samples_used: int | None = None
-    if reference:
-        samples_used = _reference_route(
-            engine, schedule, peaks, theta_max,
-            tolerance=tolerance,
-            reference_samples=reference_samples,
-            adaptive_reference=adaptive_reference,
-        )
-
-    return _assemble(
-        engine, schedule, theta_max, peaks,
+    claims = {
+        "theta_max": theta_max,
+        "claimed_peak": claimed_peak,
+        "claimed_feasible": claimed_feasible,
+        "claimed_throughput": claimed_throughput,
+    }
+    return certify_grid(
+        [(engine, schedule, claims)],
         tolerance=tolerance,
-        step_up=step_up,
-        claimed_feasible=claimed_feasible,
-        claimed_throughput=claimed_throughput,
-        reference_samples_used=samples_used,
-    )
+        grid_per_interval=grid_per_interval,
+        reference=reference,
+        reference_samples=reference_samples,
+        adaptive_reference=adaptive_reference,
+    )[0]
 
 
 def certify_grid(
@@ -364,29 +308,32 @@ def certify_grid(
 ) -> list[SafetyCertificate]:
     """Certify many ``(platform, schedule)`` pairs via the grid kernels.
 
-    Semantically identical to calling :func:`certify` per item — the same
-    route set, checks, and tolerances (both entry points assemble through
-    one shared helper) — but the analytic routes are evaluated for the
-    *whole* grid in one grid call each (one batch call per platform):
-    :func:`repro.thermal.grid.peak_temperature_grid` for the MatEx search
-    (step-up shortcut disabled, as in the scalar path) and
-    :func:`repro.thermal.grid.stepup_peak_temperature_grid` for the
-    Theorem-1 cross-check of the step-up rows.  The LSODA reference route
-    stays scalar (the ODE oracle is deliberately a different machine) but
-    inherits the adaptive density of :func:`certify`.
+    The primary route is the MatEx-style analytic extrema search with the
+    Theorem-1 step-up shortcut *disabled*
+    (:func:`repro.thermal.grid.peak_temperature_grid`) — the solvers lean
+    on that shortcut, so running the general search exercises a
+    genuinely different code path over the same stable status.  Step-up
+    rows add the Theorem-1 value as a second cross-check
+    (:func:`repro.thermal.grid.stepup_peak_temperature_grid`).  Each
+    route is one grid call for the whole list (one batch call per
+    platform).
+
+    ``reference=True`` additionally runs the LSODA ODE oracle
+    (:func:`repro.thermal.reference.reference_peak`) per row — it is
+    deliberately a different machine.  Its per-interval density is
+    subsampled adaptively by default: when the analytic routes put the
+    certified margin far from ``theta_max`` (``>= 8x`` / ``>= 2x`` the
+    tolerance) the oracle runs at a quarter / half of
+    ``reference_samples``, while tight calls keep the full budget.  Pass
+    ``adaptive_reference=False`` for the fixed-density audit behavior.
 
     Each item is ``(platform_or_engine, schedule)`` or
     ``(platform_or_engine, schedule, claims)`` where ``claims`` may carry
     ``theta_max``, ``claimed_peak``, ``claimed_feasible``, and
-    ``claimed_throughput`` — the same knobs as :func:`certify`.
+    ``claimed_throughput`` — the knobs of :func:`certify`.
 
     Returns one certificate per item, in order.
     """
-    from repro.thermal.grid import (
-        peak_temperature_grid,
-        stepup_peak_temperature_grid,
-    )
-
     prepared: list[tuple[ThermalEngine, PeriodicSchedule, dict[str, Any]]] = []
     for item in items:
         engine, schedule = item[0], item[1]
@@ -424,11 +371,18 @@ def certify_grid(
             peaks["stepup"] = stepup_peaks[i]
         samples_used: int | None = None
         if reference:
-            samples_used = _reference_route(
-                engine, schedule, peaks, theta_max,
-                tolerance=tolerance,
-                reference_samples=reference_samples,
-                adaptive_reference=adaptive_reference,
+            from repro.thermal.reference import reference_peak
+
+            samples_used = reference_samples
+            if adaptive_reference:
+                gap = abs(theta_max - max(peaks.values()))
+                samples_used = _reference_budget(
+                    gap, tolerance, reference_samples
+                )
+            peaks["reference"] = float(
+                reference_peak(
+                    engine.model, schedule, samples_per_interval=samples_used
+                )
             )
         certs.append(
             _assemble(

@@ -353,14 +353,10 @@ def perturbed_peak(
     Sensor faults do not apply — an offline schedule never reads a
     sensor (that immunity is the point).  A stuck DVFS mode rewrites the
     executed schedule; ambient drift raises the whole trace by its full
-    amount (worst case over the horizon).
+    amount (worst case over the horizon).  The one-row call of
+    :func:`perturbed_peak_batch`.
     """
-    engine = ThermalEngine.ensure(engine)
-    executed = stuck_schedule(schedule, engine.ladder, faults)
-    peak = engine.general_peak(
-        executed, grid_per_interval=grid_per_interval, stepup_fast_path=False
-    ).value
-    return float(peak + faults.ambient_drift_k)
+    return perturbed_peak_batch(engine, schedule, [faults], grid_per_interval)[0]
 
 
 def perturbed_peak_batch(
@@ -481,7 +477,8 @@ def stacked_perturbed_peak(
     TSV-derated model; each core's stable maximum is then offset by its
     layer's ambient gradient before taking the chip-wide worst case, and
     the uniform ambient drift tops it off.  With both 3D knobs at zero
-    this reduces exactly to :func:`perturbed_peak`.
+    this reduces to :func:`perturbed_peak` (to round-off: this is the
+    scalar kernel, that one the grid kernel).
     """
     from repro.thermal.peak import peak_temperature
 

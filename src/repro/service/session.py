@@ -40,23 +40,19 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.algorithms.registry import get_solver, guarded_solve
-from repro.api import EvaluationResult
-from repro.api import evaluate as api_evaluate
+from repro.api import evaluate_rows
 from repro.engine import EngineStats, ThermalEngine
-from repro.errors import InfeasibleError, SolverError
+from repro.errors import InfeasibleError
 from repro.obs import METRICS, span
 from repro.platform import Platform
 from repro.platforms import PlatformSpec
 from repro.safety.certificate import certify_grid
-from repro.schedule.properties import throughput as schedule_throughput
 from repro.schedule.serialization import result_from_dict, result_to_dict
 from repro.service.cache import (
     ScheduleCache,
     platform_hash,
     schedule_cache_key,
 )
-from repro.thermal.grid import peak_temperature_grid
-from repro.tolerances import within_threshold
 
 __all__ = [
     "SchedulerSession",
@@ -279,21 +275,17 @@ class SchedulerSession:
         """One guarded, certified, cached solve request.
 
         Unknown parameter names raise
-        :class:`~repro.errors.SolverError` *before* the guarded path —
-        a malformed request is a client error, not a solver failure to
-        degrade through the fallback chain.  ``margin_policy`` is part
+        :class:`~repro.errors.SolverError` before anything is counted
+        or cached (the :meth:`SolverSpec.check_params
+        <repro.algorithms.registry.SolverSpec.check_params>` that
+        ``guarded_solve`` runs too).  ``margin_policy`` is part
         of the cache key: a shrink-policy result is never served for a
         plain request or vice versa.  A caller who wants a fresh solve
         of a cached key uses a fresh session.
         """
         spec = solver if hasattr(solver, "params") else get_solver(str(solver))
         params = dict(params or {})
-        unknown = set(params) - set(spec.params)
-        if unknown:
-            raise SolverError(
-                f"solver {spec.name!r} does not accept "
-                f"{sorted(unknown)}; valid parameters: {sorted(spec.params)}"
-            )
+        spec.check_params(params)
 
         self.requests += 1
         self.solve_requests += 1
@@ -359,10 +351,9 @@ class SchedulerSession:
         METRICS.counter("service.requests").inc()
         engine = self.engine_for(platform)
         with span("service/evaluate", platform=self.platform_key(engine)[:8]):
-            return api_evaluate(
-                engine, schedule,
-                general=general, grid_per_interval=grid_per_interval,
-            )
+            return evaluate_rows(
+                [(engine, schedule)], general, grid_per_interval
+            )[0]
 
     def evaluate_many(
         self,
@@ -372,9 +363,9 @@ class SchedulerSession:
     ) -> list:
         """Price R ``(platform, schedule)`` rows in one grid-kernel call.
 
-        Matches :func:`repro.api.evaluate` per row to 1e-9 (the grid
-        kernels' committed parity bound); non-general rows fall back to
-        the scalar Theorem-1 route, which has no cross-platform kernel.
+        Each row equals :func:`repro.api.evaluate` of it alone when no
+        other row shares its platform (the grid kernels group rows by
+        model).
         """
         items = list(items)
         self.requests += len(items)
@@ -382,32 +373,9 @@ class SchedulerSession:
         METRICS.counter("service.requests").inc(len(items))
         if not items:
             return []
-        engines = [self.engine_for(p) for p, _ in items]
-        if not general:
-            return [
-                api_evaluate(e, s, general=False)
-                for e, (_, s) in zip(engines, items)
-            ]
-        kwargs: dict[str, Any] = {}
-        if grid_per_interval is not None:
-            kwargs["grid_per_interval"] = int(grid_per_interval)
+        rows = [(self.engine_for(p), s) for p, s in items]
         with span("service/evaluate_grid", rows=len(items)):
-            peaks = peak_temperature_grid(
-                [(e.model, s) for e, (_, s) in zip(engines, items)], **kwargs
-            )
-        out = []
-        for engine, (_, schedule), peak in zip(engines, items, peaks):
-            theta_max = engine.theta_max
-            out.append(
-                EvaluationResult(
-                    peak_theta=float(peak.value),
-                    theta_max=float(theta_max),
-                    feasible=bool(within_threshold(peak.value, theta_max)),
-                    throughput=float(schedule_throughput(schedule)),
-                    t_ambient_c=float(engine.model.t_ambient_c),
-                )
-            )
-        return out
+            return evaluate_rows(rows, general, grid_per_interval)
 
     def certify_schedule(
         self,

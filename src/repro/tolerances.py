@@ -33,6 +33,8 @@ PERIOD_RTOL = 1e-9
 #: V s.  Absolute slack on per-core work when comparing workloads.
 WORK_ATOL = 1e-12
 
+#: K.  Certificate routes this close agree (kernel round-off, not a disagreement).
+ROUTE_AGREEMENT = 1e-12
 #: A claimed throughput may exceed the raw one by this (overhead only subtracts).
 THROUGHPUT_SLACK = 1e-6
 #: K.  Smallest half-width of the threshold band EXS re-prices exactly.

@@ -32,9 +32,10 @@ import pytest
 from repro.algorithms.registry import get_solver, guarded_solve
 from repro.api import evaluate as api_evaluate, load_platform
 from repro.engine import ThermalEngine
-from repro.errors import InfeasibleError, SolverError
+from repro.errors import InfeasibleError, ScheduleError, SolverError
 from repro.platform import paper_platform
 from repro.power.heterogeneous import big_little_power_model
+from repro.schedule.periodic import PeriodicSchedule
 from repro.schedule.serialization import (
     result_to_dict,
     schedule_to_dict,
@@ -272,6 +273,36 @@ class TestSession:
         assert first.status == "infeasible" and first.result is None
         assert second.status == "infeasible" and second.cached
         assert second.detail == first.detail
+
+    def test_evaluate_many_stepup_rows(self, session):
+        schedules = [
+            session.solve(spec, "AO", {"m_cap": 8}).result.schedule
+            for spec in (SPEC2, SPEC3)
+        ]
+        rows = list(zip((SPEC2, SPEC3), schedules))
+        batched = session.evaluate_many(rows, general=False)
+        for (spec, schedule), ev in zip(rows, batched):
+            # One row per platform: the batch equals the one-row call.
+            assert ev == session.evaluate(spec, schedule, general=False)
+        down = PeriodicSchedule([0.01, 0.01], [[1.2, 1.2], [0.8, 0.8]])
+        with pytest.raises(ScheduleError, match="step-up"):
+            session.evaluate_many([(SPEC2, down)], general=False)
+
+    @pytest.mark.parametrize("platform", ["paper", "tech-16-io"])
+    @pytest.mark.parametrize("solver", ["AO", "PCO"])
+    def test_solve_certificate_is_the_certify_op(self, session, platform, solver):
+        """A solve's certificate and a certify request of its schedule
+        take one route path, so every route's peak is the same float."""
+        params = dict(get_solver(solver).quick)
+        result = session.solve(platform, solver, params).result
+        claims = {
+            "claimed_peak": result.peak_theta,
+            "claimed_feasible": result.feasible,
+            "claimed_throughput": result.throughput,
+        }
+        cert = session.certify_schedule(platform, result.schedule, claims)
+        assert cert.method_peaks == result.certificate.method_peaks
+        assert cert == result.certificate
 
     def test_unknown_param_raises_before_the_guarded_path(self, session):
         with pytest.raises(SolverError, match="does not accept"):
@@ -674,14 +705,15 @@ class TestDefaultSessionWiring:
     def test_api_evaluate_uses_the_shared_engine(self):
         from repro.service.session import default_session
 
-        schedule = default_session().solve(
-            SPEC2, "AO", {"m_cap": 8}
-        ).result.schedule
-        engine = default_session().engine_for(SPEC2)
-        mark = engine.checkpoint()
+        session = default_session()
+        schedule = session.solve(SPEC2, "AO", {"m_cap": 8}).result.schedule
+        built = session.engines_built
         api_evaluate(load_platform("paper", **SPEC2), schedule)
         # The evaluation ran on the session's engine, not a fresh one.
-        assert engine.stats_since(mark).peak_evals == 1
+        assert session.engines_built == built
+        # Physics the session has not seen becomes one session engine.
+        api_evaluate(load_platform("paper", **dict(SPEC2, t_max_c=60.0)), schedule)
+        assert session.engines_built == built + 1
 
     def test_cli_solve_serves_from_disk_cache(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
