@@ -17,13 +17,13 @@ import pytest
 from repro.api import evaluate as api_evaluate
 from repro.engine import ThermalEngine
 from repro.platform import paper_platform
-from repro.service import ScheduleCache, SchedulerSession, schedule_cache_key
+from repro.service import SchedulerSession, schedule_cache_key
 
 
 @pytest.fixture(scope="module")
 def warm_session():
     """A session with one solved (and therefore cached) AO request."""
-    session = SchedulerSession(cache=ScheduleCache(directory=None))
+    session = SchedulerSession()
     outcome = session.solve(
         {"n_cores": 2, "n_levels": 2, "t_max_c": 65.0}, "AO", {"m_cap": 8}
     )
@@ -58,7 +58,7 @@ def test_schedule_cache_key(benchmark, warm_session):
 @pytest.fixture(scope="module")
 def evaluation_rows():
     """Eight (platform spec, schedule) rows over two platforms."""
-    session = SchedulerSession(cache=ScheduleCache(directory=None))
+    session = SchedulerSession()
     rows = []
     for n in (2, 3):
         spec = {"n_cores": n, "n_levels": 2, "t_max_c": 65.0}
@@ -69,7 +69,7 @@ def evaluation_rows():
 
 def test_evaluate_many_grid(benchmark, evaluation_rows):
     """Coalesced evaluation: one grid-kernel call for all rows."""
-    session = SchedulerSession(cache=ScheduleCache(directory=None))
+    session = SchedulerSession()
 
     def run():
         return session.evaluate_many(evaluation_rows)

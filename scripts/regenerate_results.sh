@@ -4,6 +4,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 PY="${1:-python3}"
+# The checkout's own sources, whether or not the package is installed.
+export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
 mkdir -p results
 
 # repro <args...>: the repro CLI, with its exit status.

@@ -371,7 +371,6 @@ def guarded_solve(
     platform: Platform | ThermalEngine,
     *,
     certify_tolerance: float | None = None,
-    fallback_period: float = 0.02,
     margin_policy: str | None = None,
     **params,
 ) -> SchedulerResult:
@@ -416,12 +415,10 @@ def guarded_solve(
     spec.check_params(params)
     engine = ThermalEngine.ensure(platform)
     tolerance = DEFAULT_TOLERANCE if certify_tolerance is None else certify_tolerance
-    result = _guarded(spec, engine, tolerance, fallback_period, params)
+    result = _guarded(spec, engine, tolerance, params)
     if margin_policy != "shrink":
         return result
-    return _apply_margin_policy(
-        spec, engine, result, tolerance, fallback_period, params
-    )
+    return _apply_margin_policy(spec, engine, result, tolerance, params)
 
 
 def _apply_margin_policy(
@@ -429,7 +426,6 @@ def _apply_margin_policy(
     engine: ThermalEngine,
     result: SchedulerResult,
     tolerance: float,
-    fallback_period: float,
     params: Mapping,
 ) -> SchedulerResult:
     """The ``"shrink"`` margin policy: distrust margins when ill-conditioned.
@@ -467,9 +463,7 @@ def _apply_margin_policy(
     with span("safety/margin_policy", solver=spec.name, shrink=disagreement):
         METRICS.counter("safety.margin_policy").inc()
         try:
-            tightened = _guarded(
-                spec, shrunk_engine, tolerance, fallback_period, params
-            )
+            tightened = _guarded(spec, shrunk_engine, tolerance, params)
         except InfeasibleError:
             record["reason"] = "tightened solve infeasible"
             return replace(
@@ -501,7 +495,6 @@ def _guarded(
     spec: SolverSpec,
     engine: ThermalEngine,
     tolerance: float,
-    fallback_period: float,
     params: Mapping,
 ) -> SchedulerResult:
     """The certificate-gated solve with fallback degradation."""
@@ -524,7 +517,7 @@ def _guarded(
         METRICS.counter("safety.fallback").inc()
         with span("safety/fallback", solver=spec.name, hop=hop, failure=failure):
             try:
-                degraded = fallback.run_fallback_hop(hop, engine, period=fallback_period)
+                degraded = fallback.run_fallback_hop(hop, engine)
             except _DEGRADABLE as exc:
                 hop_failures[hop] = f"{type(exc).__name__}: {exc}"
                 continue

@@ -10,7 +10,6 @@
     repro certify [solvers...] [--quick] [-o key=value] [--tolerance K]
                   [--reference] [--faults key=value]
     repro serve [--host H] [--port P | --stdio] [--run-dir DIR]
-                [--max-batch N]
     repro stats <run-dir>
     repro list [experiments|solvers|platforms]
 
@@ -263,15 +262,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
+    # Runner summaries and the wall clock go to stderr, so the stdout of
+    # a plain run is the experiment's output alone (results/<exp>.txt).
     reports = _collect_reports(result)
     for report in reports:
-        print(report.summary())
+        print(report.summary(), file=sys.stderr)
 
     if trace_sink is not None:
         n_unit_spans = _close_trace(trace_sink, reports)
         print(f"[trace written to {args.trace} ({n_unit_spans} per-unit spans)]")
 
-    print(f"\n[{args.experiment} finished in {elapsed:.1f} s]")
+    print(f"\n[{args.experiment} finished in {elapsed:.1f} s]", file=sys.stderr)
     if any(report.failures for report in reports):
         print(
             "[sweep completed with failed units — see error rows above]",
@@ -557,7 +558,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         run_dir=args.run_dir,
-        max_batch=args.max_batch,
     )
     if args.stdio:
         asyncio.run(server.serve_stdio())
@@ -767,13 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--run-dir",
         metavar="DIR",
         help="journal served requests into DIR (readable by 'repro stats')",
-    )
-    p_serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=256,
-        metavar="N",
-        help="largest coalesced batch drained in one pass (default 256)",
     )
     p_serve.set_defaults(func=_cmd_serve)
 

@@ -240,9 +240,9 @@ class EngineStats:
         """Rebuild stats from :meth:`as_dict` output.
 
         Unknown keys are ignored: derived ones (``cache_hit_rate``) and
-        counters of older journal rows and cache documents
-        (``expm_cache_hits``, ``max_batch``), so
-        ``--resume`` and ``repro stats`` keep reading them.
+        the retired expm-cache and largest-batch counters of older
+        journal rows, so ``--resume`` and ``repro stats`` keep reading
+        them.
         """
         return cls(
             steady_state_solves=int(data.get("steady_state_solves", 0)),

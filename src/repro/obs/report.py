@@ -145,14 +145,11 @@ class RunDirSummary:
             session = self.service.get("session") or {}
             cache = session.get("cache") or {}
             coalescer = self.service.get("coalescer") or {}
-            hits = int(cache.get("memory_hits", 0)) + int(
-                cache.get("disk_hits", 0)
-            )
             lines.append(
                 f"  service: {self.service.get('served', 0)} request(s) "
                 f"served, {self.service.get('failed', 0)} failed, "
                 f"{session.get('engines_built', 0)} engine(s) built; "
-                f"schedule cache {hits} hit(s), "
+                f"schedule cache {cache.get('memory_hits', 0)} hit(s), "
                 f"{cache.get('misses', 0)} miss(es)"
             )
             lines.append(

@@ -38,15 +38,18 @@ from repro.errors import SolverError
 from repro.schedule.builders import constant_schedule
 from repro.tolerances import within_threshold
 
-__all__ = ["FALLBACK_CHAIN", "run_fallback_hop"]
+__all__ = ["FALLBACK_CHAIN", "FALLBACK_PERIOD", "run_fallback_hop"]
+
+#: Period (s) of every degraded schedule the chain builds.
+FALLBACK_PERIOD = 0.02
 
 
-def _neighbor_rounding(engine: ThermalEngine, period: float) -> SchedulerResult:
-    return replace(lns(engine, period=period), name="neighbor_rounding")
+def _neighbor_rounding(engine: ThermalEngine) -> SchedulerResult:
+    return replace(lns(engine, period=FALLBACK_PERIOD), name="neighbor_rounding")
 
 
 @engine_entrypoint("best_constant")
-def _best_constant(engine: ThermalEngine, period: float) -> SchedulerResult:
+def _best_constant(engine: ThermalEngine) -> SchedulerResult:
     cont = continuous_assignment(engine.platform)
     plan = plan_modes(engine.platform, cont.voltages)
     volts = best_constant_above(engine.platform, plan, incumbent_sum=-1.0)
@@ -55,7 +58,7 @@ def _best_constant(engine: ThermalEngine, period: float) -> SchedulerResult:
     peak = float(engine.steady_state_cores(volts).max())
     return SchedulerResult(
         name="best_constant",
-        schedule=constant_schedule(volts, period=period),
+        schedule=constant_schedule(volts, period=FALLBACK_PERIOD),
         throughput=float(np.mean(volts)),
         peak_theta=peak,
         feasible=bool(within_threshold(peak, engine.theta_max)),
@@ -64,12 +67,12 @@ def _best_constant(engine: ThermalEngine, period: float) -> SchedulerResult:
 
 
 @engine_entrypoint("lowest_mode")
-def _lowest_mode(engine: ThermalEngine, period: float) -> SchedulerResult:
+def _lowest_mode(engine: ThermalEngine) -> SchedulerResult:
     volts = np.full(engine.n_cores, engine.ladder.v_min)
     peak = float(engine.steady_state_cores(volts).max())
     return SchedulerResult(
         name="lowest_mode",
-        schedule=constant_schedule(volts, period=period),
+        schedule=constant_schedule(volts, period=FALLBACK_PERIOD),
         throughput=float(np.mean(volts)),
         peak_theta=peak,
         feasible=bool(within_threshold(peak, engine.theta_max)),
@@ -79,16 +82,14 @@ def _lowest_mode(engine: ThermalEngine, period: float) -> SchedulerResult:
 
 #: Degradation order: hop name -> builder.  Walked front to back; the
 #: last hop never raises.
-FALLBACK_CHAIN: dict[str, Callable[[ThermalEngine, float], SchedulerResult]] = {
+FALLBACK_CHAIN: dict[str, Callable[[ThermalEngine], SchedulerResult]] = {
     "neighbor_rounding": _neighbor_rounding,
     "best_constant": _best_constant,
     "lowest_mode": _lowest_mode,
 }
 
 
-def run_fallback_hop(
-    hop: str, engine: ThermalEngine, period: float = 0.02
-) -> SchedulerResult:
+def run_fallback_hop(hop: str, engine: ThermalEngine) -> SchedulerResult:
     """Build the degraded schedule for one named hop."""
     try:
         builder = FALLBACK_CHAIN[hop]
@@ -96,4 +97,4 @@ def run_fallback_hop(
         raise SolverError(
             f"unknown fallback hop {hop!r}; chain: {list(FALLBACK_CHAIN)}"
         ) from None
-    return builder(engine, period)
+    return builder(engine)

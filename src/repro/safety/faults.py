@@ -8,7 +8,7 @@ dropout, a stuck DVFS mode, ambient drift — that
 :func:`repro.algorithms.reactive.reactive_throttling` injects into its
 sensing/actuation loop and :func:`repro.sim.engine.cosimulate` applies
 to its power timeline, quantifying how much margin a certified schedule
-retains when the environment misbehaves.
+retains when sensors, actuators or the ambient misbehave.
 
 The punchline the ``faults`` experiment demonstrates: an *offline*
 certificate (AO's) is immune to sensor faults — the schedule never reads

@@ -121,6 +121,21 @@ def _jsonable(value):
     return value
 
 
+def _fresh(value):
+    """Copy of a JSON-native dict or list whose every container is new.
+
+    Decoded results own their details: two decodes of one stored
+    document (cache hits of one key, a journal row read twice) must not
+    share a nested list that one caller may append to.
+    """
+    if type(value) is dict:
+        return {
+            k: _fresh(v) if type(v) in (dict, list) else v
+            for k, v in value.items()
+        }
+    return [_fresh(v) if type(v) in (dict, list) else v for v in value]
+
+
 def result_to_dict(result: SchedulerResult) -> dict[str, Any]:
     """Plain-dict form of a scheduler result (schedule + metrics + details).
 
@@ -175,7 +190,7 @@ def result_from_dict(data: dict[str, Any]) -> SchedulerResult:
             peak_theta=float(data["peak_theta"]),
             feasible=bool(data["feasible"]),
             runtime_s=float(data.get("runtime_s", 0.0)),
-            details=dict(data.get("details") or {}),
+            details=_fresh(dict(data.get("details") or {})),
             stats=EngineStats.from_dict(stats_doc) if stats_doc else None,
             certificate=(
                 SafetyCertificate.from_dict(cert_doc) if cert_doc else None

@@ -5,7 +5,7 @@ for, extracted so every consumer shares one machinery:
 
 * :class:`~repro.service.session.SchedulerSession` — one
   :class:`~repro.engine.ThermalEngine` per platform content hash
-  (LRU-bounded), a content-addressed
+  (LRU-bounded), an in-process, content-addressed
   :class:`~repro.service.cache.ScheduleCache`, and per-request stats
   attribution; its only solve path is
   :func:`~repro.algorithms.registry.guarded_solve`.
@@ -18,9 +18,8 @@ for, extracted so every consumer shares one machinery:
   ``repro stats``.
 
 In-process consumers go through
-:func:`~repro.service.session.default_session`; the refactored
-``repro.api.evaluate``, CLI solve/certify and the sharded runner (in
-process and in its workers) all do.
+:func:`~repro.service.session.default_session`: ``repro.api.evaluate``,
+CLI solve/certify, and the runner's units for their engines.
 """
 
 from repro import _lazy_exports

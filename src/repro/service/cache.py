@@ -4,16 +4,9 @@ The serving layer answers the same question over and over — *what
 schedule should this platform run?* — and the answer is fully determined
 by the platform's thermal/power content, the solver, and its parameters.
 This module memoizes :func:`~repro.algorithms.registry.guarded_solve`
-outcomes behind a content hash, in two layers:
-
-* an **in-process LRU** of :data:`MEMORY_SIZE` entries — hits are dict
-  lookups, and worker processes forked from a warm parent inherit it;
-* an **opt-in on-disk directory** — one JSON document per key, written
-  atomically (temp file + ``os.replace``) so concurrent sessions and
-  sharded-runner workers deduplicate solves across process boundaries.
-  The values are *results*, so the layer is opt-in
-  (``REPRO_SCHEDULE_CACHE_DIR``) and every document embeds its key and
-  format version — a stale or foreign file degrades to a miss.
+outcomes behind a content hash, in one in-process LRU of
+:data:`MEMORY_SIZE` entries per :class:`~repro.service.session.SchedulerSession`;
+a hit is a dict lookup.
 
 Keys are built from :func:`platform_hash` — a sha256 over the thermal
 system matrix, heat-capacity diagonal, core-node map, power-model type
@@ -23,9 +16,6 @@ name, its canonicalized parameters and the certification tolerance via
 the :func:`~repro.util.canonical.canonical_json` discipline.  Two
 platforms share entries only when their physics is bitwise identical.
 
-Configuration (environment): ``REPRO_SCHEDULE_CACHE_DIR`` enables the
-shared disk layer rooted at the given directory.
-
 Hits, misses and writes are counted in :data:`repro.obs.METRICS` under
 ``service.cache_*`` and per-instance (:meth:`ScheduleCache.stats`), from
 where ``repro stats`` and the server's ``stats`` op surface them.
@@ -34,11 +24,7 @@ where ``repro stats`` and the server's ``stats`` op surface them.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import tempfile
 from collections import OrderedDict
-from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
@@ -47,18 +33,7 @@ from repro.obs import METRICS
 from repro.platform import Platform
 from repro.util.canonical import canonical_json
 
-__all__ = [
-    "CACHE_FORMAT",
-    "ScheduleCache",
-    "platform_hash",
-    "schedule_cache_key",
-    "schedule_cache_dir",
-]
-
-#: Version stamp baked into every key and disk document.  Bump it when
-#: the solve path changes in a way that invalidates cached outcomes
-#: (solver semantics, certificate checks, result wire format).
-CACHE_FORMAT = 1
+__all__ = ["ScheduleCache", "platform_hash", "schedule_cache_key"]
 
 #: Bound on the in-process layer (least-recently-used entry evicted).
 #: Outcome documents are small (a schedule plus a certificate), so this
@@ -149,7 +124,6 @@ def schedule_cache_key(
     and ``"off"`` hash identically (they request the same solve).
     """
     doc = {
-        "format": CACHE_FORMAT,
         "platform": str(platform_key),
         "solver": str(solver),
         "params": _canonical_value(dict(params or {})),
@@ -160,43 +134,33 @@ def schedule_cache_key(
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()[:32]
 
 
-def schedule_cache_dir() -> Path | None:
-    """The shared disk directory, or ``None`` (the layer is opt-in)."""
-    override = os.environ.get("REPRO_SCHEDULE_CACHE_DIR", "").strip()
-    if override:
-        return Path(override)
-    return None
-
-
 class ScheduleCache:
-    """Two-layer (memory LRU + optional atomic disk) outcome cache.
+    """Bounded in-memory LRU of solve-outcome documents."""
 
-    Parameters
-    ----------
-    directory:
-        Disk-layer root.  A path pins it explicitly; ``None`` (default)
-        reads ``REPRO_SCHEDULE_CACHE_DIR`` at construction time, and with
-        that variable unset the cache is memory-only.
-    """
-
-    def __init__(self, directory: str | os.PathLike | None = None) -> None:
-        self.directory = (
-            Path(directory) if directory is not None else schedule_cache_dir()
-        )
+    def __init__(self) -> None:
         self._memory: OrderedDict[str, dict[str, Any]] = OrderedDict()
         self.memory_hits = 0
-        self.disk_hits = 0
         self.misses = 0
         self.writes = 0
 
     def __len__(self) -> int:
         return len(self._memory)
 
-    def clear_memory(self) -> None:
-        """Drop the in-process layer (tests; the disk layer is content-keyed)."""
-        self._memory.clear()
+    def get(self, key: str) -> dict[str, Any] | None:
+        """Look one outcome document up."""
+        doc = self._memory.get(key)
+        if doc is None:
+            self.misses += 1
+            METRICS.counter("service.cache_misses").inc()
+            return None
+        self._memory.move_to_end(key)
+        self.memory_hits += 1
+        return doc
 
-    def _remember(self, key: str, doc: dict[str, Any]) -> None:
+    def put(self, key: str, doc: dict[str, Any]) -> None:
+        """Store one outcome document, evicting the least recently used."""
+        self.writes += 1
+        METRICS.counter("service.cache_writes").inc()
         if key in self._memory:
             self._memory.move_to_end(key)
             return
@@ -204,90 +168,13 @@ class ScheduleCache:
             self._memory.popitem(last=False)
         self._memory[key] = doc
 
-    def _disk_path(self, key: str) -> Path | None:
-        if self.directory is None:
-            return None
-        return self.directory / f"{key}.json"
-
-    def _load_disk(self, key: str) -> dict[str, Any] | None:
-        """Load one disk document, verifying key and format.
-
-        Any failure — missing file, torn write from a dead process, a
-        key or format mismatch — degrades to a miss, never an error.
-        """
-        path = self._disk_path(key)
-        if path is None:
-            return None
-        try:
-            wrapper = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if (
-            not isinstance(wrapper, dict)
-            or wrapper.get("format") != CACHE_FORMAT
-            or wrapper.get("key") != key
-            or not isinstance(wrapper.get("outcome"), dict)
-        ):
-            return None
-        return wrapper["outcome"]
-
-    def _store_disk(self, key: str, doc: dict[str, Any]) -> None:
-        """Atomic write: temp file in the same directory, then ``os.replace``."""
-        path = self._disk_path(key)
-        if path is None:
-            return
-        wrapper = {"format": CACHE_FORMAT, "key": key, "outcome": doc}
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=str(path.parent), prefix=key, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(wrapper, fh, sort_keys=True)
-                os.replace(tmp, path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
-        except OSError:
-            # A read-only or full cache directory must never fail a solve.
-            METRICS.counter("service.cache_disk_write_errors").inc()
-
-    def get(self, key: str) -> dict[str, Any] | None:
-        """Look one outcome document up (memory first, then disk)."""
-        doc = self._memory.get(key)
-        if doc is not None:
-            self._memory.move_to_end(key)
-            self.memory_hits += 1
-            METRICS.counter("service.cache_memory_hits").inc()
-            return doc
-        doc = self._load_disk(key)
-        if doc is not None:
-            self.disk_hits += 1
-            METRICS.counter("service.cache_disk_hits").inc()
-            self._remember(key, doc)
-            return doc
-        self.misses += 1
-        METRICS.counter("service.cache_misses").inc()
-        return None
-
-    def put(self, key: str, doc: dict[str, Any]) -> None:
-        """Store one outcome document in both layers."""
-        self.writes += 1
-        METRICS.counter("service.cache_writes").inc()
-        self._remember(key, doc)
-        self._store_disk(key, doc)
-
     def stats(self) -> dict[str, Any]:
         """Per-instance counters (the ``stats`` server op embeds them)."""
-        hits = self.memory_hits + self.disk_hits
-        total = hits + self.misses
+        total = self.memory_hits + self.misses
         return {
             "entries": len(self._memory),
             "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
             "misses": self.misses,
             "writes": self.writes,
-            "hit_rate": hits / total if total else 0.0,
-            "directory": str(self.directory) if self.directory else None,
+            "hit_rate": self.memory_hits / total if total else 0.0,
         }

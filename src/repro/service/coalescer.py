@@ -44,6 +44,9 @@ from repro.service.session import SchedulerSession
 
 __all__ = ["RequestCoalescer"]
 
+#: Largest group drained in one pass; the rest of the queue carries over.
+MAX_BATCH = 256
+
 
 def _error_doc(exc: BaseException) -> dict[str, Any]:
     return {
@@ -53,21 +56,10 @@ def _error_doc(exc: BaseException) -> dict[str, Any]:
 
 
 class RequestCoalescer:
-    """Batch concurrent solve/evaluate/certify requests for one session.
+    """Batch concurrent solve/evaluate/certify requests for one session."""
 
-    Parameters
-    ----------
-    session:
-        The :class:`SchedulerSession` executing the work.
-    max_batch:
-        Largest group drained in one pass; the queue carries over.
-    """
-
-    def __init__(
-        self, session: SchedulerSession | None = None, max_batch: int = 256
-    ) -> None:
-        self.session = session if session is not None else SchedulerSession()
-        self.max_batch = int(max_batch)
+    def __init__(self, session: SchedulerSession) -> None:
+        self.session = session
         self._queue: list[tuple[dict[str, Any], asyncio.Future]] = []
         self._drain_task: asyncio.Task | None = None
         self.batches = 0
@@ -95,7 +87,7 @@ class RequestCoalescer:
             # One tick lets every already-scheduled submit enqueue, so
             # a gather() of N requests drains as one batch.
             await asyncio.sleep(0)
-            batch = self._queue[: self.max_batch]
+            batch = self._queue[:MAX_BATCH]
             del self._queue[: len(batch)]
             self.batches += 1
             self._execute(batch)

@@ -57,10 +57,9 @@ class ScheduleServer:
         host: str = "127.0.0.1",
         port: int = 0,
         run_dir: str | Path | None = None,
-        max_batch: int = 256,
     ) -> None:
         self.session = session if session is not None else SchedulerSession()
-        self.coalescer = RequestCoalescer(self.session, max_batch=max_batch)
+        self.coalescer = RequestCoalescer(self.session)
         self.host = host
         self.port = int(port)
         self.run_dir = Path(run_dir) if run_dir is not None else None

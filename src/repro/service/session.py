@@ -7,9 +7,10 @@ A :class:`SchedulerSession` is the long-lived object the serving layer
   LRU-bounded (:data:`MAX_ENGINES`), so repeated requests for the same
   physics share the model's steady-state and eigenbasis caches instead
   of rebuilding them per call;
-* a content-addressed :class:`~repro.service.cache.ScheduleCache`
-  mapping ``(platform, solver, params, tolerance)`` to finished solve
-  outcomes — a warm repeat request never touches the solver at all;
+* an in-process, content-addressed
+  :class:`~repro.service.cache.ScheduleCache` mapping
+  ``(platform, solver, params, tolerance)`` to finished solve outcomes —
+  a warm repeat request never touches the solver at all;
 * per-request stats attribution: every solve checkpoints its engine
   first (:meth:`~repro.engine.ThermalEngine.checkpoint` /
   ``stats_since``), so coalesced requests sharing one engine never
@@ -20,14 +21,15 @@ The session's **only** solve entry point is
 it either carries an accepted
 :class:`~repro.safety.certificate.SafetyCertificate` or an explicit
 fallback record in ``result.details["fallback"]`` (or is an honest
-``"infeasible"``).  Cached outcomes are the journaled wire documents of
-the original solve, certificate included.
+``"infeasible"``).  Cached outcomes are the wire documents of the
+original solve, certificate included; each hit decodes its own copy.
 
-:func:`default_session` is the process-wide singleton the refactored
-layers (``repro.api.evaluate``, the CLI, the sharded runner in process
-and in its workers) share; it is rebuilt per process so forked
-workers get their own engine LRU while still inheriting the warm
-in-process eigenbasis cache.
+:func:`default_session` is the process-wide singleton shared by
+``repro.api.evaluate``, the CLI's solve and certify commands and the
+runner's units (which borrow its engines; sweeps solve through
+``guarded_solve`` directly, not through the schedule cache).  It is
+rebuilt per process, so forked workers get their own engine LRU while
+still inheriting the warm in-process eigenbasis cache.
 """
 
 from __future__ import annotations
@@ -154,18 +156,10 @@ def _outcome_from_value(
 
 
 class SchedulerSession:
-    """Long-lived service core owning engines and the schedule cache.
+    """Long-lived service core owning engines and the schedule cache."""
 
-    Parameters
-    ----------
-    cache:
-        Inject a :class:`ScheduleCache` (tests, custom disk roots);
-        defaults to a fresh one resolving its disk layer from the
-        environment.
-    """
-
-    def __init__(self, cache: ScheduleCache | None = None) -> None:
-        self.cache = cache if cache is not None else ScheduleCache()
+    def __init__(self) -> None:
+        self.cache = ScheduleCache()
         self._engines: OrderedDict[str, ThermalEngine] = OrderedDict()
         self._spec_memo: OrderedDict[str, str] = OrderedDict()
         self.requests = 0

@@ -68,9 +68,10 @@ class TestMain:
 
     def test_quick_fig2(self, capsys):
         assert main(["run", "fig2", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "Fig. 2" in out
-        assert "finished in" in out
+        captured = capsys.readouterr()
+        assert "Fig. 2" in captured.out
+        assert "finished in" in captured.err
+        assert "finished in" not in captured.out
 
     def test_run_subcommand(self, capsys):
         assert main(["run", "table2", "--quick"]) == 0

@@ -17,6 +17,7 @@ carries exactly those counters.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -77,22 +78,20 @@ def test_guarded_solve_certifies_or_falls_back(name, guarded_results):
 
 @pytest.mark.parametrize("name", ALL_SOLVERS)
 def test_outcome_round_trips_through_schedule_cache(
-    name, guarded_results, platform3, tmp_path
+    name, guarded_results, platform3
 ):
     """(c) The solve outcome survives the cache's key + wire format:
-    store the serialized result under its content key, reload through a
-    *fresh* cache instance (disk layer only), and compare."""
+    store the serialized result, passed through JSON text, under its
+    content key, read it back from the cache, and compare."""
     result = guarded_results[name]
     key = schedule_cache_key(
         platform_hash(platform3), name, cheap_params(name), 1e-3
     )
 
-    writer = ScheduleCache(directory=tmp_path)
-    writer.put(key, {"result": result_to_dict(result)})
-
-    reader = ScheduleCache(directory=tmp_path)
-    doc = reader.get(key)
-    assert doc is not None and reader.disk_hits == 1
+    cache = ScheduleCache()
+    cache.put(key, json.loads(json.dumps({"result": result_to_dict(result)})))
+    doc = cache.get(key)
+    assert doc is not None and cache.memory_hits == 1
 
     restored = result_from_dict(doc["result"])
     assert restored.name == result.name

@@ -506,7 +506,8 @@ class TestKillAndResumeCLI:
             cwd=REPO_ROOT, env=env, capture_output=True, timeout=300,
         )
         assert proc.returncode == 3
-        assert b"FAILED" in proc.stdout
+        # The runner summary, error rows included, goes to stderr.
+        assert b"FAILED" in proc.stderr
         rows = Journal.load(tmp_path / "run" / "journal.jsonl")
         assert all(r["status"] == "error" for r in rows.values())
 

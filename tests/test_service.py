@@ -4,8 +4,8 @@ The service contract under test:
 
 * the content-addressed schedule cache keys on the platform's *physics*
   plus the full solver request — keys are stable across process
-  restarts, any parameter or tolerance change invalidates, and the
-  opt-in disk layer survives concurrent writers without torn documents;
+  restarts, any parameter or tolerance change invalidates, and every
+  hit decodes a result of its own;
 * cached and coalesced results are **identical** to direct
   :func:`~repro.algorithms.registry.guarded_solve` calls (the
   acceptance bound is 1e-9; the deterministic fields match exactly),
@@ -24,7 +24,6 @@ import dataclasses
 import json
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -80,8 +79,8 @@ def _direct_solve_doc(spec_dict: dict, solver: str, params: dict) -> dict:
 
 @pytest.fixture()
 def session() -> SchedulerSession:
-    """A fresh session with a memory-only cache (no disk, no globals)."""
-    return SchedulerSession(cache=ScheduleCache(directory=None))
+    """A fresh session (no process-wide state)."""
+    return SchedulerSession()
 
 
 @pytest.fixture(autouse=True)
@@ -130,8 +129,8 @@ class TestScheduleCacheKey:
 
     def test_margin_policy_in_key(self):
         """``"shrink"`` results must not collide with plain solves, while
-        the no-op spellings (None / "off") keep their pre-policy keys —
-        existing on-disk caches stay valid."""
+        the no-op spellings (None / "off") request the same solve and
+        share its key."""
         phash = platform_hash(load_platform("paper", **SPEC2))
         base = schedule_cache_key(phash, "AO", {"m_cap": 8}, 0.05)
         off = schedule_cache_key(
@@ -147,8 +146,8 @@ class TestScheduleCacheKey:
         assert shrink != base
 
     def test_key_stable_across_process_restart(self):
-        """The on-disk layer is only sound if a new process derives the
-        same keys — sha256 over canonical JSON, no per-process salt."""
+        """A new process derives the same keys — sha256 over canonical
+        JSON, no per-process salt."""
         spec_json = json.dumps(SPEC2)
         code = (
             "import json, sys\n"
@@ -176,59 +175,21 @@ class TestScheduleCache:
     DOC = {"status": "ok", "result": None, "detail": "d"}
 
     def test_memory_roundtrip_and_counters(self):
-        cache = ScheduleCache(directory=None)
+        cache = ScheduleCache()
         assert cache.get("k" * 32) is None
         cache.put("k" * 32, dict(self.DOC))
         assert cache.get("k" * 32) == self.DOC
         stats = cache.stats()
         assert stats["memory_hits"] == 1 and stats["misses"] == 1
-        assert stats["writes"] == 1 and stats["directory"] is None
+        assert stats["writes"] == 1 and stats["hit_rate"] == 0.5
 
     def test_memory_lru_bound(self, monkeypatch):
         monkeypatch.setattr(service_cache, "MEMORY_SIZE", 2)
-        cache = ScheduleCache(directory=None)
+        cache = ScheduleCache()
         for i in range(4):
             cache.put(f"key{i}", dict(self.DOC, detail=str(i)))
         assert len(cache) == 2
         assert cache.get("key0") is None and cache.get("key3") is not None
-
-    def test_disk_roundtrip_across_instances(self, tmp_path):
-        first = ScheduleCache(directory=tmp_path)
-        first.put("a" * 32, dict(self.DOC))
-        second = ScheduleCache(directory=tmp_path)
-        assert second.get("a" * 32) == self.DOC
-        assert second.stats()["disk_hits"] == 1
-        # Promoted to memory: the next hit never touches the disk.
-        assert second.get("a" * 32) == self.DOC
-        assert second.stats()["memory_hits"] == 1
-
-    def test_foreign_or_torn_documents_degrade_to_miss(self, tmp_path):
-        cache = ScheduleCache(directory=tmp_path)
-        (tmp_path / ("b" * 32 + ".json")).write_text("{torn")
-        assert cache.get("b" * 32) is None
-        (tmp_path / ("c" * 32 + ".json")).write_text(
-            json.dumps({"format": 999, "key": "c" * 32, "outcome": self.DOC})
-        )
-        assert cache.get("c" * 32) is None
-        (tmp_path / ("d" * 32 + ".json")).write_text(
-            json.dumps({"format": 1, "key": "WRONG", "outcome": self.DOC})
-        )
-        assert cache.get("d" * 32) is None
-
-    def test_concurrent_writers_never_tear(self, tmp_path):
-        """Many writers on one key: the winner's document is intact."""
-        key = "e" * 32
-        docs = [dict(self.DOC, detail=f"writer-{i}") for i in range(64)]
-
-        def write(doc):
-            ScheduleCache(directory=tmp_path).put(key, doc)
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            list(pool.map(write, docs))
-        final = ScheduleCache(directory=tmp_path).get(key)
-        assert final in docs
-        leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
-        assert leftovers == []
 
 
 class TestSession:
@@ -260,6 +221,27 @@ class TestSession:
                 second.result.details["trace"]["levels"]
                 == first.result.details["trace"].levels.tolist()
             )
+
+    @pytest.mark.parametrize(
+        "solver, params", [("integral", {"horizon": 0.02}), ("AO", {"m_cap": 8})]
+    )
+    def test_cache_hits_do_not_share_details(self, session, solver, params):
+        """Each hit decodes its own details: mutating one hit's nested
+        lists leaves the next hit of the same key untouched."""
+        session.solve(SPEC2, solver, params)
+        first = session.solve(SPEC2, solver, params).result.details
+        second = session.solve(SPEC2, solver, params).result.details
+        for key, value in first.items():
+            if isinstance(value, (dict, list)):
+                assert value is not second[key], key
+        if solver == "integral":
+            levels = first["trace"]["levels"]
+            n_levels = len(levels)
+            levels.append("corrupt")
+            first["gains"].append("corrupt")
+            third = session.solve(SPEC2, solver, params).result.details
+            assert len(third["trace"]["levels"]) == n_levels
+            assert "corrupt" not in third["gains"]
 
     def test_param_change_misses_the_cache(self, session):
         session.solve(SPEC2, "AO", {"m_cap": 8})
@@ -313,7 +295,7 @@ class TestSession:
 
     def test_engine_lru_is_bounded(self, monkeypatch):
         monkeypatch.setattr(service_session, "MAX_ENGINES", 2)
-        session = SchedulerSession(cache=ScheduleCache(directory=None))
+        session = SchedulerSession()
         for n in (2, 3, 6):
             session.engine_for({"n_cores": n, "n_levels": 2, "t_max_c": 65.0})
         assert session.n_engines == 2
@@ -715,17 +697,16 @@ class TestDefaultSessionWiring:
         api_evaluate(load_platform("paper", **dict(SPEC2, t_max_c=60.0)), schedule)
         assert session.engines_built == built + 1
 
-    def test_cli_solve_serves_from_disk_cache(self, tmp_path, capsys, monkeypatch):
+    def test_cli_solve_repeat_is_served_from_cache(self, capsys):
         from repro.cli import main
 
-        monkeypatch.setenv("REPRO_SCHEDULE_CACHE_DIR", str(tmp_path))
-        reset_default_session()
         argv = ["solve", "AO", "-o", "n_cores=2", "-o", "m_cap=8"]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert "engine stats:" in first
-        # A fresh session (new process in real life) hits the disk layer.
-        reset_default_session()
+        assert "[served from schedule cache" not in first
+        # The same process repeats the request: the default session's
+        # schedule cache answers it.
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert "[served from schedule cache" in second
