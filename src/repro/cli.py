@@ -159,12 +159,13 @@ def _runner_kwargs(args: argparse.Namespace) -> dict:
 
 
 def _collect_reports(result) -> list:
-    """Find the sharded-runner report(s) attached to an experiment result."""
-    grids = []
-    if getattr(result, "grid", None) is not None:
-        grids.append(result.grid)
-    grids.extend(getattr(result, "grids", ()))
-    return [g.report for g in grids if getattr(g, "report", None) is not None]
+    """Find the sharded-runner report(s) attached to an experiment result.
+
+    A report hangs off the result itself (``control``, ``realtime``,
+    ``scaling``) or off its comparison grid(s).
+    """
+    holders = [result, getattr(result, "grid", None), *getattr(result, "grids", ())]
+    return [h.report for h in holders if getattr(h, "report", None) is not None]
 
 
 def _open_trace(path: str):

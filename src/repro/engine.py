@@ -23,10 +23,12 @@ does) shares the model's caches between them, and
 attribute the counters to each run separately.
 
 Instrumentation is layered on :mod:`repro.obs`: :meth:`ThermalEngine.phase`
-opens a tracing span per named solver phase (and keeps feeding the
-``phase_seconds`` counters of :class:`EngineStats` for backward
-compatibility), and :func:`engine_entrypoint` wraps every solver run in
-a ``solve/<name>`` root span carrying the run's thermal-work attributes.
+opens a tracing span per named solver phase (and adds its wall time to
+the ``phase_seconds`` of :class:`EngineStats`), and
+:func:`engine_entrypoint` wraps every solver run in a ``solve/<name>``
+root span carrying the run's thermal-work attributes.  :data:`COUNTERS`
+is the one list of those counters: the stats fields, their journal keys
+and their span attributes (:meth:`EngineStats.span_attrs`) all follow it.
 """
 
 from __future__ import annotations
@@ -56,6 +58,20 @@ __all__ = [
 
 #: Values :meth:`ThermalEngine.memo` keeps per engine (oldest dropped first).
 MEMO_SIZE = 4
+
+#: The integer counters of :class:`EngineStats` in journal order, each with
+#: the root-span attribute it fills (``None``: journal only).
+COUNTERS: tuple[tuple[str, str | None], ...] = (
+    ("steady_state_solves", "ss_solves"),
+    ("steady_state_cache_hits", "ss_cache_hits"),
+    ("steady_state_batch_rows", "ss_batch_rows"),
+    ("expm_applications", "expm_applications"),
+    ("peak_evals", "peak_evals"),
+    ("batch_calls", "batch_calls"),
+    ("batch_candidates", "batch_candidates"),
+    ("eigen_cache_hits", None),
+    ("eigen_cache_misses", None),
+)
 
 
 def as_platform(platform_or_engine: "Platform | ThermalEngine") -> Platform:
@@ -107,17 +123,7 @@ def engine_entrypoint(name: str | None = None):
                         time.perf_counter() - t0 + engine._reused_s - reused_s
                     )
                     st = engine.stats_since(mark)
-                    sp.set_attrs(
-                        solver=name,
-                        ss_solves=st.steady_state_solves,
-                        ss_cache_hits=st.steady_state_cache_hits,
-                        ss_batch_rows=st.steady_state_batch_rows,
-                        cache_hit_rate=round(st.cache_hit_rate, 4),
-                        expm_applications=st.expm_applications,
-                        peak_evals=st.peak_evals,
-                        batch_calls=st.batch_calls,
-                        batch_candidates=st.batch_candidates,
-                    )
+                    sp.set_attrs(solver=name, **st.span_attrs())
             return replace(result, runtime_s=runtime_s, stats=st)
 
         return wrapper
@@ -220,20 +226,11 @@ class EngineStats:
         return "\n".join(lines)
 
     def as_dict(self) -> dict[str, Any]:
-        """JSON-friendly dump of every counter."""
-        return {
-            "steady_state_solves": self.steady_state_solves,
-            "steady_state_cache_hits": self.steady_state_cache_hits,
-            "steady_state_batch_rows": self.steady_state_batch_rows,
-            "expm_applications": self.expm_applications,
-            "peak_evals": self.peak_evals,
-            "batch_calls": self.batch_calls,
-            "batch_candidates": self.batch_candidates,
-            "eigen_cache_hits": self.eigen_cache_hits,
-            "eigen_cache_misses": self.eigen_cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "phase_seconds": dict(self.phase_seconds),
-        }
+        """JSON-friendly dump of every counter (the journal row's ``stats``)."""
+        doc: dict[str, Any] = {f: getattr(self, f) for f, _ in COUNTERS}
+        doc["cache_hit_rate"] = self.cache_hit_rate
+        doc["phase_seconds"] = dict(self.phase_seconds)
+        return doc
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EngineStats":
@@ -245,20 +242,20 @@ class EngineStats:
         them.
         """
         return cls(
-            steady_state_solves=int(data.get("steady_state_solves", 0)),
-            steady_state_cache_hits=int(data.get("steady_state_cache_hits", 0)),
-            steady_state_batch_rows=int(data.get("steady_state_batch_rows", 0)),
-            expm_applications=int(data.get("expm_applications", 0)),
-            peak_evals=int(data.get("peak_evals", 0)),
-            batch_calls=int(data.get("batch_calls", 0)),
-            batch_candidates=int(data.get("batch_candidates", 0)),
-            eigen_cache_hits=int(data.get("eigen_cache_hits", 0)),
-            eigen_cache_misses=int(data.get("eigen_cache_misses", 0)),
+            **{f: int(data.get(f, 0)) for f, _ in COUNTERS},
             phase_seconds={
                 str(k): float(v)
                 for k, v in (data.get("phase_seconds") or {}).items()
             },
         )
+
+    def span_attrs(self) -> dict[str, Any]:
+        """The counters as root-span attributes (named by :data:`COUNTERS`)."""
+        attrs: dict[str, Any] = {
+            attr: getattr(self, f) for f, attr in COUNTERS if attr
+        }
+        attrs["cache_hit_rate"] = round(self.cache_hit_rate, 4)
+        return attrs
 
     def combine(self, other: "EngineStats") -> "EngineStats":
         """Counter-wise sum of two stat spans."""
@@ -266,19 +263,7 @@ class EngineStats:
         for name, secs in other.phase_seconds.items():
             phases[name] = phases.get(name, 0.0) + secs
         return EngineStats(
-            steady_state_solves=self.steady_state_solves + other.steady_state_solves,
-            steady_state_cache_hits=(
-                self.steady_state_cache_hits + other.steady_state_cache_hits
-            ),
-            steady_state_batch_rows=(
-                self.steady_state_batch_rows + other.steady_state_batch_rows
-            ),
-            expm_applications=self.expm_applications + other.expm_applications,
-            peak_evals=self.peak_evals + other.peak_evals,
-            batch_calls=self.batch_calls + other.batch_calls,
-            batch_candidates=self.batch_candidates + other.batch_candidates,
-            eigen_cache_hits=self.eigen_cache_hits + other.eigen_cache_hits,
-            eigen_cache_misses=self.eigen_cache_misses + other.eigen_cache_misses,
+            **{f: getattr(self, f) + getattr(other, f) for f, _ in COUNTERS},
             phase_seconds=phases,
         )
 
@@ -456,8 +441,8 @@ class ThermalEngine:
 
         Opens an :func:`repro.obs.span` of the same name (a no-op while
         tracing is disabled) and accumulates the wall time into the
-        ``phase_seconds`` counter of :class:`EngineStats`, so existing
-        ``stats_since`` consumers see exactly what they always did.
+        ``phase_seconds`` counter of :class:`EngineStats`, which
+        :meth:`stats_since` reports per run.
         """
         with obs_span(name):
             t0 = time.perf_counter()
@@ -469,49 +454,38 @@ class ThermalEngine:
                     self._phase_seconds.get(name, 0.0) + elapsed
                 )
 
-    def checkpoint(self) -> dict[str, Any]:
-        """Snapshot of the raw counter totals (pass to :meth:`stats_since`)."""
+    def checkpoint(self) -> EngineStats:
+        """Running counter totals (pass to :meth:`stats_since`)."""
         model = self.model
         # Reading the eigendecomposition's counters must not force the
         # O(n^3) decomposition; absent means zero applications so far.
         eigen = model.__dict__.get("eigen")
-        return {
-            "ss_solves": model.ss_solves,
-            "ss_cache_hits": model.ss_cache_hits,
-            "ss_batch_rows": model.ss_batch_rows,
-            "expm_applications": eigen.expm_applications if eigen else 0,
-            "peak_evals": self._peak_evals,
-            "batch_calls": self._batch_calls,
-            "batch_candidates": self._batch_candidates,
-            "eig_cache_hits": model.eig_cache_hits,
-            "eig_cache_misses": model.eig_cache_misses,
-            "phase_seconds": dict(self._phase_seconds),
-        }
-
-    def stats_since(self, checkpoint: dict[str, Any]) -> EngineStats:
-        """Counter deltas accumulated since ``checkpoint``."""
-        now = self.checkpoint()
-        phases = {
-            name: secs - checkpoint["phase_seconds"].get(name, 0.0)
-            for name, secs in now["phase_seconds"].items()
-            if secs - checkpoint["phase_seconds"].get(name, 0.0) > 0.0
-        }
         return EngineStats(
-            steady_state_solves=now["ss_solves"] - checkpoint["ss_solves"],
-            steady_state_cache_hits=now["ss_cache_hits"] - checkpoint["ss_cache_hits"],
-            steady_state_batch_rows=now["ss_batch_rows"] - checkpoint["ss_batch_rows"],
-            expm_applications=(
-                now["expm_applications"] - checkpoint["expm_applications"]
-            ),
-            peak_evals=now["peak_evals"] - checkpoint["peak_evals"],
-            batch_calls=now["batch_calls"] - checkpoint["batch_calls"],
-            batch_candidates=now["batch_candidates"] - checkpoint["batch_candidates"],
-            eigen_cache_hits=(
-                now["eig_cache_hits"] - checkpoint.get("eig_cache_hits", 0)
-            ),
-            eigen_cache_misses=(
-                now["eig_cache_misses"] - checkpoint.get("eig_cache_misses", 0)
-            ),
+            steady_state_solves=model.ss_solves,
+            steady_state_cache_hits=model.ss_cache_hits,
+            steady_state_batch_rows=model.ss_batch_rows,
+            expm_applications=eigen.expm_applications if eigen else 0,
+            peak_evals=self._peak_evals,
+            batch_calls=self._batch_calls,
+            batch_candidates=self._batch_candidates,
+            eigen_cache_hits=model.eig_cache_hits,
+            eigen_cache_misses=model.eig_cache_misses,
+            phase_seconds=dict(self._phase_seconds),
+        )
+
+    def stats_since(self, checkpoint: EngineStats) -> EngineStats:
+        """Counter deltas accumulated since ``checkpoint``.
+
+        Only phases that ran since ``checkpoint`` are kept.
+        """
+        now = self.checkpoint()
+        phases = {}
+        for name, secs in now.phase_seconds.items():
+            delta = secs - checkpoint.phase_seconds.get(name, 0.0)
+            if delta > 0.0:
+                phases[name] = delta
+        return EngineStats(
+            **{f: getattr(now, f) - getattr(checkpoint, f) for f, _ in COUNTERS},
             phase_seconds=phases,
         )
 

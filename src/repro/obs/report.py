@@ -184,7 +184,6 @@ def run_dir_summary(run_dir: str | os.PathLike) -> RunDirSummary:
 
     status_counts: dict[str, int] = {}
     span_docs: list[Mapping[str, Any]] = []
-    stats = EngineStats()
     accepted = rejected = fallbacks = 0
     min_margin: float | None = None
     service: dict[str, Any] | None = None
@@ -200,8 +199,6 @@ def run_dir_summary(run_dir: str | os.PathLike) -> RunDirSummary:
             # Serve journals flag fallback outcomes directly (their rows
             # carry no result document).
             fallbacks += 1
-        if row.get("stats"):
-            stats = stats.combine(EngineStats.from_dict(row["stats"]))
         cert = row.get("certificate")
         if cert:
             if cert.get("accepted", False):
@@ -225,7 +222,11 @@ def run_dir_summary(run_dir: str | os.PathLike) -> RunDirSummary:
         manifest=manifest,
         n_rows=len(rows),
         status_counts=status_counts,
-        stats=stats,
+        stats=EngineStats.sum(
+            EngineStats.from_dict(row["stats"])
+            for row in rows.values()
+            if row.get("stats")
+        ),
         span_agg=aggregate_spans(span_docs),
         certificates_accepted=accepted,
         certificates_rejected=rejected,

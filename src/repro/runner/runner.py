@@ -52,6 +52,9 @@ __all__ = ["RunnerConfig", "RunReport", "run", "print_progress"]
 #: Journal statuses that mark a unit as settled.
 TERMINAL_STATUSES = ("ok", "infeasible", "error")
 
+#: Seconds before a failed unit's first retry; each later retry doubles it.
+BACKOFF_S = 0.5
+
 ProgressFn = Callable[[Mapping[str, Any]], None]
 
 
@@ -73,20 +76,14 @@ class RunnerConfig:
         enforceable in parallel mode (workers are separate processes).
     retries:
         How many times a failed attempt is retried before its error row
-        is final (``retries=1`` means up to two attempts).
-    backoff_s:
-        Delay before the first retry; doubles per subsequent retry.
-    retry_failed:
-        On resume, re-run units whose journal row is an error row
-        (default: error rows are settled — the sweep completed them).
+        is final (``retries=1`` means up to two attempts).  The first
+        retry waits :data:`BACKOFF_S`; each later one doubles the wait.
     """
 
     parallel: bool = False
     max_workers: int | None = None
     timeout_s: float | None = None
     retries: int = 1
-    backoff_s: float = 0.5
-    retry_failed: bool = False
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -94,8 +91,6 @@ class RunnerConfig:
             "max_workers": self.max_workers,
             "timeout_s": self.timeout_s,
             "retries": self.retries,
-            "backoff_s": self.backoff_s,
-            "retry_failed": self.retry_failed,
         }
 
     def resolve_workers(self) -> int:
@@ -336,8 +331,8 @@ class _RunState:
             )
 
 
-def _backoff(config: RunnerConfig, attempts: int) -> float:
-    return config.backoff_s * (2.0 ** max(0, attempts - 1))
+def _backoff(attempts: int) -> float:
+    return BACKOFF_S * (2.0 ** max(0, attempts - 1))
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +356,7 @@ def _run_sequential(todo: Sequence[WorkUnit], config: RunnerConfig,
                 elapsed = time.perf_counter() - t0
                 if attempts <= config.retries:
                     state.note_retry(unit, attempts, f"{type(exc).__name__}: {exc}")
-                    time.sleep(_backoff(config, attempts))
+                    time.sleep(_backoff(attempts))
                     continue
                 state.settle(
                     unit, attempts, elapsed, None,
@@ -415,7 +410,7 @@ def _run_parallel(todo: Sequence[WorkUnit], config: RunnerConfig,
             pend = _Pending(
                 flight.unit,
                 attempts=flight.attempts,
-                not_before=time.monotonic() + _backoff(config, flight.attempts),
+                not_before=time.monotonic() + _backoff(flight.attempts),
             )
             delayed.append(pend)
             delayed.sort(key=lambda p: p.not_before)
@@ -584,12 +579,7 @@ def run(
     todo: list[WorkUnit] = []
     for unit in unique:
         row = previous.get(unit.unit_id)
-        settled = (
-            row is not None
-            and row.get("status") in TERMINAL_STATUSES
-            and not (row.get("status") == "error" and config.retry_failed)
-        )
-        if settled:
+        if row is not None and row.get("status") in TERMINAL_STATUSES:
             report.records[unit.unit_id] = row
             report.skipped += 1
         else:
@@ -611,11 +601,8 @@ def run(
         if journal is not None:
             journal.close()
 
-    stats = EngineStats()
-    for unit in unique:
-        row = report.records.get(unit.unit_id)
-        if row is None:
-            continue
+    rows = [report.records[u.unit_id] for u in unique if u.unit_id in report.records]
+    for row in rows:
         status = row.get("status")
         if status == "ok":
             report.ok += 1
@@ -623,8 +610,8 @@ def run(
             report.infeasible += 1
         elif status == "error":
             report.errors += 1
-        if row.get("stats"):
-            stats = stats.combine(EngineStats.from_dict(row["stats"]))
-    report.stats = stats
+    report.stats = EngineStats.sum(
+        EngineStats.from_dict(row["stats"]) for row in rows if row.get("stats")
+    )
     report.wall_s = time.perf_counter() - t_start
     return report

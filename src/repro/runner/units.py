@@ -133,8 +133,9 @@ def solve_cell_outcome(payload: Mapping[str, Any]) -> dict[str, Any]:
     never to a live trace sink — so per-unit spans are written exactly
     once whether the unit ran in-process or in a worker, and a resumed
     run inherits them from the journal.  The root ``unit/solve_cell``
-    span's attributes are set from the *same* stats dict stored in the
-    row, which is what makes a trace file reconcile with the journal.
+    span's counter attributes come from the *same* stats stored in the
+    row (:meth:`~repro.engine.EngineStats.span_attrs`), which is what
+    makes a trace file reconcile with the journal.
 
     The unit runs on the process's session engine for its platform
     (session-per-worker: identical cells in one worker share an engine
@@ -166,23 +167,18 @@ def solve_cell_outcome(payload: Mapping[str, Any]) -> dict[str, Any]:
             try:
                 result = guarded_solve(spec, engine, **params)
             except InfeasibleError as exc:
-                stats = engine.stats_since(mark).as_dict()
+                stats = engine.stats_since(mark)
                 outcome = {
                     "status": "infeasible",
                     "result": None,
-                    "stats": stats,
                     "detail": str(exc),
                 }
             else:
-                st = result.stats
-                if st is None:
-                    st = engine.stats_since(mark)
-                stats = st.as_dict()
+                stats = result.stats
                 cert = result.certificate
                 outcome = {
                     "status": "ok",
                     "result": result_to_dict(result),
-                    "stats": stats,
                     "certificate": (
                         cert.as_dict() if cert is not None else None
                     ),
@@ -190,14 +186,8 @@ def solve_cell_outcome(payload: Mapping[str, Any]) -> dict[str, Any]:
                 fallback = result.details.get("fallback")
                 if fallback is not None:
                     root.set_attrs(fallback_hop=str(fallback.get("hop")))
-            root.set_attrs(
-                status=outcome["status"],
-                ss_solves=stats["steady_state_solves"],
-                ss_cache_hits=stats["steady_state_cache_hits"],
-                ss_batch_rows=stats["steady_state_batch_rows"],
-                expm_applications=stats["expm_applications"],
-                peak_evals=stats["peak_evals"],
-            )
+            outcome["stats"] = stats.as_dict()
+            root.set_attrs(status=outcome["status"], **stats.span_attrs())
     outcome["spans"] = [s.as_dict() for s in captured]
     return outcome
 
@@ -249,7 +239,6 @@ def realtime_cell_outcome(payload: Mapping[str, Any]) -> dict[str, Any]:
                 outcome = {
                     "status": "infeasible",
                     "result": None,
-                    "stats": engine.stats_since(mark).as_dict(),
                     "detail": str(exc),
                 }
             else:
@@ -269,9 +258,10 @@ def realtime_cell_outcome(payload: Mapping[str, Any]) -> dict[str, Any]:
                             not placement.shed and report.safe
                         ),
                     },
-                    "stats": engine.stats_since(mark).as_dict(),
                 }
-            root.set_attrs(status=outcome["status"])
+            stats = engine.stats_since(mark)
+            outcome["stats"] = stats.as_dict()
+            root.set_attrs(status=outcome["status"], **stats.span_attrs())
     outcome["spans"] = [s.as_dict() for s in captured]
     return outcome
 

@@ -53,12 +53,11 @@ class ScheduleServer:
 
     def __init__(
         self,
-        session: SchedulerSession | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
         run_dir: str | Path | None = None,
     ) -> None:
-        self.session = session if session is not None else SchedulerSession()
+        self.session = SchedulerSession()
         self.coalescer = RequestCoalescer(self.session)
         self.host = host
         self.port = int(port)

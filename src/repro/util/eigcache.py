@@ -44,13 +44,12 @@ _MEMORY: dict[str, dict[str, np.ndarray]] = {}
 MEMORY_CACHE_SIZE = 256
 
 
-def eigen_cache_key(a: np.ndarray, c_diag: np.ndarray | None = None) -> str:
-    """Content hash identifying one system matrix (and its C diagonal)."""
+def eigen_cache_key(a: np.ndarray, c_diag: np.ndarray) -> str:
+    """Content hash identifying one system matrix and its C diagonal."""
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(a, dtype=float).tobytes())
     h.update(b"|")
-    if c_diag is not None:
-        h.update(np.ascontiguousarray(c_diag, dtype=float).tobytes())
+    h.update(np.ascontiguousarray(c_diag, dtype=float).tobytes())
     return h.hexdigest()[:32]
 
 
@@ -67,10 +66,7 @@ def _remember(key: str, factors: dict[str, np.ndarray]) -> None:
     _MEMORY[key] = factors
 
 
-def shared_eigen(
-    a: np.ndarray,
-    c_diag: np.ndarray | None = None,
-) -> tuple[EigenExpm, str]:
+def shared_eigen(a: np.ndarray, c_diag: np.ndarray) -> tuple[EigenExpm, str]:
     """Resolve the eigendecomposition of ``a`` through the memo.
 
     Returns ``(eigen, origin)`` with ``origin`` either ``"memory"`` or

@@ -95,11 +95,10 @@ class EigenExpm:
         ``S`` symmetric positive definite.  Such a matrix has real negative
         eigenvalues.
     c_diag:
-        The diagonal of ``C``.  When given, the decomposition is computed
-        through the symmetric matrix ``C^{-1/2} S C^{-1/2}`` (via ``eigh``),
-        which is both faster and numerically far better conditioned than a
-        general eigensolve.  When omitted, a general ``eig`` is used and the
-        realness of the spectrum is verified.
+        The diagonal of ``C``.  The decomposition is computed through the
+        symmetric matrix ``C^{-1/2} S C^{-1/2}`` (via ``eigh``), which is
+        both faster and numerically far better conditioned than a general
+        eigensolve.
 
     Notes
     -----
@@ -110,36 +109,24 @@ class EigenExpm:
     so after the one-time O(n^3) setup, each propagation costs O(n^2).
     """
 
-    def __init__(self, a: np.ndarray, c_diag: np.ndarray | None = None) -> None:
+    def __init__(self, a: np.ndarray, c_diag: np.ndarray) -> None:
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ThermalModelError(f"system matrix must be square, got {a.shape}")
         self.a = a
         n = a.shape[0]
 
-        if c_diag is not None:
-            c_diag = np.asarray(c_diag, dtype=float)
-            if c_diag.shape != (n,) or np.any(c_diag <= 0):
-                raise ThermalModelError("c_diag must be positive with length n")
-            # A = -C^{-1} S  =>  C^{1/2} A C^{-1/2} = -C^{-1/2} S C^{-1/2} (symmetric)
-            sqrt_c = np.sqrt(c_diag)
-            sym = a * sqrt_c[:, None] / sqrt_c[None, :]
-            sym = 0.5 * (sym + sym.T)
-            lam, q = scipy.linalg.eigh(sym)
-            self.eigenvalues = lam
-            self.w = q / sqrt_c[:, None]
-            self.w_inv = q.T * sqrt_c[None, :]
-        else:
-            lam, w = scipy.linalg.eig(a)
-            if np.max(np.abs(np.imag(lam))) > 1e-8 * max(1.0, np.max(np.abs(lam))):
-                raise ThermalModelError(
-                    "system matrix has significantly complex eigenvalues; "
-                    "expected a symmetrizable RC system"
-                )
-            order = np.argsort(np.real(lam))
-            self.eigenvalues = np.real(lam)[order]
-            self.w = np.real(w)[:, order]
-            self.w_inv = scipy.linalg.inv(self.w)
+        c_diag = np.asarray(c_diag, dtype=float)
+        if c_diag.shape != (n,) or np.any(c_diag <= 0):
+            raise ThermalModelError("c_diag must be positive with length n")
+        # A = -C^{-1} S  =>  C^{1/2} A C^{-1/2} = -C^{-1/2} S C^{-1/2} (symmetric)
+        sqrt_c = np.sqrt(c_diag)
+        sym = a * sqrt_c[:, None] / sqrt_c[None, :]
+        sym = 0.5 * (sym + sym.T)
+        lam, q = scipy.linalg.eigh(sym)
+        self.eigenvalues = lam
+        self.w = q / sqrt_c[:, None]
+        self.w_inv = q.T * sqrt_c[None, :]
 
         if np.any(self.eigenvalues >= 0):
             raise ThermalModelError(

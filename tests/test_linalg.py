@@ -76,11 +76,6 @@ class TestEigenExpm:
         for t in (0.0, 0.01, 0.5, 3.0):
             assert np.allclose(ee.expm(t), scipy.linalg.expm(a * t), atol=1e-9)
 
-    def test_general_path_matches(self, rng):
-        a, _, _ = random_rc_system(rng)
-        ee = EigenExpm(a)  # no c_diag: general eig path
-        assert np.allclose(ee.expm(0.3), scipy.linalg.expm(a * 0.3), atol=1e-8)
-
     def test_apply_expm_consistency(self, rng):
         a, c, _ = random_rc_system(rng)
         ee = EigenExpm(a, c_diag=c)
@@ -125,7 +120,7 @@ class TestEigenExpm:
 
     def test_non_square_rejected(self):
         with pytest.raises(ThermalModelError):
-            EigenExpm(np.ones((2, 3)))
+            EigenExpm(np.ones((2, 3)), c_diag=np.ones(2))
 
     def test_bad_c_diag_rejected(self):
         a = -np.eye(3)
@@ -133,9 +128,3 @@ class TestEigenExpm:
             EigenExpm(a, c_diag=np.array([1.0, -1.0, 1.0]))
         with pytest.raises(ThermalModelError):
             EigenExpm(a, c_diag=np.ones(2))
-
-    def test_complex_spectrum_rejected_on_general_path(self):
-        # A rotation-like matrix has complex eigenvalues.
-        a = np.array([[-0.1, -10.0], [10.0, -0.1]])
-        with pytest.raises(ThermalModelError):
-            EigenExpm(a)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.runner.runner as runner_module
 from repro.engine import EngineStats
 from repro.errors import RunnerError
 from repro.experiments.comparison import build_grid
@@ -205,17 +206,19 @@ class TestFaultInjection:
         assert "-9" in row["error"]["message"]
 
     @pytest.mark.parametrize("parallel", [False, True])
-    def test_flaky_unit_recovers_via_retry(self, tmp_path, parallel):
+    def test_flaky_unit_recovers_via_retry(self, tmp_path, parallel,
+                                           monkeypatch):
+        monkeypatch.setattr(runner_module, "BACKOFF_S", 0.01)
         marker = tmp_path / f"marker-{parallel}"
         unit = probe("flaky", marker=str(marker))
-        config = RunnerConfig(parallel=parallel, max_workers=1, retries=2,
-                              backoff_s=0.01)
+        config = RunnerConfig(parallel=parallel, max_workers=1, retries=2)
         report = run([unit], config)
         assert report.ok == 1 and report.errors == 0
         assert report.records[unit.unit_id]["attempts"] == 2
 
-    def test_retries_are_bounded(self, tmp_path):
-        report = run([probe("raise")], RunnerConfig(retries=2, backoff_s=0.0))
+    def test_retries_are_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner_module, "BACKOFF_S", 0.0)
+        report = run([probe("raise")], RunnerConfig(retries=2))
         assert report.errors == 1
         (row,) = report.records.values()
         assert row["attempts"] == 3  # 1 attempt + 2 retries, then final
@@ -246,18 +249,6 @@ class TestResume:
         report = run(units, RunnerConfig(retries=0), run_dir=run_dir,
                      resume=True)
         assert report.skipped == 2 and report.errors == 1
-
-    def test_resume_can_retry_failed_rows(self, tmp_path):
-        marker = tmp_path / "marker"
-        units = [probe("flaky", marker=str(marker)), probe("ok", value=1)]
-        run_dir = tmp_path / "run"
-        first = run(units, RunnerConfig(retries=0), run_dir=run_dir)
-        assert first.errors == 1
-        report = run(
-            units, RunnerConfig(retries=0, retry_failed=True),
-            run_dir=run_dir, resume=True,
-        )
-        assert report.errors == 0 and report.ok == 2
 
     def test_resume_rejects_mismatched_unit_set(self, tmp_path):
         run_dir = tmp_path / "run"
