@@ -34,7 +34,7 @@ def paper3_platform():
 
 def big_little_platform():
     from repro.platform import paper_platform
-    from repro.power.heterogeneous import big_little_power_model
+    from repro.power import big_little_power_model
 
     return paper_platform(
         6,

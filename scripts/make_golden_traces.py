@@ -21,7 +21,7 @@ from pathlib import Path
 
 from repro.algorithms.registry import get_solver
 from repro.platform import paper_platform
-from repro.power.heterogeneous import big_little_power_model
+from repro.power import big_little_power_model
 
 OUT = Path(__file__).resolve().parents[1] / "tests" / "data"
 

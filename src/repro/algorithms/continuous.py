@@ -109,8 +109,8 @@ def continuous_assignment(
 
         rhs = np.zeros(model.n_nodes)
         if (~free).any():
-            # Full-length voltage vector (0 on free cores) so heterogeneous
-            # per-core power models broadcast correctly; rows of pinned
+            # Full-length voltage vector (0 on free cores) so per-core
+            # power coefficients line up with their cores; rows of pinned
             # cores are excluded from the solve, so their entries are inert.
             v_fixed_full = np.where(free, 0.0, fixed_v)
             rhs[core_nodes] = np.asarray(power.psi(v_fixed_full))
@@ -128,7 +128,7 @@ def continuous_assignment(
         free_idx = np.where(free)[0]
         v_free = np.array(
             [
-                power.psi_inverse_for(int(core), max(qi, 0.0))
+                power.psi_inverse(max(qi, 0.0), core=int(core))
                 for core, qi in zip(free_idx, q_free)
             ]
         )

@@ -358,33 +358,6 @@ def _as_tuple(value) -> tuple:
     return value if isinstance(value, tuple) else (value,)
 
 
-#: Default ``repro certify`` platform flavors; ``-o platforms=...``
-#: accepts any :class:`~repro.platforms.PlatformSpec` preset name (see
-#: ``repro list platforms``) — certificates' cross-route check then
-#: covers heterogeneous, stacked and generated platforms alike.
-CERTIFY_PLATFORMS = ("paper", "big_little")
-
-
-def _certify_platform(flavor: str, n: int, lv: int, tm: float, **kwargs):
-    """One certify-grid cell resolved through the platform registry.
-
-    Grid axes (``n_cores``/``n_levels``/``t_max_c``) and the pass-through
-    platform kwargs are layered onto the named preset as overrides,
-    silently dropping axes a family does not parameterize (``stack3d``
-    has no ``n_cores``).
-    """
-    from repro.platforms import PlatformSpec, get_family
-
-    spec = PlatformSpec.named(str(flavor))
-    overrides = {
-        "n_cores": int(n), "n_levels": int(lv), "t_max_c": float(tm), **kwargs
-    }
-    params = get_family(spec.family).params
-    return spec.with_overrides(
-        **{k: v for k, v in overrides.items() if k in params}
-    ).build()
-
-
 def _cmd_certify(args: argparse.Namespace) -> int:
     from repro.algorithms.registry import SOLVERS, get_solver, guarded_solve
     from repro.errors import ConfigurationError, InfeasibleError
@@ -409,7 +382,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     level_counts = _as_tuple(options.pop("level_counts", (2,)))
     t_max_values = _as_tuple(options.pop("t_max_values", (65.0,)))
     platforms = _as_tuple(options.pop("platforms", ("paper",)))
-    from repro.platforms import PlatformSpec
+    from repro.platforms import PlatformSpec, preset_on_axes
 
     for flavor in platforms:
         try:
@@ -448,7 +421,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     entries: list[dict] = []
     for n, lv, tm, flavor in cells:
         engine = session.engine_for(
-            _certify_platform(flavor, int(n), int(lv), float(tm), **platform_kwargs)
+            preset_on_axes(
+                flavor, n_cores=int(n), n_levels=int(lv), t_max_c=float(tm),
+                **platform_kwargs,
+            ).build()
         )
         suffix = "" if flavor == "paper" else f" [{flavor}]"
         header = f"platform: {n} cores, {lv} levels, T_max {tm} C{suffix}"

@@ -44,7 +44,7 @@ from typing import Any
 import numpy as np
 
 from repro.experiments.reporting import ascii_plot, ascii_table
-from repro.platforms import PlatformSpec
+from repro.platforms import PlatformSpec, preset_on_axes
 from repro.realtime import TaskSet
 from repro.runner import (
     RunnerConfig,
@@ -331,17 +331,9 @@ def realtime_experiment(
         Master seed; workload and fault seeds spawn from it, making the
         whole result a pure function of this integer.
     """
-    spec = PlatformSpec.named(str(platform))
-    from repro.platforms import get_family
-
-    family_params = get_family(spec.family).params
-    overrides = {
-        "n_cores": int(n_cores),
-        "n_levels": int(n_levels),
-        "t_max_c": float(t_max_c),
-    }
-    spec = spec.with_overrides(
-        **{key: v for key, v in overrides.items() if key in family_params}
+    spec = preset_on_axes(
+        platform, n_cores=int(n_cores), n_levels=int(n_levels),
+        t_max_c=float(t_max_c),
     )
     k_values = tuple(int(k) for k in k_values)
     intensities = tuple(int(i) for i in intensities)

@@ -47,6 +47,7 @@ from typing import Any
 from repro.errors import ConfigurationError
 from repro.platform import Platform, paper_platform, platform_3d
 from repro.power.dvfs import VoltageLadder
+from repro.power.model import big_little_power_model
 from repro.util.canonical import canonical_json
 
 __all__ = [
@@ -57,6 +58,7 @@ __all__ = [
     "platform_names",
     "get_preset",
     "build_platform",
+    "preset_on_axes",
 ]
 
 
@@ -118,8 +120,6 @@ def _build_paper(**kwargs: Any) -> Platform:
 
 
 def _build_big_little(**kwargs: Any) -> Platform:
-    from repro.power.heterogeneous import big_little_power_model
-
     kwargs.setdefault("n_cores", 3)
     n_cores = int(kwargs["n_cores"])
     big_cores = kwargs.pop("big_cores", None)
@@ -353,6 +353,19 @@ class PlatformSpec:
 def build_platform(spec: Any) -> Platform:
     """:meth:`PlatformSpec.coerce` then :meth:`~PlatformSpec.build`."""
     return PlatformSpec.coerce(spec).build()
+
+
+def preset_on_axes(name: str, **axes: Any) -> PlatformSpec:
+    """The named preset with the sweep axes its family parameterizes.
+
+    Sweeps over mixed families (``repro certify -o platforms=...``, the
+    realtime experiment) set ``n_cores``/``n_levels``/``t_max_c`` and
+    pass-through kwargs on every cell; axes a family does not take
+    (``stack3d`` has no ``n_cores``) are dropped rather than rejected.
+    """
+    spec = PlatformSpec.named(str(name))
+    params = get_family(spec.family).params
+    return spec.with_overrides(**{k: v for k, v in axes.items() if k in params})
 
 
 def _tech_preset_description(node: int, style: str) -> str:

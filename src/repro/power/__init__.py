@@ -1,7 +1,6 @@
 """Power models: voltage-cubic dynamic power + temperature-dependent leakage."""
 
-from repro.power.model import PowerModel
-from repro.power.heterogeneous import HeterogeneousPowerModel, big_little_power_model
+from repro.power.model import PowerModel, big_little_power_model
 from repro.power.dvfs import (
     VoltageLadder,
     TransitionOverhead,
@@ -12,7 +11,6 @@ from repro.power.dvfs import (
 
 __all__ = [
     "PowerModel",
-    "HeterogeneousPowerModel",
     "big_little_power_model",
     "VoltageLadder",
     "TransitionOverhead",

@@ -9,8 +9,8 @@ outcomes behind a content hash, in one in-process LRU of
 a hit is a dict lookup.
 
 Keys are built from :func:`platform_hash` — a sha256 over the thermal
-system matrix, heat-capacity diagonal, core-node map, power-model type
-and coefficients (scalar and per-core heterogeneous alike), the mode
+system matrix, heat-capacity diagonal, core-node map, power-model
+coefficients (scalar and per-core alike), the mode
 ladder, transition overhead and threshold — combined with the solver
 name, its canonicalized parameters and the certification tolerance via
 the :func:`~repro.util.canonical.canonical_json` discipline.  Two
@@ -40,9 +40,9 @@ __all__ = ["ScheduleCache", "platform_hash", "schedule_cache_key"]
 #: is a working-set bound, not a leak guard.
 MEMORY_SIZE = 1024
 
-#: Power-model coefficients that define the platform's physics; scalar
-#: for :class:`~repro.power.model.PowerModel`, per-core arrays for the
-#: heterogeneous variant — both hash through the same float bytes.
+#: Power-model coefficients that define the platform's physics; scalars
+#: and per-core arrays of :class:`~repro.power.model.PowerModel` both
+#: hash through their float bytes.
 _POWER_FIELDS = ("alpha_lin", "gamma", "beta", "v_min", "v_max")
 
 
@@ -51,8 +51,8 @@ def platform_hash(platform) -> str:
 
     Covers everything a solve outcome depends on: the thermal system
     matrix ``A`` and capacitance diagonal, which cores sit where in the
-    RC network, the power model (its type plus every coefficient, so a
-    big.LITTLE platform never collides with its homogeneous base),
+    RC network, every power-model coefficient (a big.LITTLE platform's
+    per-core arrays never collide with its homogeneous base's scalars),
     ambient, the voltage ladder, the DVFS transition overhead, and the
     temperature threshold.
 

@@ -1,14 +1,14 @@
-"""Tests for heterogeneous per-core power models."""
+"""Tests for per-core (heterogeneous) power coefficients in PowerModel."""
 
 import numpy as np
 import pytest
 
-from repro.algorithms import ao, continuous_assignment, exs
+from repro.algorithms import ao, continuous_assignment, exs, lns, pco
+from repro.api import load_platform
 from repro.errors import PowerModelError
 from repro.floorplan import paper_floorplan
 from repro.platform import Platform
 from repro.power import (
-    HeterogeneousPowerModel,
     PowerModel,
     TransitionOverhead,
     big_little_power_model,
@@ -32,16 +32,21 @@ def het_platform(n_levels=3, t_max_c=55.0):
 
 class TestModel:
     def test_broadcasting(self):
-        pm = HeterogeneousPowerModel(
-            alpha_lin=[0.1, 0.2], gamma=[5.0, 3.0], beta=0.1
-        )
-        assert pm.n_cores == 2
-        assert pm.beta.shape == (2,)
+        pm = PowerModel(alpha_lin=[0.1, 0.2], gamma=[5.0, 3.0], beta=0.1)
+        for coeff in (pm.alpha_lin, pm.gamma, pm.beta):
+            assert isinstance(coeff, np.ndarray)
+            assert coeff.dtype == float and coeff.shape == (2,)
+        assert pm.beta.tolist() == [0.1, 0.1]
+
+    def test_scalar_model_unchanged(self):
+        pm = PowerModel()
+        assert isinstance(pm.gamma, float)
+        assert isinstance(pm.psi(1.0), float)
+        assert isinstance(pm.total_power(1.0, 10.0), float)
+        assert pm == PowerModel() and hash(pm) == hash(PowerModel())
 
     def test_psi_per_core(self):
-        pm = HeterogeneousPowerModel(
-            alpha_lin=[0.0, 0.0], gamma=[5.0, 2.5], beta=0.1
-        )
+        pm = PowerModel(alpha_lin=[0.0, 0.0], gamma=[5.0, 2.5], beta=0.1)
         psi = pm.psi(np.array([1.0, 1.0]))
         assert psi[0] == pytest.approx(5.0)
         assert psi[1] == pytest.approx(2.5)
@@ -53,26 +58,9 @@ class TestModel:
         assert out.shape == (2, 2)
 
     def test_psi_inverse_per_core(self):
-        pm = HeterogeneousPowerModel(
-            alpha_lin=[0.0, 0.0], gamma=[5.0, 2.5], beta=0.1
-        )
+        pm = PowerModel(alpha_lin=[0.0, 0.0], gamma=[5.0, 2.5], beta=0.1)
         assert pm.psi_inverse(5.0, core=0) == pytest.approx(1.0)
         assert pm.psi_inverse(2.5, core=1) == pytest.approx(1.0)
-        assert pm.psi_inverse_for(1, 2.5) == pytest.approx(1.0)
-
-    def test_psi_inverse_array(self):
-        pm = HeterogeneousPowerModel(
-            alpha_lin=[0.0, 0.0], gamma=[5.0, 2.5], beta=0.1
-        )
-        v = pm.psi_inverse_array([5.0, 2.5])
-        assert np.allclose(v, 1.0)
-
-    def test_core_model_view(self):
-        pm = big_little_power_model([0], n_cores=2)
-        big = pm.core_model(0)
-        little = pm.core_model(1)
-        assert isinstance(big, PowerModel)
-        assert little.gamma < big.gamma
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -80,11 +68,15 @@ class TestModel:
             {"alpha_lin": [-0.1], "gamma": [5.0], "beta": [0.1]},
             {"alpha_lin": [0.1], "gamma": [0.0], "beta": [0.1]},
             {"alpha_lin": [0.1], "gamma": [5.0], "beta": [-0.1]},
+            # One bad core fails the whole model.
+            {"alpha_lin": [0.1, -0.1], "gamma": 5.0, "beta": 0.1},
+            {"alpha_lin": 0.1, "gamma": [5.0, 0.0], "beta": 0.1},
+            {"alpha_lin": 0.1, "gamma": 5.0, "beta": [0.1, -0.1]},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(PowerModelError):
-            HeterogeneousPowerModel(**kwargs)
+            PowerModel(**kwargs)
 
     def test_voltage_range_enforced(self):
         pm = big_little_power_model([0], n_cores=2)
@@ -101,9 +93,7 @@ class TestAlgorithmsOnHeterogeneous:
 
     def test_leakage_folding_per_core(self):
         fp = paper_floorplan(3)
-        pm = HeterogeneousPowerModel(
-            alpha_lin=0.1, gamma=5.0, beta=np.array([0.05, 0.2, 0.05])
-        )
+        pm = PowerModel(alpha_lin=0.1, gamma=5.0, beta=np.array([0.05, 0.2, 0.05]))
         model = ThermalModel(build_single_layer_network(fp), pm)
         g_orig = model.network.conductance
         diff = np.diag(g_orig - model.g_eff)
@@ -123,3 +113,26 @@ class TestAlgorithmsOnHeterogeneous:
         r = ao(p, m_cap=24)
         oracle = reference_peak(p.model, r.schedule, samples_per_interval=48)
         assert oracle <= p.theta_max + 0.05
+
+
+#: ``(throughput, peak_theta)`` per (platform, solver), recorded before the
+#: per-core coefficients moved into ``PowerModel``; the move is bit-exact.
+PINNED = {
+    ("big_little", "LNS"): (1.0666666666666667, 16.310068990158793),
+    ("big_little", "EXS"): (1.0666666666666667, 16.310068990158793),
+    ("big_little", "AO"): (1.172950059936837, 19.923697185304178),
+    ("big_little", "PCO"): (1.172950059936837, 19.923697185304178),
+    ("het6", "LNS"): (1.05, 17.059236781171062),
+    ("het6", "EXS"): (1.05, 17.059236781171062),
+    ("het6", "AO"): (1.119056551480132, 19.9412730957308),
+    ("het6", "PCO"): (1.1190565514801323, 19.93435546600699),
+}
+
+_PLATFORMS = {"big_little": lambda: load_platform("big_little"), "het6": het_platform}
+_SOLVERS = {"LNS": lns, "EXS": exs, "AO": ao, "PCO": pco}
+
+
+@pytest.mark.parametrize("platform,solver", sorted(PINNED))
+def test_pinned_results(platform, solver):
+    result = _SOLVERS[solver](_PLATFORMS[platform]())
+    assert (result.throughput, result.peak_theta) == PINNED[platform, solver]

@@ -30,8 +30,9 @@ from repro.platforms import (
     get_family,
     get_preset,
     platform_names,
+    preset_on_axes,
 )
-from repro.power.heterogeneous import big_little_power_model
+from repro.power import big_little_power_model
 from repro.scaling.generator import tech_platform
 from repro.scaling.tables import CORE_STYLES, TECH_NODES
 from repro.service import platform_hash, schedule_cache_key
@@ -154,6 +155,15 @@ class TestSweepDerivedSpecs:
     def test_specless_platform_copies_stay_specless(self):
         p = paper_platform(2)
         assert p.spec is None and p.with_t_max(60.0).spec is None
+
+    def test_preset_on_axes_drops_axes_the_family_lacks(self):
+        axes = {"n_cores": 4, "n_levels": 3, "t_max_c": 60.0, "tau": 1e-5}
+        assert preset_on_axes("stack3d", **axes) == PlatformSpec.named(
+            "stack3d", n_levels=3, t_max_c=60.0, tau=1e-5
+        )
+        assert preset_on_axes("tech-16-io", **axes) == PlatformSpec.named(
+            "tech-16-io", **axes
+        )
 
 
 class TestCoercionAndErrors:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.platform import paper_platform
-from repro.power.heterogeneous import big_little_power_model
+from repro.power import big_little_power_model
 from repro.realtime import (
     RTTask,
     TaskSet,

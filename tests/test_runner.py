@@ -11,6 +11,7 @@ uninterrupted run modulo timing fields.
 """
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -28,6 +29,7 @@ from repro.runner import (
     RunReport,
     WorkUnit,
     comparison_units,
+    git_sha,
     read_manifest,
     run,
     solve_cell_unit,
@@ -280,7 +282,11 @@ class TestManifest:
         assert manifest["units_hash"] == units_hash(units)
         assert manifest["workers"] == 3
         assert manifest["config"]["timeout_s"] == 5.0
-        assert len(manifest["git_sha"]) == 40  # repo is a git checkout
+        # None outside a git checkout (e.g. a `git archive` export).
+        sha = git_sha()
+        assert manifest["git_sha"] == sha
+        if sha is not None:
+            assert re.fullmatch(r"[0-9a-f]{40}", sha)
         assert sorted(manifest["unit_ids"]) == sorted(
             u.unit_id for u in units
         )

@@ -33,7 +33,7 @@ from repro.api import evaluate as api_evaluate, load_platform
 from repro.engine import ThermalEngine
 from repro.errors import InfeasibleError, ScheduleError, SolverError
 from repro.platform import paper_platform
-from repro.power.heterogeneous import big_little_power_model
+from repro.power import big_little_power_model
 from repro.schedule.periodic import PeriodicSchedule
 from repro.schedule.serialization import (
     result_to_dict,
