@@ -14,6 +14,10 @@ same pipelined client (`repro.service.send_requests`) users get:
    ≥ ``--min-rps`` requests/second (default 1000, the committed
    warm-cache floor; override with ``REPRO_SERVE_SMOKE_MIN_RPS``).
 
+In phases 2 and 3 every solve response must also carry the same
+``result`` and ``certificate`` as the warm-up response for its key: a
+cache hit replays the stored answer exactly.
+
 Min over repeats, not mean: on loaded single-core CI boxes the mean is
 dominated by scheduler noise, while the best pass reflects what the
 code can actually do — so the throughput phase runs twice and gates on
@@ -84,6 +88,22 @@ def solve_doc(platform, solver, params) -> dict:
             "params": params}
 
 
+def request_key(request: dict) -> str:
+    return json.dumps(request, sort_keys=True)
+
+
+def replay_mismatch(request: dict, response: dict, warm: dict) -> str | None:
+    """How a warm-phase solve response differs from its key's warm-up."""
+    reference = warm[request_key(request)]
+    for field in ("result", "certificate"):
+        if response.get(field) != reference.get(field):
+            return (
+                f"{request['solver']} {request['params']}: {field} differs "
+                "from the warm-up response"
+            )
+    return None
+
+
 async def drive(host: str, port: int, min_rps: float) -> int:
     failures: list[str] = []
 
@@ -92,11 +112,13 @@ async def drive(host: str, port: int, min_rps: float) -> int:
         host, port, [solve_doc(*key) for key in SOLVE_KEYS]
     )
     schedules = []
+    warm_by_request = {}
     for key, resp in zip(SOLVE_KEYS, warm):
         if not resp.get("ok") or resp.get("status") != "ok":
             failures.append(f"warm-up solve failed for {key[1]}: {resp}")
         else:
             schedules.append((key[0], resp["result"]["schedule"]))
+            warm_by_request[request_key(solve_doc(*key))] = resp
     if failures:
         print("\n".join(failures), file=sys.stderr)
         return 1
@@ -117,17 +139,19 @@ async def drive(host: str, port: int, min_rps: float) -> int:
     responses = await send_requests(host, port, mixed)
     mixed_s = time.perf_counter() - t0
 
+    mismatches: set[str | None] = set()
     for req, resp in zip(mixed, responses):
         if not resp.get("ok"):
             failures.append(f"{req['op']} failed: {resp.get('error')}")
         elif req["op"] == "solve":
             cert = resp.get("certificate")
-            fallback = (resp.get("result") or {}).get("fallback")
-            if not ((cert and cert.get("accepted")) or fallback):
+            details = (resp.get("result") or {}).get("details") or {}
+            if not ((cert and cert.get("accepted")) or details.get("fallback")):
                 failures.append(
                     "solve response carries neither an accepted "
                     f"certificate nor a fallback record: {req}"
                 )
+            mismatches.add(replay_mismatch(req, resp, warm_by_request))
         elif req["op"] == "certify" and not resp.get("accepted"):
             failures.append(f"certificate rejected: {resp}")
 
@@ -142,6 +166,11 @@ async def drive(host: str, port: int, min_rps: float) -> int:
         bad = [r for r in hits if not (r.get("ok") and r.get("cached"))]
         if bad:
             failures.append(f"{len(bad)} warm burst responses not cached hits")
+        mismatches.update(
+            replay_mismatch(req, resp, warm_by_request)
+            for req, resp in zip(burst, hits)
+        )
+    failures.extend(sorted(mismatches - {None}))
 
     # -- stats afterwards: coalescing must be visible from outside ------
     (stats_resp,) = await send_requests(host, port, [{"op": "stats"}])

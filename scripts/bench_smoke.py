@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Smoke-run the micro-benchmarks and snapshot (or gate on) the numbers.
 
-Runs two suites with reduced rounds and writes one compacted
+Runs three suites with reduced rounds and writes one compacted
 pytest-benchmark JSON report per suite at the repo root — a cheap
 regression tripwire for the hot paths, not a rigorous measurement:
 
@@ -10,7 +10,10 @@ regression tripwire for the hot paths, not a rigorous measurement:
   constant-lattice searches (``bench_ablation_exs.py``);
 * ``BENCH_grid.json`` — the cross-platform grid kernels
   (``bench_grid.py``), including the grid-vs-scalar speedup summary the
-  README perf table quotes.
+  README perf table quotes;
+* ``BENCH_service.json`` — the service core (``bench_service.py``):
+  the warm-cache hit with and without its wire response, key
+  derivation, and coalesced ``evaluate_many`` against a one-row loop.
 
 The raw pytest-benchmark report carries every individual sample and the
 full machine/commit dossier; the snapshot keeps only the summary
@@ -46,6 +49,7 @@ SUITES: tuple[tuple[str, tuple[str, ...]], ...] = (
         ),
     ),
     ("BENCH_grid.json", ("benchmarks/bench_grid.py",)),
+    ("BENCH_service.json", ("benchmarks/bench_service.py",)),
 )
 
 #: ``--compare`` fails when a benchmark's best (min) time slows down by

@@ -12,7 +12,10 @@ drain pass executes each batch with the work regrouped:
   concurrent requests run :func:`~repro.algorithms.registry.guarded_solve`
   once and share the outcome (each response reports the group size in
   ``coalesced``); distinct keys run through the session sequentially,
-  still sharing its engines and cache.
+  still sharing its engines and cache.  Each request's platform and
+  cache keys are derived once, for the dedup, and the session's solve
+  body reuses them; a cache hit is answered from the stored wire
+  document without decoding it.
 * **evaluate** requests with the same pricing knobs collapse into one
   :func:`~repro.thermal.grid.peak_temperature_grid` call via
   :meth:`~repro.service.session.SchedulerSession.evaluate_many` — the
@@ -22,7 +25,7 @@ drain pass executes each batch with the work regrouped:
 
 Results are **identical** to sequential execution — the grid kernels
 carry a committed 1e-9 scalar-parity bound and solve deduplication
-returns the same outcome object the single execution produced; the
+returns the response of the single execution to every member; the
 correctness tests in ``tests/test_service.py`` pin both, including
 rejected-certificate fallback paths.
 
@@ -39,7 +42,6 @@ from typing import Any, Mapping
 
 from repro.obs import METRICS, span
 from repro.schedule.serialization import schedule_from_dict
-from repro.service.cache import schedule_cache_key
 from repro.service.session import SchedulerSession
 
 __all__ = ["RequestCoalescer"]
@@ -128,47 +130,38 @@ class RequestCoalescer:
     def _execute_solves(
         self, entries: list[tuple[dict[str, Any], asyncio.Future]]
     ) -> None:
-        """Deduplicate by cache key, solve each distinct request once."""
+        """Deduplicate by cache key, solve each distinct request once.
+
+        Keys are derived here, once per request; each distinct request
+        then runs the session's solve body with the keys it carries.
+        """
         session = self.session
-        by_key: dict[str, list[tuple[dict[str, Any], asyncio.Future]]] = {}
-        order: list[str] = []
+        groups: dict[str, tuple[Any, list[asyncio.Future]]] = {}
         for request, future in entries:
             try:
-                spec_name = str(request["solver"])
-                platform_key = session.platform_key(request.get("platform") or {})
-                key = schedule_cache_key(
-                    platform_key,
-                    spec_name,
+                keyed = session._keyed(
+                    request.get("platform") or {},
+                    str(request["solver"]),
                     request.get("params") or {},
                     request.get("tolerance"),
                 )
             except Exception as exc:  # noqa: BLE001 - per-request error doc
                 future.set_result(_error_doc(exc))
                 continue
-            if key not in by_key:
-                order.append(key)
-            by_key.setdefault(key, []).append((request, future))
+            groups.setdefault(keyed.cache_key, (keyed, []))[1].append(future)
 
-        for key in order:
-            group = by_key[key]
-            self._observe_group(len(group))
-            request = group[0][0]
+        for keyed, futures in groups.values():
+            self._observe_group(len(futures))
             try:
-                outcome = session.solve(
-                    request.get("platform") or {},
-                    str(request["solver"]),
-                    request.get("params") or {},
-                    certify_tolerance=request.get("tolerance"),
-                )
                 doc = {
                     "ok": True,
                     "op": "solve",
-                    **outcome.as_doc(),
-                    "coalesced": len(group),
+                    **session._solve_keyed(keyed).as_doc(),
+                    "coalesced": len(futures),
                 }
             except Exception as exc:  # noqa: BLE001 - per-request error doc
                 doc = _error_doc(exc)
-            for _, future in group:
+            for future in futures:
                 if not future.cancelled():
                     future.set_result(dict(doc))
 

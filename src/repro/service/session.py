@@ -22,7 +22,9 @@ it either carries an accepted
 :class:`~repro.safety.certificate.SafetyCertificate` or an explicit
 fallback record in ``result.details["fallback"]`` (or is an honest
 ``"infeasible"``).  Cached outcomes are the wire documents of the
-original solve, certificate included; each hit decodes its own copy.
+original solve, certificate included.  A hit is answered from that
+document as it is stored: its response is a copy with fresh containers,
+and its live result is decoded only when a caller reads it.
 
 :func:`default_session` is the process-wide singleton shared by
 ``repro.api.evaluate``, the CLI's solve and certify commands and the
@@ -38,10 +40,10 @@ import os
 import time
 from collections import OrderedDict
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, NamedTuple
 
-from repro.algorithms.registry import get_solver, guarded_solve
+from repro.algorithms.registry import SolverSpec, get_solver, guarded_solve
 from repro.api import evaluate_rows
 from repro.engine import EngineStats, ThermalEngine
 from repro.errors import InfeasibleError
@@ -49,7 +51,7 @@ from repro.obs import METRICS, span
 from repro.platform import Platform
 from repro.platforms import PlatformSpec
 from repro.safety.certificate import certify_grid
-from repro.schedule.serialization import result_from_dict, result_to_dict
+from repro.schedule.serialization import _fresh, result_from_dict, result_to_dict
 from repro.service.cache import (
     ScheduleCache,
     platform_hash,
@@ -74,7 +76,7 @@ _SPEC_MEMO_SIZE = 4096
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    """One served solve: status, live result, provenance.
+    """One served solve: status, result, provenance.
 
     Attributes
     ----------
@@ -82,11 +84,6 @@ class SolveOutcome:
         ``"ok"`` or ``"infeasible"`` — an
         :class:`~repro.errors.InfeasibleError` is an answer the session
         caches like any other, not a failure.
-    result:
-        The :class:`~repro.algorithms.base.SchedulerResult` (``None``
-        when infeasible).  Cached outcomes rebuild it from the stored
-        wire document, so schedule, certificate, and details round-trip
-        bit-for-bit (JSON float round-tripping is exact for float64).
     detail:
         The infeasibility message when ``status == "infeasible"``.
     cached:
@@ -96,15 +93,30 @@ class SolveOutcome:
     stats:
         Thermal-work counters attributed to *this request only* (zero
         for cache hits — no thermal work ran).
+
+    The outcome keeps the result's wire document, the one the schedule
+    cache stores.  :attr:`result` is the live result of a fresh solve;
+    a cache hit decodes it from the document on first read, a copy of
+    its own, so schedule, certificate and details round-trip
+    bit-for-bit (JSON float round-tripping is exact for float64).
     """
 
     status: str
-    result: Any = None
+    _doc: dict[str, Any] | None = field(default=None, repr=False)
     detail: str | None = None
     cached: bool = False
     platform_key: str = ""
     cache_key: str | None = None
     stats: EngineStats | None = None
+    _result: Any = field(default=None, repr=False, compare=False)
+
+    @property
+    def result(self):
+        """The :class:`~repro.algorithms.base.SchedulerResult` (``None``
+        when infeasible)."""
+        if self._result is None and self._doc is not None:
+            object.__setattr__(self, "_result", result_from_dict(self._doc))
+        return self._result
 
     @property
     def certificate(self):
@@ -112,47 +124,36 @@ class SolveOutcome:
         return self.result.certificate if self.result is not None else None
 
     def as_doc(self) -> dict[str, Any]:
-        """JSON wire form (the server's response body for solve ops)."""
-        cert = self.certificate
+        """JSON wire form (the server's response body for solve ops).
+
+        Copied from the stored wire document with fresh containers, so
+        a caller mutating one response never reaches the cache or any
+        other response, and a hit decodes nothing.
+        """
+        doc = self._doc
+        cert = doc.get("certificate") if doc is not None else None
         return {
             "status": self.status,
-            "result": result_to_dict(self.result) if self.result else None,
+            "result": _fresh(doc) if doc is not None else None,
             "detail": self.detail,
             "cached": self.cached,
             "platform": self.platform_key,
             "cache_key": self.cache_key,
-            "certificate": cert.as_dict() if cert is not None else None,
+            "certificate": _fresh(cert) if cert is not None else None,
             "stats": self.stats.as_dict() if self.stats is not None else None,
         }
 
 
-def _cache_value(status: str, result, detail: str | None) -> dict[str, Any]:
-    """The JSON document stored in the schedule cache for one outcome."""
-    return {
-        "status": status,
-        "result": result_to_dict(result) if result is not None else None,
-        "detail": detail,
-    }
+class _KeyedSolve(NamedTuple):
+    """A validated solve request with its platform and cache keys."""
 
-
-def _outcome_from_value(
-    doc: Mapping[str, Any],
-    *,
-    cached: bool,
-    platform_key: str,
-    cache_key: str,
-    stats: EngineStats | None = None,
-) -> SolveOutcome:
-    result_doc = doc.get("result")
-    return SolveOutcome(
-        status=str(doc["status"]),
-        result=result_from_dict(result_doc) if result_doc else None,
-        detail=doc.get("detail"),
-        cached=cached,
-        platform_key=platform_key,
-        cache_key=cache_key,
-        stats=stats,
-    )
+    platform: Any
+    spec: SolverSpec
+    params: dict[str, Any]
+    resolved: tuple[str, Platform | None, Any]
+    cache_key: str
+    certify_tolerance: float | None
+    margin_policy: str | None
 
 
 class SchedulerSession:
@@ -183,9 +184,9 @@ class SchedulerSession:
         :class:`~repro.platforms.PlatformSpec`, a spec document or a
         legacy flat dict — coerce silently through the spec registry; a
         spec whose canonical form was seen before resolves to its hash
-        without rebuilding the platform, so the warm-path cost of a
-        served request is two dict lookups and one sha256 of a small key
-        document.
+        without rebuilding the platform, so a warm request's platform
+        key costs one canonical-JSON encoding of the spec and one memo
+        lookup.
         """
         if isinstance(platform, ThermalEngine):
             return platform_hash(platform.platform), platform.platform, None
@@ -277,27 +278,57 @@ class SchedulerSession:
         plain request or vice versa.  A caller who wants a fresh solve
         of a cached key uses a fresh session.
         """
+        return self._solve_keyed(
+            self._keyed(
+                platform, solver, params, certify_tolerance, margin_policy
+            )
+        )
+
+    def _keyed(
+        self,
+        platform: "Platform | ThermalEngine | Mapping[str, Any] | str",
+        solver,
+        params: Mapping[str, Any] | None,
+        certify_tolerance: float | None = None,
+        margin_policy: str | None = None,
+    ) -> _KeyedSolve:
+        """Validate one solve request and derive its keys, once.
+
+        The coalescer deduplicates concurrent requests on the returned
+        cache key and serves each distinct one through
+        :meth:`_solve_keyed`, so no served solve derives a key twice.
+        """
         spec = solver if hasattr(solver, "params") else get_solver(str(solver))
         params = dict(params or {})
         spec.check_params(params)
+        resolved = self._resolve(platform)
+        cache_key = schedule_cache_key(
+            resolved[0], spec.name, params, certify_tolerance, margin_policy
+        )
+        return _KeyedSolve(
+            platform, spec, params, resolved, cache_key,
+            certify_tolerance, margin_policy,
+        )
 
+    def _solve_keyed(self, request: _KeyedSolve) -> SolveOutcome:
+        """The body of :meth:`solve` for a request :meth:`_keyed` built."""
         self.requests += 1
         self.solve_requests += 1
         METRICS.counter("service.requests").inc()
 
-        key, built, platform_spec = self._resolve(platform)
-        cache_key = schedule_cache_key(
-            key, spec.name, params, certify_tolerance, margin_policy
-        )
+        key, built, platform_spec = request.resolved
+        cache_key = request.cache_key
         value = self.cache.get(cache_key)
         if value is not None:
             self.cache_hits += 1
             METRICS.counter("service.cache_hits").inc()
-            return _outcome_from_value(
-                value, cached=True, platform_key=key, cache_key=cache_key
+            return SolveOutcome(
+                value["status"], value["result"], value["detail"],
+                cached=True, platform_key=key, cache_key=cache_key,
             )
 
-        engine = self._engine(platform, key, built, platform_spec)
+        spec = request.spec
+        engine = self._engine(request.platform, key, built, platform_spec)
         mark = engine.checkpoint()
         t0 = time.perf_counter()
         with span(
@@ -306,8 +337,8 @@ class SchedulerSession:
             try:
                 result = guarded_solve(
                     spec, engine,
-                    certify_tolerance=certify_tolerance,
-                    margin_policy=margin_policy, **params,
+                    certify_tolerance=request.certify_tolerance,
+                    margin_policy=request.margin_policy, **request.params,
                 )
             except InfeasibleError as exc:
                 status, result, detail = "infeasible", None, str(exc)
@@ -317,15 +348,17 @@ class SchedulerSession:
         METRICS.histogram("service.solve_seconds").observe(
             time.perf_counter() - t0
         )
-        self.cache.put(cache_key, _cache_value(status, result, detail))
+        doc = result_to_dict(result) if result is not None else None
+        self.cache.put(
+            cache_key, {"status": status, "result": doc, "detail": detail}
+        )
         return SolveOutcome(
-            status=status,
-            result=result,
-            detail=detail,
+            status, doc, detail,
             cached=False,
             platform_key=key,
             cache_key=cache_key,
             stats=stats,
+            _result=result,
         )
 
     # ------------------------------------------------------------------

@@ -1,8 +1,5 @@
 """Tests for the Theorem-2 screening utilities."""
 
-import numpy as np
-import pytest
-
 from repro.analysis.bounds import (
     Screen,
     classify_schedule,

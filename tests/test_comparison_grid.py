@@ -6,7 +6,6 @@ import pytest
 from repro.experiments.comparison import (
     APPROACHES,
     CellResult,
-    ComparisonGrid,
     build_grid,
 )
 from repro.platform import paper_platform

@@ -21,7 +21,6 @@ from repro.errors import SolverError
 from repro.obs import METRICS
 from repro.platform import paper_platform
 from repro.power import big_little_power_model
-from repro.safety.faults import FaultSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -1,6 +1,5 @@
 """Tests for the workload/thermal co-simulation engine."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError

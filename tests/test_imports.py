@@ -8,11 +8,13 @@ the test process has long since imported everything.  Nothing here is
 timed.
 
 ``TestBannedApi`` mirrors the ruff ``flake8-tidy-imports.banned-api``
-rule (pyproject.toml) so it holds where ruff isn't installed.
+rule (pyproject.toml) and ``TestUnusedImports`` its F401 rule, so both
+hold where ruff isn't installed.
 """
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -237,3 +239,136 @@ class TestBannedApi:
         assert sorted(set(self._banned(tree))) == [
             "scipy.integrate", "scipy.optimize", "scipy.optimize.brentq",
         ]
+
+
+#: A ``# noqa`` comment, bare or naming the rules it silences.
+_NOQA = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
+
+
+def _silences_f401(line: str) -> bool:
+    match = _NOQA.search(line)
+    if match is None:
+        return False
+    codes = match.group("codes")
+    return codes is None or "F401" in {
+        c.strip().upper() for c in codes.split(",")
+    }
+
+
+def _annotation_names(tree: ast.AST):
+    """Names inside string annotations (``"Platform | None"``)."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations.append(node.returns)
+            annotations += [
+                arg.annotation
+                for arg in (
+                    *args.posonlyargs, *args.args, *args.kwonlyargs,
+                    args.vararg, args.kwarg,
+                )
+                if arg is not None
+            ]
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    inner = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                yield from (
+                    n.id for n in ast.walk(inner) if isinstance(n, ast.Name)
+                )
+
+
+def _exported_names(tree: ast.AST):
+    """String entries of ``__all__`` (re-exports count as uses)."""
+    for node in ast.walk(tree):
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, ast.AugAssign)
+            else []
+        )
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            yield from (
+                n.value for n in ast.walk(node.value)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            )
+
+
+def _unused_imports(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` of every import binding the module never reads.
+
+    One scope per module: a name read anywhere counts as a use of every
+    import binding it.  ``from __future__`` imports, star imports and
+    dotted ``import a.b`` (loaded for the submodule attribute it sets on
+    ``a``) are out of scope.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= set(_annotation_names(tree)) | set(_exported_names(tree))
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            if alias.name == "*" or (
+                isinstance(node, ast.Import) and alias.asname is None
+                and "." in alias.name
+            ):
+                continue
+            bound = alias.asname or alias.name
+            if bound in used or any(
+                _silences_f401(lines[n - 1]) for n in (alias.lineno, node.lineno)
+            ):
+                continue
+            unused.append((alias.lineno, bound))
+    return unused
+
+
+class TestUnusedImports:
+    """Every import is read, as ruff's F401 rule (pyproject.toml) asks.
+
+    ``__init__.py`` files are exempt (they import to re-export), as is a
+    line carrying ``# noqa: F401`` or a bare ``# noqa``.
+    """
+
+    def test_src_tests_and_scripts_have_none(self):
+        offenders = []
+        for top in ("src", "tests", "scripts"):
+            for path in sorted((ROOT / top).rglob("*.py")):
+                if path.name == "__init__.py":
+                    continue
+                rel = path.relative_to(ROOT).as_posix()
+                offenders += [
+                    f"{rel}:{line}: {name}"
+                    for line, name in _unused_imports(path.read_text())
+                ]
+        assert not offenders, offenders
+
+    def test_rule_sees_uses_and_honours_noqa(self):
+        source = (
+            "from __future__ import annotations\n"
+            "import os\n"
+            "import numpy as np\n"
+            "import json  # noqa: F401\n"
+            "import sys  # noqa\n"
+            "import re  # noqa: E402\n"
+            "import xml.dom\n"
+            "from typing import (\n"
+            "    Any,\n"
+            "    Mapping,  # noqa: F401\n"
+            "    Sequence,\n"
+            ")\n"
+            "from pathlib import Path\n"
+            "__all__ = ['Path']\n"
+            "def f(x: 'Sequence[int]') -> Any:\n"
+            "    return np.zeros(3)\n"
+        )
+        assert _unused_imports(source) == [(2, "os"), (6, "re")]

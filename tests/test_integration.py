@@ -6,7 +6,6 @@ checked across configurations; the motivation-section narrative is
 replayed end-to-end through the public API.
 """
 
-import numpy as np
 import pytest
 
 import repro

@@ -1,10 +1,9 @@
 """Tests for the Platform bundle and its factory."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.platform import Platform, paper_platform
+from repro.platform import paper_platform
 from repro.power.dvfs import VoltageLadder
 
 

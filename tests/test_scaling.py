@@ -10,8 +10,6 @@ experiment tests pin seeded bitwise reproducibility plus the honest
 feasibility semantics the frontier logic depends on.
 """
 
-import math
-
 import pytest
 
 from repro.engine import ThermalEngine

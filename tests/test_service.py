@@ -4,8 +4,10 @@ The service contract under test:
 
 * the content-addressed schedule cache keys on the platform's *physics*
   plus the full solver request — keys are stable across process
-  restarts, any parameter or tolerance change invalidates, and every
-  hit decodes a result of its own;
+  restarts, any parameter or tolerance change invalidates; a hit is
+  answered from the stored wire document (byte-identical to decoding
+  and re-encoding it), and each response and each decoded result is
+  a copy of its own;
 * cached and coalesced results are **identical** to direct
   :func:`~repro.algorithms.registry.guarded_solve` calls (the
   acceptance bound is 1e-9; the deterministic fields match exactly),
@@ -31,11 +33,12 @@ import pytest
 from repro.algorithms.registry import get_solver, guarded_solve
 from repro.api import evaluate as api_evaluate, load_platform
 from repro.engine import ThermalEngine
-from repro.errors import InfeasibleError, ScheduleError, SolverError
+from repro.errors import ScheduleError, SolverError
 from repro.platform import paper_platform
 from repro.power import big_little_power_model
 from repro.schedule.periodic import PeriodicSchedule
 from repro.schedule.serialization import (
+    result_from_dict,
     result_to_dict,
     schedule_to_dict,
 )
@@ -581,6 +584,136 @@ class TestCoalescer:
         assert not bad_op["ok"] and "unknown op" in bad_op["error"]["message"]
         assert not bad_solver["ok"]
         assert good["ok"]
+
+
+def _served(coalescer: RequestCoalescer, request: dict) -> dict:
+    """One request through the coalescer, alone in its batch."""
+
+    async def run():
+        return await coalescer.submit(dict(request))
+
+    return asyncio.run(run())
+
+
+class TestHitPath:
+    """A cache hit is answered from the stored wire document."""
+
+    KEYS = [
+        (SPEC2, "AO", {"m_cap": 8}),
+        (SPEC2, "PCO", {"m_cap": 8}),
+        (SPEC2, "EXS", {}),
+        (SPEC2, "LNS", {}),
+        (SPEC2, "integral", {"horizon": 0.02}),
+        (SPEC2, "reactive", {"horizon": 0.02}),
+        (dict(SPEC3, t_max_c=37.0), "EXS", {}),
+    ]
+
+    @staticmethod
+    def _request(platform, solver, params) -> dict:
+        return {
+            "op": "solve",
+            "platform": dict(platform),
+            "solver": solver,
+            "params": dict(params),
+        }
+
+    @staticmethod
+    def _decoded_response(session, response: dict) -> dict:
+        """The hit response as decoding and re-encoding the stored
+        document builds it (the reference the stored copy must equal)."""
+        stored = session.cache.get(response["cache_key"])
+        result = result_from_dict(stored["result"]) if stored["result"] else None
+        cert = result.certificate if result is not None else None
+        return {
+            "ok": True,
+            "op": "solve",
+            "status": stored["status"],
+            "result": result_to_dict(result) if result is not None else None,
+            "detail": stored["detail"],
+            "cached": True,
+            "platform": response["platform"],
+            "cache_key": response["cache_key"],
+            "certificate": cert.as_dict() if cert is not None else None,
+            "stats": None,
+            "coalesced": 1,
+        }
+
+    @pytest.mark.parametrize(
+        "platform, solver, params",
+        KEYS,
+        ids=[k[1] for k in KEYS[:-1]] + ["infeasible"],
+    )
+    def test_hit_response_is_byte_identical(
+        self, session, platform, solver, params
+    ):
+        coalescer = RequestCoalescer(session)
+        request = self._request(platform, solver, params)
+        miss = _served(coalescer, request)
+        hit = _served(coalescer, request)
+        assert miss["ok"] and not miss["cached"] and hit["cached"]
+        assert json.dumps(hit) == json.dumps(self._decoded_response(session, hit))
+        if solver == "LNS":
+            # A miss answers from the document it stores, too.
+            assert json.dumps(dict(miss, cached=True, stats=None)) == json.dumps(hit)
+
+    def test_mutating_a_response_leaves_the_next_hit_unchanged(self, session):
+        params = {"horizon": 0.02}
+        first = session.solve(SPEC2, "integral", params)
+        reference = first.as_doc()
+        expected = json.dumps([reference["result"], reference["certificate"]])
+        for outcome in (first, session.solve(SPEC2, "integral", params)):
+            doc = outcome.as_doc()
+            doc["result"]["schedule"]["intervals"].append("corrupt")
+            doc["result"]["details"]["trace"]["levels"].append("corrupt")
+            doc["result"]["certificate"]["method_peaks"]["corrupt"] = 0.0
+            doc["certificate"]["method_peaks"]["corrupt"] = 0.0
+            doc["certificate"]["reasons"].append("corrupt")
+        again = session.solve(SPEC2, "integral", params).as_doc()
+        assert again["cached"]
+        assert json.dumps([again["result"], again["certificate"]]) == expected
+
+    def test_served_hit_decodes_nothing(self, session, monkeypatch):
+        coalescer = RequestCoalescer(session)
+        request = self._request(SPEC2, "AO", {"m_cap": 8})
+        _served(coalescer, request)
+        decodes = []
+
+        def counted(doc):
+            decodes.append(doc)
+            return result_from_dict(doc)
+
+        monkeypatch.setattr(service_session, "result_from_dict", counted)
+        assert _served(coalescer, request)["cached"]
+        assert decodes == []
+        # A caller reading the live result decodes it, once per outcome.
+        outcome = session.solve(SPEC2, "AO", {"m_cap": 8})
+        assert outcome.result is outcome.result and len(decodes) == 1
+        assert outcome.certificate.accepted
+
+    def test_served_solve_derives_its_keys_once(self, session, monkeypatch):
+        from repro.platforms import PlatformSpec
+
+        keys, canonicals = [], []
+        cache_key = service_session.schedule_cache_key
+        canonical = PlatformSpec.canonical
+
+        def counted_key(*args, **kwargs):
+            keys.append(args)
+            return cache_key(*args, **kwargs)
+
+        def counted_canonical(spec):
+            canonicals.append(spec)
+            return canonical(spec)
+
+        monkeypatch.setattr(service_session, "schedule_cache_key", counted_key)
+        monkeypatch.setattr(PlatformSpec, "canonical", counted_canonical)
+        coalescer = RequestCoalescer(session)
+        request = self._request(SPEC2, "LNS", {})
+        for cached in (False, True):
+            keys.clear()
+            canonicals.clear()
+            assert _served(coalescer, request)["cached"] is cached
+            assert len(keys) == 1 and len(canonicals) == 1
 
 
 class TestServer:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ThermalModelError, ThermalRunawayError
-from repro.floorplan.library import floorplan_2x1, floorplan_3x1
+from repro.floorplan.library import floorplan_2x1
 from repro.power.model import PowerModel
 from repro.thermal.model import ThermalModel
 from repro.thermal.rc import build_single_layer_network

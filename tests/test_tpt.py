@@ -5,7 +5,6 @@ import pytest
 
 from repro.algorithms.continuous import continuous_assignment
 from repro.algorithms.oscillation import (
-    adjusted_high_ratios,
     build_oscillating_schedule,
     plan_modes,
 )
