@@ -244,15 +244,13 @@ def choose_m_grid(
 def effective_throughput(
     schedule: PeriodicSchedule,
     platform: Platform | ThermalEngine,
-    transitions_per_period: np.ndarray | None = None,
 ) -> float:
     """Eq.-5 throughput net of DVFS clock-halt losses.
 
-    ``transitions_per_period[i]`` is the number of voltage switches core i
-    performs per schedule period (2 for a two-mode cycle).  The work lost
-    per switch is ``v * tau`` at the voltage ruling when the clock halts;
-    following the paper's accounting we charge ``(v_H + v_L) * tau`` per
-    up/down pair, i.e. ``tau * sum of the two voltages`` per two switches.
+    The work lost per voltage switch is ``v * tau`` at the voltage
+    ruling when the clock halts; following the paper's accounting each
+    core that oscillates is charged one up/down pair per period,
+    ``(v_H + v_L) * tau``.
     """
     platform = as_platform(platform)
     volts = schedule.voltage_matrix
@@ -263,8 +261,5 @@ def effective_throughput(
         for i in range(schedule.n_cores):
             distinct = np.unique(volts[:, i])
             if distinct.size >= 2:
-                pairs = 1.0  # one up/down pair per period for a two-mode cycle
-                if transitions_per_period is not None:
-                    pairs = transitions_per_period[i] / 2.0
-                total_work -= pairs * tau * (distinct.max() + distinct.min())
+                total_work -= tau * (distinct.max() + distinct.min())
     return total_work / (schedule.n_cores * schedule.period)

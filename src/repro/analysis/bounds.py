@@ -31,6 +31,10 @@ __all__ = ["Screen", "ScreeningReport", "stepup_bound", "classify_schedule",
 #: epsilon (EXPERIMENTS.md Finding 1: worst observed ~0.25 K on arbitrary
 #: schedules, <1 % relative).
 WRAP_MARGIN = 0.3
+#: How far (K) a candidate's true peak may sit below its step-up bound; a
+#: bound this far over ``theta_max`` rejects outright (a generous value on
+#: the calibrated chip).
+REJECT_SLACK = 5.0
 
 
 class Screen(Enum):
@@ -47,26 +51,21 @@ def stepup_bound(model: ThermalModel, schedule: PeriodicSchedule) -> float:
 
 
 def classify_schedule(
-    model: ThermalModel,
-    schedule: PeriodicSchedule,
-    theta_max: float,
-    reject_slack: float = 5.0,
-    margin: float = WRAP_MARGIN,
+    model: ThermalModel, schedule: PeriodicSchedule, theta_max: float
 ) -> Screen:
     """Screen one candidate against ``theta_max`` using only the bound.
 
-    * ``ACCEPT`` when ``bound + margin <= theta_max`` — the candidate is
-      certainly feasible (up to the wrap epsilon, absorbed by ``margin``).
-    * ``REJECT`` when ``bound - reject_slack > theta_max`` — the bound is
-      so far over that no reordering slack can rescue it (``reject_slack``
-      is how much the true peak may sit below its step-up bound; 5 K is a
-      generous default on the calibrated chip).
+    * ``ACCEPT`` when ``bound + WRAP_MARGIN <= theta_max`` — the
+      candidate is certainly feasible (up to the wrap epsilon, absorbed
+      by the margin).
+    * ``REJECT`` when ``bound - REJECT_SLACK > theta_max`` — the bound is
+      so far over that no reordering slack can rescue it.
     * ``VERIFY`` otherwise.
     """
     bound = stepup_bound(model, schedule)
-    if bound + margin <= theta_max:
+    if bound + WRAP_MARGIN <= theta_max:
         return Screen.ACCEPT
-    if bound - reject_slack > theta_max:
+    if bound - REJECT_SLACK > theta_max:
         return Screen.REJECT
     return Screen.VERIFY
 
@@ -98,20 +97,14 @@ class ScreeningReport:
 
 
 def prune_candidates(
-    model: ThermalModel,
-    candidates: list[PeriodicSchedule],
-    theta_max: float,
-    reject_slack: float = 5.0,
-    margin: float = WRAP_MARGIN,
+    model: ThermalModel, candidates: list[PeriodicSchedule], theta_max: float
 ) -> ScreeningReport:
     """Screen a candidate list, verifying only the inconclusive ones."""
     feasible: list[int] = []
     infeasible: list[int] = []
     verified: list[int] = []
     for k, schedule in enumerate(candidates):
-        screen = classify_schedule(
-            model, schedule, theta_max, reject_slack=reject_slack, margin=margin
-        )
+        screen = classify_schedule(model, schedule, theta_max)
         if screen is Screen.ACCEPT:
             feasible.append(k)
         elif screen is Screen.REJECT:

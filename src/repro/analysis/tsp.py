@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.errors import SolverError
 from repro.platform import Platform
+from repro.tolerances import POWER_SLACK
 
 __all__ = ["TSPResult", "thermal_safe_power", "tsp_throughput"]
 
@@ -130,7 +131,7 @@ def tsp_throughput(platform: Platform, n_active: int | None = None) -> float:
             psi_vals = np.asarray(
                 platform.model.power.psi(np.full(n, float(level)))
             )
-            if float(psi_vals.max()) <= budget + 1e-12:
+            if float(psi_vals.max()) <= budget + POWER_SLACK:
                 speed = level
         best = max(best, k * speed / n)
     return best

@@ -374,11 +374,10 @@ class ThermalEngine:
     # peak evaluation — scalar
     # ------------------------------------------------------------------
 
-    def stepup_peak(self, schedule: PeriodicSchedule, check: bool = False,
-                    **kwargs) -> PeakResult:
+    def stepup_peak(self, schedule: PeriodicSchedule) -> PeakResult:
         """Theorem-1 stable peak of a step-up schedule."""
         self._peak_evals += 1
-        return stepup_peak_temperature(self.model, schedule, check=check, **kwargs)
+        return stepup_peak_temperature(self.model, schedule, check=False)
 
     def general_peak(self, schedule: PeriodicSchedule, **kwargs) -> PeakResult:
         """MatEx-style stable peak of an arbitrary schedule."""

@@ -39,14 +39,6 @@ class Table5Result:
             title="Table V — computation time (seconds, this machine)",
         )
 
-    def exs_growth(self) -> float:
-        """EXS time ratio between the largest and smallest configuration."""
-        times = [c.runtime("EXS") for c in self.grid.cells]
-        finite = [t for t in times if t == t]  # drop NaN
-        if len(finite) < 2 or min(finite) == 0:
-            return float("nan")
-        return max(finite) / min(finite)
-
 
 def table5(
     core_counts: tuple[int, ...] = (2, 3, 6, 9),

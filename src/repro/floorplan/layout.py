@@ -85,11 +85,6 @@ class Floorplan:
         """Number of cores on the chip."""
         return len(self.occupied)
 
-    @property
-    def chip_area_m2(self) -> float:
-        """Total silicon area covered by cores."""
-        return self.n_cores * self.geometry.area_m2
-
     def position(self, core: int) -> tuple[int, int]:
         """Grid (row, col) of the given core index."""
         self._check_core(core)

@@ -42,11 +42,6 @@ class Stack3D:
         """Total core count across all layers."""
         return self.base.n_cores * self.n_layers
 
-    @property
-    def cores_per_layer(self) -> int:
-        """Cores in each layer."""
-        return self.base.n_cores
-
     def core_index(self, layer: int, core: int) -> int:
         """Flat index of a core addressed by (layer, within-layer index)."""
         if not (0 <= layer < self.n_layers):

@@ -51,6 +51,7 @@ from repro.safety.faults import CoreFailure, FaultSpec
 from repro.schedule.builders import from_core_timelines
 from repro.schedule.periodic import MIN_INTERVAL
 from repro.sim.engine import ClosedLoopTrace, simulate_closed_loop
+from repro.tolerances import CAPACITY_ATOL, CAPACITY_RTOL, FRAME_SNAP
 
 __all__ = ["RecoveryReport", "simulate_recovery", "snap_failures"]
 
@@ -150,10 +151,10 @@ def snap_failures(faults: FaultSpec, n_frames: int) -> FaultSpec:
         raise ConfigurationError(f"n_frames must be >= 1, got {n_frames}")
     snapped = []
     for f in faults.core_failures:
-        start = min(ceil(f.at_fraction * n_frames - 1e-12), n_frames)
+        start = min(ceil(f.at_fraction * n_frames - FRAME_SNAP), n_frames)
         duration = f.duration_fraction
         if f.kind == "transient":
-            frames = max(1, ceil(duration * n_frames - 1e-12))
+            frames = max(1, ceil(duration * n_frames - FRAME_SNAP))
             duration = frames / n_frames
         snapped.append(
             CoreFailure(
@@ -188,7 +189,6 @@ def simulate_recovery(
     *,
     n_frames: int = 8,
     steps_per_frame: int = 8,
-    certify_tolerance: float | None = None,
 ) -> RecoveryReport:
     """Execute a placement under injected core failures and recover.
 
@@ -208,15 +208,12 @@ def simulate_recovery(
     spf = int(steps_per_frame)
     n_steps = n_frames * spf
     per_frame = _frame_failures(faults, n_frames, n)
-    tolerance = (
-        DEFAULT_TOLERANCE if certify_tolerance is None else certify_tolerance
-    )
 
     # Quantize the shared backup window up to whole sensor steps.
     window_steps = 0
     if placement.backup_window_s > 0:
         window_steps = min(
-            spf, ceil(placement.backup_window_s / frame * spf - 1e-12)
+            spf, ceil(placement.backup_window_s / frame * spf - FRAME_SNAP)
         )
 
     # Per frame: which cores host activated backups, and the journal.
@@ -243,7 +240,7 @@ def simulate_recovery(
             wcet = placement.placed(name).task.wcet_at(
                 placement.speed(core, activated=True)
             )
-            if demand[core] + wcet > window_s * (1 + 1e-9) + 1e-12:
+            if demand[core] + wcet > window_s * (1 + CAPACITY_RTOL) + CAPACITY_ATOL:
                 missed[name] = missed.get(name, 0) + 1
                 continue
             demand[core] += wcet
@@ -282,9 +279,7 @@ def simulate_recovery(
     recert: SafetyCertificate | None = None
     shed: list[str] = []
     if perm:
-        recert = _recertify_degraded(
-            engine, placement, perm, shed, tolerance
-        )
+        recert = _recertify_degraded(engine, placement, perm, shed)
 
     return RecoveryReport(
         placement=placement,
@@ -305,7 +300,6 @@ def _recertify_degraded(
     placement: FramePlacement,
     perm: frozenset[int],
     shed: list[str],
-    tolerance: float,
 ) -> SafetyCertificate:
     """Certify the post-failure steady placement, shedding if needed.
 
@@ -343,11 +337,9 @@ def _recertify_degraded(
                 timelines.append(
                     [(frame - window, v_nom), (window, v_act)]
                 )
-        cert = certify(
-            engine, from_core_timelines(timelines), tolerance=tolerance
-        )
-        fits = window <= frame * (1 + 1e-9) and all(
-            placement.primary_seconds(core) <= frame - window + 1e-12
+        cert = certify(engine, from_core_timelines(timelines))
+        fits = window <= frame * (1 + CAPACITY_RTOL) and all(
+            placement.primary_seconds(core) <= frame - window + CAPACITY_ATOL
             for core in range(n)
             if core not in perm
         )

@@ -58,13 +58,10 @@ from repro.engine import ThermalEngine
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.platform import Platform
 from repro.realtime.tasks import RTTask, TaskSet
-from repro.safety.certificate import (
-    DEFAULT_TOLERANCE,
-    SafetyCertificate,
-    certify,
-)
+from repro.safety.certificate import SafetyCertificate, certify
 from repro.schedule.builders import from_core_timelines
 from repro.schedule.periodic import MIN_INTERVAL, PeriodicSchedule
+from repro.tolerances import ADMISSION_ATOL, CAPACITY_RTOL, within_threshold
 
 __all__ = [
     "PlacedTask",
@@ -77,9 +74,6 @@ __all__ = [
 COND_FULL_OVERLOAD = 1e2
 #: Condition numbers at or above this get no overloading benefit at all.
 COND_NO_OVERLOAD = 1e6
-
-#: Relative slack on frame-capacity comparisons.
-_EPS = 1e-9
 
 
 def overload_factor(condition_number: float) -> float:
@@ -215,15 +209,6 @@ class FramePlacement:
                 out[p.name] = -1 if core is None else int(core)
         return out
 
-    def backup_demand_s(self, failed) -> np.ndarray:
-        """Per-core activated-backup seconds under a failure set."""
-        demand = np.zeros(self.n_cores)
-        for name, core in self.activated_backups(failed).items():
-            if core >= 0:
-                v = self.speed(core, activated=True)
-                demand[core] += self.placed(name).task.wcet_at(v)
-        return demand
-
     def envelope_schedule(self) -> PeriodicSchedule:
         """Worst-case activation envelope as a periodic schedule.
 
@@ -243,16 +228,6 @@ class FramePlacement:
             else:
                 timelines.append([(frame - window, v_nom), (window, v_act)])
         return from_core_timelines(timelines)
-
-    @property
-    def envelope_throughput(self) -> float:
-        """Time-averaged per-core speed of the activation envelope."""
-        sched = self.envelope_schedule()
-        avg = float(
-            (sched.lengths[:, None] * sched.voltage_matrix).sum()
-            / (sched.period * self.n_cores)
-        )
-        return avg
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -318,18 +293,18 @@ def _no_overload_cycles(
     return total
 
 
-def _base_level(engine: ThermalEngine, margin_guard: float) -> int:
+def _base_level(engine: ThermalEngine) -> int:
     """Highest uniform ladder level whose constant assignment fits."""
     levels = engine.ladder.levels
     n = engine.n_cores
     for idx in range(len(levels) - 1, -1, -1):
         volts = np.full(n, float(levels[idx]))
         peak = float(engine.steady_state_cores(volts).max())
-        if peak <= engine.theta_max - margin_guard + _EPS:
+        if within_threshold(peak, engine.theta_max):
             return idx
     raise InfeasibleError(
         "no uniform ladder level keeps the steady state under "
-        f"theta_max - guard = {engine.theta_max - margin_guard:.2f} K"
+        f"theta_max = {engine.theta_max:.2f} K"
     )
 
 
@@ -380,10 +355,6 @@ def plan_frames(
     workload: TaskSet,
     k: int = 1,
     policy: str = "margin",
-    *,
-    margin_guard: float = 0.0,
-    certify_tolerance: float | None = None,
-    allow_shedding: bool = True,
 ) -> FramePlacement:
     """Place a frame task set k-fault-tolerantly on a platform.
 
@@ -400,21 +371,13 @@ def plan_frames(
         ``"blind"`` — classic load-balanced placement that activates at
         the top ladder level unconditionally (the EnSuRe-style
         baseline this module exists to beat at matched ``T_max``).
-    margin_guard:
-        Extra Kelvin of headroom the margin policy keeps in reserve.
-    allow_shedding:
-        Whether admission may shed lowest-criticality tasks to fit
-        (sheds are journaled in ``FramePlacement.shed``); with
-        ``False`` an unplaceable workload raises
-        :class:`~repro.errors.InfeasibleError` instead.
 
     Raises
     ------
     ConfigurationError
         When the tasks do not share one period (no frame).
     InfeasibleError
-        When no subset of the workload (or, with shedding disabled, the
-        full workload) can be admitted.
+        When no subset of the workload can be admitted.
     """
     if policy not in ("margin", "blind"):
         raise ConfigurationError(
@@ -430,8 +393,7 @@ def plan_frames(
             f"k={k} fault tolerance needs at least {k + 1} cores, have {n}"
         )
     ladder = tuple(float(v) for v in engine.ladder.levels)
-    guard = margin_guard if policy == "margin" else 0.0
-    base = _base_level(engine, guard)
+    base = _base_level(engine)
     nominal = np.full(n, base, dtype=int)
     speeds = np.array([ladder[i] for i in nominal])
     headroom = engine.theta_max - engine.steady_state_cores(speeds)
@@ -443,20 +405,12 @@ def plan_frames(
     while remaining.tasks:
         placements = _place(remaining, n, k, policy, headroom, speeds)
         admitted = _admit(
-            engine, remaining, placements, nominal, k, policy,
-            overload, guard, frame,
+            engine, remaining, placements, nominal, k, policy, overload, frame,
         )
         if admitted is not None:
             activation, window = admitted
             envelope = _envelope(ladder, nominal, activation, frame, window)
-            cert = certify(
-                engine,
-                envelope,
-                tolerance=(
-                    DEFAULT_TOLERANCE if certify_tolerance is None
-                    else certify_tolerance
-                ),
-            )
+            cert = certify(engine, envelope)
             if policy == "blind" or (cert.accepted and cert.feasible):
                 return FramePlacement(
                     workload=remaining,
@@ -474,11 +428,6 @@ def plan_frames(
                 )
             # The margin policy refuses a fit its certificate won't
             # stand behind; fall through to shedding.
-        if not allow_shedding:
-            raise InfeasibleError(
-                f"workload not admissible at k={k} ({policy}) and "
-                "shedding is disabled"
-            )
         victim = remaining.shed_order()[0]
         shed.append(victim.name)
         remaining = remaining.without([victim.name])
@@ -496,7 +445,6 @@ def _admit(
     k: int,
     policy: str,
     overload: float,
-    guard: float,
     frame: float,
 ):
     """Size the window, fix activation levels, and check capacity.
@@ -524,11 +472,11 @@ def _admit(
         # envelope fits under the margin the certificate stands behind.
         while True:
             window = window_of(activation)
-            if window > frame * (1 - _EPS):
+            if window > frame * (1 - CAPACITY_RTOL):
                 return None  # even the window alone overflows the frame
             sched = _envelope(ladder, nominal, activation, frame, window)
             peak = engine.general_peak(sched)
-            if peak.value <= engine.theta_max - guard + _EPS:
+            if within_threshold(peak.value, engine.theta_max):
                 break
             order = np.argsort(-np.asarray(peak.core_peaks))
             for core in order:
@@ -540,7 +488,7 @@ def _admit(
                 # _base_level certified; numerical slack only.
                 break
     window = window_of(activation)
-    if window > frame * (1 - _EPS):
+    if window > frame * (1 - CAPACITY_RTOL):
         return None
     # Primaries must complete before the shared window opens.
     for core in range(n):
@@ -548,7 +496,7 @@ def _admit(
         primary_s = sum(
             p.task.wcet_at(v) for p in placements if p.primary == core
         )
-        if primary_s > (frame - window) * (1 + _EPS) + _EPS:
+        if primary_s > (frame - window) * (1 + CAPACITY_RTOL) + ADMISSION_ATOL:
             return None
     return activation, window
 

@@ -34,6 +34,9 @@ from repro.errors import ConfigurationError
 
 __all__ = ["RTTask", "TaskSet"]
 
+#: UUniFast draws :meth:`TaskSet.random` makes before it clamps one.
+RANDOM_DRAWS = 64
+
 
 @dataclass(frozen=True)
 class RTTask:
@@ -125,9 +128,9 @@ class TaskSet:
         """Sum of task utilizations at reference speed."""
         return float(sum(t.utilization for t in self.tasks))
 
-    def sorted_by_utilization(self, descending: bool = True) -> list[RTTask]:
-        """Tasks ordered by utilization (for the *-fit-decreasing packers)."""
-        return sorted(self.tasks, key=lambda t: t.utilization, reverse=descending)
+    def sorted_by_utilization(self) -> list[RTTask]:
+        """Tasks by decreasing utilization (for the *-fit-decreasing packers)."""
+        return sorted(self.tasks, key=lambda t: t.utilization, reverse=True)
 
     def shed_order(self) -> tuple[RTTask, ...]:
         """Tasks in degradation order: lowest criticality first."""
@@ -170,17 +173,17 @@ class TaskSet:
         rng: np.random.Generator,
         period_range: tuple[float, float] = (0.01, 0.2),
         max_task_utilization: float = 1.0,
-        max_attempts: int = 64,
     ) -> "TaskSet":
         """UUniFast task set with a uniform random period per task.
 
         Individual task utilizations are capped at ``max_task_utilization``
         (no single task may exceed one reference core) by rejection
-        sampling over the UUniFast split; if the cap is statistically hard
-        to satisfy the final attempt is clamped and renormalized.
+        sampling over the UUniFast split (:data:`RANDOM_DRAWS` draws); if
+        the cap is statistically hard to satisfy one more draw is clamped
+        and renormalized.
         """
         utils = _uunifast(
-            n_tasks, total_utilization, rng, max_task_utilization, max_attempts
+            n_tasks, total_utilization, rng, max_task_utilization, RANDOM_DRAWS
         )
         if utils is None:
             # Clamp one more draw and push the excess onto the unclamped

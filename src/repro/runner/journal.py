@@ -46,12 +46,11 @@ MANIFEST_FORMAT = "repro.run-manifest"
 MANIFEST_VERSION = 1
 
 
-def git_sha(cwd: str | os.PathLike | None = None) -> str | None:
+def git_sha() -> str | None:
     """Best-effort git commit hash of the working tree (None outside git)."""
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=cwd,
             capture_output=True,
             text=True,
             timeout=5,

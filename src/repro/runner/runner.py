@@ -179,22 +179,21 @@ class RunReport:
         return "\n".join(lines)
 
 
-def print_progress(event: Mapping[str, Any], stream=None) -> None:
+def print_progress(event: Mapping[str, Any]) -> None:
     """Default progress reporter: one stderr line per settled unit."""
-    stream = stream if stream is not None else sys.stderr
     status = event["status"]
     if status == "retry":
         print(
             f"[runner] retry {event['label']} "
             f"(attempt {event['attempts']} failed: {event['reason']})",
-            file=stream,
+            file=sys.stderr,
         )
         return
     print(
         f"[runner] {event['completed']}/{event['total']} "
         f"{status:<10s} {event['label']} "
         f"({event['elapsed_s']:.2f}s, attempt {event['attempts']})",
-        file=stream,
+        file=sys.stderr,
     )
 
 

@@ -35,7 +35,7 @@ from repro.schedule.periodic import (
     combine_timelines,
     padded,
 )
-from repro.tolerances import MIN_INTERVAL, PERIOD_RTOL, RATIO_ATOL
+from repro.tolerances import MIN_INTERVAL, RATIO_ATOL
 
 __all__ = [
     "from_core_timelines",
@@ -56,18 +56,15 @@ def _segment(item) -> tuple[float, float]:
     return length, voltage
 
 
-def from_core_timelines(
-    timelines: Sequence[Sequence],
-    atol: float = PERIOD_RTOL,
-) -> PeriodicSchedule:
+def from_core_timelines(timelines: Sequence[Sequence]) -> PeriodicSchedule:
     """Combine per-core timelines into a state-interval schedule.
 
     Parameters
     ----------
     timelines:
         One sequence per core of ``(length, voltage)`` pairs.  All cores
-        must cover the same total period (within ``atol`` relative
-        tolerance); tiny rounding drift is absorbed by stretching the
+        must cover the same total period (within ``PERIOD_RTOL``
+        relative tolerance); tiny rounding drift is absorbed by stretching the
         final segment.
     """
     if not timelines:
@@ -84,7 +81,7 @@ def from_core_timelines(
     counts = np.array(counts)
     return PeriodicSchedule(
         *combine_timelines(
-            padded(flat[:, 0], counts), padded(flat[:, 1], counts), counts, atol
+            padded(flat[:, 0], counts), padded(flat[:, 1], counts), counts
         )
     )
 

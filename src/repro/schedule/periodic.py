@@ -279,7 +279,6 @@ def combine_timelines(
     seg_lengths: np.ndarray,
     seg_volts: np.ndarray,
     counts: np.ndarray,
-    atol: float = PERIOD_RTOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge per-core timelines into state-interval ``(lengths, voltage_matrix)``.
 
@@ -287,7 +286,8 @@ def combine_timelines(
     ``counts[c]`` segments left-aligned in row ``c`` (the rest is
     ignored).  The union of all switch instants becomes the interval grid;
     core 0's period closes it, and every core's last segment is stretched
-    to it.  Segments are assumed valid (see :func:`check_segments`).
+    to it; periods may differ by ``PERIOD_RTOL`` relative.  Segments are
+    assumed valid (see :func:`check_segments`).
     """
     n, k = seg_lengths.shape
     rows = np.arange(n)
@@ -296,7 +296,7 @@ def combine_timelines(
     ends = np.cumsum(seg_lengths, axis=1)
     period = float(sum(seg_lengths[0, : counts[0]].tolist()))
     periods = ends[rows, counts - 1]
-    off = np.abs(periods - period) > atol * max(period, 1.0)
+    off = np.abs(periods - period) > PERIOD_RTOL * max(period, 1.0)
     if off.any():
         i = int(np.argmax(off))
         raise ScheduleError(f"core {i} period {periods[i]} != core 0 period {period}")

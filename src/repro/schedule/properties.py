@@ -2,13 +2,10 @@
 
 Throughput follows eq. (5): the chip-wide average of per-core processing
 speed over the period, with speed numerically equal to voltage (the paper
-uses ``v`` and ``f`` interchangeably).  A custom ``speed_of`` mapping can
-be supplied for platforms where frequency is not proportional to voltage.
+uses ``v`` and ``f`` interchangeably).
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
 
 import numpy as np
 
@@ -18,45 +15,26 @@ from repro.tolerances import PERIOD_RTOL, VOLTAGE_ATOL, WORK_ATOL
 __all__ = ["is_step_up", "throughput", "core_workloads", "same_workload"]
 
 
-def is_step_up(schedule: PeriodicSchedule, atol: float = VOLTAGE_ATOL) -> bool:
+def is_step_up(schedule: PeriodicSchedule) -> bool:
     """Definition 1: every core's voltage is non-decreasing across intervals."""
     volts = schedule.voltage_matrix
-    return bool(np.all(np.diff(volts, axis=0) >= -atol))
+    return bool(np.all(np.diff(volts, axis=0) >= -VOLTAGE_ATOL))
 
 
-def _speeds(schedule: PeriodicSchedule, speed_of: Callable | None) -> np.ndarray:
-    volts = schedule.voltage_matrix
-    if speed_of is None:
-        return volts
-    return np.vectorize(speed_of, otypes=[float])(volts)
-
-
-def throughput(
-    schedule: PeriodicSchedule,
-    speed_of: Callable[[float], float] | None = None,
-) -> float:
+def throughput(schedule: PeriodicSchedule) -> float:
     """Chip-wide throughput (eq. 5): mean speed per core over the period."""
-    speeds = _speeds(schedule, speed_of)
     lengths = schedule.lengths
-    total_work = float(np.sum(speeds * lengths[:, None]))
+    total_work = float(np.sum(schedule.voltage_matrix * lengths[:, None]))
     return total_work / (schedule.n_cores * schedule.period)
 
 
-def core_workloads(
-    schedule: PeriodicSchedule,
-    speed_of: Callable[[float], float] | None = None,
-) -> np.ndarray:
+def core_workloads(schedule: PeriodicSchedule) -> np.ndarray:
     """Per-core work completed in one period: ``sum_q f_{i,q} * l_q``."""
-    speeds = _speeds(schedule, speed_of)
     lengths = schedule.lengths
-    return np.asarray((speeds * lengths[:, None]).sum(axis=0))
+    return np.asarray((schedule.voltage_matrix * lengths[:, None]).sum(axis=0))
 
 
-def same_workload(
-    a: PeriodicSchedule,
-    b: PeriodicSchedule,
-    rtol: float = PERIOD_RTOL,
-) -> bool:
+def same_workload(a: PeriodicSchedule, b: PeriodicSchedule) -> bool:
     """Whether two schedules complete the same per-core work per period.
 
     Requires equal periods (workload comparisons across different periods
@@ -64,8 +42,10 @@ def same_workload(
     """
     if a.n_cores != b.n_cores:
         return False
-    if abs(a.period - b.period) > rtol * max(a.period, b.period):
+    if abs(a.period - b.period) > PERIOD_RTOL * max(a.period, b.period):
         return False
     return bool(
-        np.allclose(core_workloads(a), core_workloads(b), rtol=rtol, atol=WORK_ATOL)
+        np.allclose(
+            core_workloads(a), core_workloads(b), rtol=PERIOD_RTOL, atol=WORK_ATOL
+        )
     )

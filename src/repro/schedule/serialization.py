@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Mapping
 from typing import Any
 
 import numpy as np
@@ -104,17 +105,22 @@ def schedule_from_json(text: str) -> PeriodicSchedule:
 
 
 def _jsonable(value):
-    """JSON-native form of one detail value (dataclasses field by field)."""
+    """JSON-native form of one value (dataclasses field by field).
+
+    Arrays and tuples become lists and numpy scalars Python scalars, so
+    the schedule cache keys solve parameters with it too: two spellings
+    of one value share a key.
+    """
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
+    if isinstance(value, np.generic):
         return value.item()
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             f.name: _jsonable(getattr(value, f.name))
             for f in dataclasses.fields(value)
         }
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]

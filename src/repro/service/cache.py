@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.obs import METRICS
 from repro.platform import Platform
+from repro.schedule.serialization import _jsonable
 from repro.util.canonical import canonical_json
 
 __all__ = ["ScheduleCache", "platform_hash", "schedule_cache_key"]
@@ -94,19 +95,6 @@ def platform_hash(platform) -> str:
     return h.hexdigest()[:32]
 
 
-def _canonical_value(value: Any) -> Any:
-    """Normalize one parameter value into a canonical JSON-able form."""
-    if isinstance(value, np.ndarray):
-        return [_canonical_value(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, Mapping):
-        return {str(k): _canonical_value(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical_value(v) for v in value]
-    return value
-
-
 def schedule_cache_key(
     platform_key: str,
     solver: str,
@@ -118,7 +106,9 @@ def schedule_cache_key(
 
     ``platform_key`` is a :func:`platform_hash`; parameters are
     canonicalized (tuples and arrays become lists, numpy scalars become
-    Python scalars) so spelling differences do not split the cache, and
+    Python scalars, dataclasses such as a
+    :class:`~repro.safety.faults.FaultSpec` dicts of their fields) so
+    spelling differences do not split the cache, and
     *any* parameter change — including the certification tolerance and
     the margin policy — yields a different key.  ``margin_policy=None``
     and ``"off"`` hash identically (they request the same solve).
@@ -126,7 +116,7 @@ def schedule_cache_key(
     doc = {
         "platform": str(platform_key),
         "solver": str(solver),
-        "params": _canonical_value(dict(params or {})),
+        "params": _jsonable(dict(params or {})),
         "certify_tolerance": certify_tolerance,
     }
     if margin_policy not in (None, "off"):

@@ -41,7 +41,7 @@ import asyncio
 from typing import Any, Mapping
 
 from repro.obs import METRICS, span
-from repro.schedule.serialization import schedule_from_dict
+from repro.schedule.serialization import _fresh, schedule_from_dict
 from repro.service.session import SchedulerSession
 
 __all__ = ["RequestCoalescer"]
@@ -161,9 +161,11 @@ class RequestCoalescer:
                 }
             except Exception as exc:  # noqa: BLE001 - per-request error doc
                 doc = _error_doc(exc)
-            for future in futures:
+            # Each member owns its containers; only further members pay
+            # for a copy.
+            for n, future in enumerate(futures):
                 if not future.cancelled():
-                    future.set_result(dict(doc))
+                    future.set_result(doc if n == 0 else _fresh(doc))
 
     def _execute_evaluates(
         self, entries: list[tuple[dict[str, Any], asyncio.Future]]

@@ -41,6 +41,7 @@ from repro.schedule.periodic import MIN_INTERVAL, PeriodicSchedule
 from repro.thermal.matex import interval_solution
 from repro.thermal.model import ThermalModel
 from repro.thermal.peak import peak_temperature
+from repro.tolerances import VOLTAGE_ATOL
 from repro.workload.edf import EDFReport, default_horizon, simulate_edf
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.realtime imports repro.sim)
@@ -312,7 +313,7 @@ def _mask_timeline(
 
     def speed_at(instant: float) -> float:
         for s, e in idle_windows:
-            if s - 1e-12 <= instant < e - 1e-12:
+            if s - MIN_INTERVAL <= instant < e - MIN_INTERVAL:
                 return 0.0
         return float(volts[schedule.interval_at(instant)[0]])
 
@@ -321,7 +322,7 @@ def _mask_timeline(
         if b - a < MIN_INTERVAL:
             continue
         v = speed_at(0.5 * (a + b))
-        if segments and abs(segments[-1][1] - v) < 1e-12:
+        if segments and abs(segments[-1][1] - v) < VOLTAGE_ATOL:
             segments[-1] = (segments[-1][0] + (b - a), v)
         else:
             segments.append((b - a, v))

@@ -109,11 +109,11 @@ def _stack_schedules(schedules) -> Rows:
     return stack_rows((s.lengths, s.voltage_matrix) for s in schedules)
 
 
-def _stepup_mask(rows: Rows, atol: float = VOLTAGE_ATOL) -> np.ndarray:
+def _stepup_mask(rows: Rows) -> np.ndarray:
     """Per row, :func:`~repro.schedule.properties.is_step_up` of its schedule."""
     rise = rows.volts[:, 1:] - rows.volts[:, :-1]
     real = np.arange(1, rows.lengths.shape[1])[None, :] < rows.z[:, None]
-    return np.all((rise >= -atol) | ~real[:, :, None], axis=(1, 2))
+    return np.all((rise >= -VOLTAGE_ATOL) | ~real[:, :, None], axis=(1, 2))
 
 
 @dataclass(frozen=True)

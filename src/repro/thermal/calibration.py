@@ -105,9 +105,13 @@ def _models(params: SingleLayerParams, power: PowerModel):
     return m3, m2
 
 
-def _softplus(x: float, sharpness: float = 4.0) -> float:
+#: Sharpness of the smooth hinge on the one-sided feasibility anchors.
+_SHARPNESS = 4.0
+
+
+def _softplus(x: float) -> float:
     """Smooth hinge used for the one-sided feasibility anchors."""
-    return float(np.logaddexp(0.0, sharpness * x) / sharpness)
+    return float(np.logaddexp(0.0, _SHARPNESS * x) / _SHARPNESS)
 
 
 def anchor_residuals(

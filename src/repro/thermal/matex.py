@@ -227,7 +227,6 @@ def interval_solution(
     theta0: np.ndarray,
     voltages,
     length: float,
-    t_inf: np.ndarray | None = None,
 ) -> IntervalSolution:
     """Build the closed-form solution for one state interval.
 
@@ -241,15 +240,11 @@ def interval_solution(
         Per-core supply voltages held constant over the interval.
     length:
         Interval duration in seconds.
-    t_inf:
-        The node steady state of ``voltages``, when the caller already
-        has it (skips the model's lookup).
     """
     if length < 0:
         raise ThermalModelError(f"interval length must be >= 0, got {length}")
     theta0 = as_1d_float(theta0, "theta0", model.n_nodes)
-    if t_inf is None:
-        t_inf = model.steady_state(voltages)
+    t_inf = model.steady_state(voltages)
     modal = model.eigen.modal_coefficients(theta0 - t_inf)
     return IntervalSolution(
         t_inf=t_inf,
@@ -265,8 +260,6 @@ def interval_peak(
     voltages,
     length: float,
     cores_only: bool = True,
-    grid: int = DEFAULT_GRID,
-    refine: bool = True,
 ) -> tuple[float, int, float]:
     """Peak temperature within one interval (convenience wrapper).
 
@@ -275,4 +268,4 @@ def interval_peak(
     """
     sol = interval_solution(model, theta0, voltages, length)
     nodes = model.network.core_nodes if cores_only else None
-    return sol.peak(nodes=nodes, grid=grid, refine=refine)
+    return sol.peak(nodes=nodes)

@@ -111,11 +111,6 @@ class PeriodicSolution:
         temps = stacked_temperatures(t_inf, modal, model.eigen.eigenvalues, times)
         return times, temps
 
-    def boundary_peak(self, model: ThermalModel) -> float:
-        """Highest *core* temperature among scheduling points."""
-        cores = model.network.core_nodes
-        return float(self.boundary_temperatures[:, cores].max())
-
 
 def periodic_steady_state(
     model: ThermalModel,

@@ -43,10 +43,6 @@ class TraceResult:
         """Restrict the trace to core nodes."""
         return self.temperatures[:, model.network.core_nodes]
 
-    def max_temperature(self) -> float:
-        """Highest sampled temperature across all nodes and times."""
-        return float(self.temperatures.max())
-
 
 def simulate_schedule_period(
     model: ThermalModel,

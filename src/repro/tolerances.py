@@ -1,4 +1,4 @@
-"""Every decision tolerance of the solvers and thermal code, by name.
+"""Every decision tolerance of the solver, thermal, real-time and workload code.
 
 The paper's one constraint is that the stable peak never exceeds
 ``T_max`` (section II); :func:`within_threshold` is that rule.  Each
@@ -47,6 +47,36 @@ RISE_FLOOR = 1e-15
 SLOPE_FLOOR = 1e-12
 #: A root of the power cubic with a smaller imaginary part is real.
 ROOT_IMAG_ATOL = 1e-9
+
+#: Symmetry checks of conductance matrices allow this absolute asymmetry.
+SYMMETRY_ATOL = 1e-9
+#: A symmetric matrix whose least eigenvalue exceeds this share of the largest is
+#: positive definite.
+DEFINITENESS_RTOL = 1e-10
+#: W.  A ladder level this far over the TSP per-core power budget still fits.
+POWER_SLACK = 1e-12
+
+#: Relative.  Backup windows and primaries may overfill a frame by this share.
+CAPACITY_RTOL = 1e-9
+#: s.  Admission lets primaries overrun the start of the backup window by this.
+ADMISSION_ATOL = 1e-9
+#: s.  Recovery lets backups overfill the window, and primaries the frame, by this.
+CAPACITY_ATOL = 1e-12
+#: A frame or sensor-step count this far above a whole number rounds up to it.
+FRAME_SNAP = 1e-12
+#: Packing may load a core past its capacity (``v_max``) by this much utilization.
+UTILIZATION_SLACK = 1e-12
+
+#: A horizon this many periods past a whole number of jobs releases no extra job.
+RELEASE_SNAP = 1e-9
+#: Relative to the period.  EDF steps across an interval boundary this close.
+BOUNDARY_RTOL = 1e-9
+#: V s.  A job with this much more work than its window runs finishes inside it.
+JOB_WORK_ATOL = 1e-15
+#: s.  A job that finishes this late or less meets its deadline.
+LATENESS_ATOL = 1e-9
+#: V s.  A job pending at the horizon with more work left than this missed.
+RESIDUAL_WORK = 1e-9
 
 
 def within_threshold(peak, theta_max):

@@ -18,6 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from repro.errors import ThermalModelError
+from repro.tolerances import DEFINITENESS_RTOL, SYMMETRY_ATOL
 
 __all__ = [
     "EigenExpm",
@@ -27,29 +28,27 @@ __all__ = [
     "is_positive_definite",
 ]
 
-#: Default absolute tolerance for symmetry / definiteness checks.
-DEFAULT_ATOL = 1e-9
 
-
-def is_symmetric(mat: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
-    """Return True when ``mat`` equals its transpose within ``atol``."""
+def is_symmetric(mat: np.ndarray) -> bool:
+    """Return True when ``mat`` equals its transpose within ``SYMMETRY_ATOL``."""
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         return False
-    return bool(np.allclose(mat, mat.T, atol=atol, rtol=0.0))
+    return bool(np.allclose(mat, mat.T, atol=SYMMETRY_ATOL, rtol=0.0))
 
 
-def is_positive_definite(mat: np.ndarray, rtol: float = 1e-10) -> bool:
+def is_positive_definite(mat: np.ndarray) -> bool:
     """Return True when symmetric ``mat`` is (robustly) positive definite.
 
-    Uses the symmetric eigenvalues with a relative floor: LAPACK's Cholesky
-    can slip through exactly-singular matrices on rounding fuzz, and a
-    numerically singular conductance matrix means an ungrounded network.
+    Uses the symmetric eigenvalues with a relative floor
+    (``DEFINITENESS_RTOL``): LAPACK's Cholesky can slip through
+    exactly-singular matrices on rounding fuzz, and a numerically
+    singular conductance matrix means an ungrounded network.
     """
     mat = np.asarray(mat, dtype=float)
     eigs = scipy.linalg.eigvalsh(mat)
     scale = float(np.abs(eigs).max()) if eigs.size else 0.0
-    return bool(eigs.size and eigs.min() > rtol * max(scale, 1e-300))
+    return bool(eigs.size and eigs.min() > DEFINITENESS_RTOL * max(scale, 1e-300))
 
 
 def solve_linear(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -213,39 +212,6 @@ class EigenExpm:
         self.expm_applications += 1
         coeff = self.w_inv @ np.asarray(x, dtype=float)
         return self.w @ (np.exp(self.eigenvalues * t) * coeff)
-
-    def apply_expm_many(self, times: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Evaluate ``expm(A * times[j]) @ x[j]`` for stacked inputs.
-
-        Unlike :meth:`propagate_batch` (one state, many times), this pairs
-        the j-th time with the j-th state vector — the shape the batched
-        schedule engine needs when K candidate schedules each carry their
-        own interval lengths.
-
-        Parameters
-        ----------
-        times:
-            ``(k,)`` non-negative propagation times.
-        x:
-            ``(k, n)`` stacked state vectors.
-
-        Returns
-        -------
-        ``(k, n)`` with row j equal to ``expm(A * times[j]) @ x[j]``.
-        """
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape != (times.shape[0], self.n):
-            raise ThermalModelError(
-                f"x must be (len(times), {self.n}) = ({times.shape[0]}, {self.n}), "
-                f"got {x.shape}"
-            )
-        if times.size and times.min() < 0:
-            raise ValueError(f"times must be non-negative, got min {times.min()}")
-        self.expm_applications += times.shape[0]
-        coeff = x @ self.w_inv.T  # (k, n) eigenbasis coordinates
-        coeff *= np.exp(times[:, None] * self.eigenvalues[None, :])
-        return coeff @ self.w.T
 
     def modal_coefficients(self, x: np.ndarray) -> np.ndarray:
         """Return ``R`` with ``(expm(A t) x)_i = sum_k R[i,k] exp(lam_k t)``."""

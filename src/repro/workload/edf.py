@@ -28,6 +28,14 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.schedule.periodic import PeriodicSchedule
+from repro.tolerances import (
+    BOUNDARY_RTOL,
+    JOB_WORK_ATOL,
+    LATENESS_ATOL,
+    MIN_INTERVAL,
+    RELEASE_SNAP,
+    RESIDUAL_WORK,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.realtime imports repro.sim)
     from repro.realtime.tasks import RTTask
@@ -60,14 +68,6 @@ class EDFReport:
     deadline_misses: tuple[tuple[str, float, float], ...]
     max_lateness_s: float
     idle_windows: tuple[tuple[float, float], ...] = ()
-
-    @property
-    def idle_fraction(self) -> float:
-        """Fraction of the horizon spent with no pending work."""
-        if self.horizon_s <= 0:
-            return 0.0
-        idle = sum(e - s for s, e in self.idle_windows)
-        return idle / self.horizon_s
 
     @property
     def all_deadlines_met(self) -> bool:
@@ -151,7 +151,7 @@ def simulate_edf(
     releases: list[tuple[float, RTTask]] = []
     for task in tasks:
         # Index-based release times avoid cumulative float drift.
-        n_jobs = int(np.ceil(horizon_s / task.period_s - 1e-9))
+        n_jobs = int(np.ceil(horizon_s / task.period_s - RELEASE_SNAP))
         for i in range(n_jobs):
             releases.append((i * task.period_s, task))
     releases.sort(key=lambda item: item[0])
@@ -173,7 +173,7 @@ def simulate_edf(
         return float(volts_of[q]), float(bounds[q + 1] - local)
 
     while now < horizon_s:
-        while k < len(releases) and releases[k][0] <= now + 1e-12:
+        while k < len(releases) and releases[k][0] <= now + MIN_INTERVAL:
             r_time, task = releases[k]
             heapq.heappush(
                 ready,
@@ -189,7 +189,7 @@ def simulate_edf(
 
         if not ready:
             resume = releases[k][0] if k < len(releases) else horizon_s
-            if resume > now + 1e-12:
+            if resume > now + MIN_INTERVAL:
                 idle_windows.append((now, min(resume, horizon_s)))
             now = resume
             continue
@@ -198,7 +198,7 @@ def simulate_edf(
         speed, seg_left = current_segment(now)
         # Floating-point residue at an interval boundary: snap across it
         # instead of spinning on a zero-width window.
-        boundary_eps = period * 1e-9
+        boundary_eps = period * BOUNDARY_RTOL
         if seg_left <= boundary_eps:
             now += max(seg_left, boundary_eps)
             continue
@@ -208,14 +208,14 @@ def simulate_edf(
             now += boundary_eps
             continue
 
-        if speed > 0 and job.remaining_work <= speed * window + 1e-15:
+        if speed > 0 and job.remaining_work <= speed * window + JOB_WORK_ATOL:
             # Job finishes inside this window.
             dt = job.remaining_work / speed
             now += dt
             heapq.heappop(ready)
             completed += 1
             lateness = now - job.deadline
-            if lateness > 1e-9:
+            if lateness > LATENESS_ATOL:
                 misses.append((job.name, job.release, job.deadline))
                 max_lateness = max(max_lateness, lateness)
         else:
@@ -224,7 +224,7 @@ def simulate_edf(
 
     # Jobs still pending past their deadlines at the horizon.
     for job in ready:
-        if job.deadline < horizon_s and job.remaining_work > 1e-9:
+        if job.deadline < horizon_s and job.remaining_work > RESIDUAL_WORK:
             misses.append((job.name, job.release, job.deadline))
             max_lateness = max(max_lateness, horizon_s - job.deadline)
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.errors import SolverError
 from repro.platform import Platform
+from repro.tolerances import UTILIZATION_SLACK
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.realtime imports repro.sim)
     from repro.realtime.tasks import RTTask, TaskSet
@@ -99,7 +100,7 @@ def first_fit_decreasing(taskset: TaskSet, platform: Platform) -> Mapping:
 
     def choose(load, task):
         for core in range(platform.n_cores):
-            if load[core] + task.utilization <= capacity + 1e-12:
+            if load[core] + task.utilization <= capacity + UTILIZATION_SLACK:
                 return core
         return None
 
@@ -113,7 +114,7 @@ def worst_fit_decreasing(taskset: TaskSet, platform: Platform) -> Mapping:
     def choose(load, task):
         order = np.argsort(load)
         core = int(order[0])
-        if load[core] + task.utilization <= capacity + 1e-12:
+        if load[core] + task.utilization <= capacity + UTILIZATION_SLACK:
             return core
         return None
 
@@ -138,7 +139,7 @@ def thermal_aware_mapping(taskset: TaskSet, platform: Platform) -> Mapping:
     def choose(load, task):
         order = np.argsort(load * weights)
         for core in order:
-            if load[int(core)] + task.utilization <= capacity + 1e-12:
+            if load[int(core)] + task.utilization <= capacity + UTILIZATION_SLACK:
                 return int(core)
         return None
 

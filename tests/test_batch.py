@@ -25,7 +25,7 @@ from repro.algorithms.oscillation import (
 )
 from repro.algorithms.tpt import enforce_threshold, fill_headroom
 from repro.engine import ThermalEngine
-from repro.errors import ScheduleError, SolverError, ThermalModelError
+from repro.errors import ScheduleError, SolverError
 from repro.floorplan import paper_floorplan
 from repro.platform import Platform, paper_platform, platform_3d
 from repro.power import TransitionOverhead, big_little_power_model, paper_ladder
@@ -363,35 +363,6 @@ class TestChunkBudget:
         for a, b in zip(baseline, chunked):
             assert a.value == b.value
             assert a.core == b.core
-
-
-class TestApplyExpmMany:
-    def test_matches_rowwise_apply(self, model3, rng):
-        times = rng.uniform(0.0, 0.05, 8)
-        x = rng.normal(size=(8, model3.n_nodes))
-        out = model3.eigen.apply_expm_many(times, x)
-        for j, t in enumerate(times):
-            np.testing.assert_allclose(
-                out[j], model3.eigen.apply_expm(float(t), x[j]), atol=1e-10
-            )
-
-    def test_scalar_broadcast(self, model3, rng):
-        x = rng.normal(size=model3.n_nodes)
-        out = model3.eigen.apply_expm_many(0.01, x)
-        assert out.shape == (1, model3.n_nodes)
-        np.testing.assert_allclose(
-            out[0], model3.eigen.apply_expm(0.01, x), atol=1e-10
-        )
-
-    def test_shape_mismatch_raises(self, model3):
-        with pytest.raises(ThermalModelError):
-            model3.eigen.apply_expm_many(
-                [0.1, 0.2], np.zeros((3, model3.n_nodes))
-            )
-
-    def test_negative_time_raises(self, model3):
-        with pytest.raises(ValueError):
-            model3.eigen.apply_expm_many([-0.1], np.zeros((1, model3.n_nodes)))
 
 
 class TestSteadyStateLRU:

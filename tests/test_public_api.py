@@ -113,6 +113,19 @@ class TestFrozenSurface:
             "n_cores", "n_levels", "t_max_c", "t_ambient_c",
         ]
 
+    def test_plan_frames_signature(self):
+        assert self._params(repro.plan_frames) == [
+            "platform", "workload", "k", "policy",
+        ]
+
+    def test_simulate_recovery_signature(self):
+        assert self._params(repro.simulate_recovery) == [
+            "platform", "placement", "faults", "n_frames", "steps_per_frame",
+        ]
+
+    def test_throughput_signature(self):
+        assert self._params(repro.throughput) == ["schedule"]
+
     def test_solver_entry_points_take_engine_first(self):
         """The union collapse: every solver entry point is engine-first
         (the decorator coerces a bare Platform at the boundary)."""

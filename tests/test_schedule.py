@@ -195,10 +195,6 @@ class TestProperties:
         s = two_mode_schedule([0.6, 0.6], [1.3, 1.3], [0.5, 0.0], 1.0)
         assert throughput(s) == pytest.approx((0.95 + 0.6) / 2)
 
-    def test_throughput_custom_speed_map(self):
-        s = constant_schedule([1.0, 1.0], period=1.0)
-        assert throughput(s, speed_of=lambda v: 2 * v) == pytest.approx(2.0)
-
     def test_same_workload_detects_difference(self):
         a = two_mode_schedule([0.6], [1.3], [0.5], 1.0)
         b = two_mode_schedule([0.6], [1.3], [0.6], 1.0)

@@ -36,6 +36,7 @@ from repro.engine import ThermalEngine
 from repro.errors import ScheduleError, SolverError
 from repro.platform import paper_platform
 from repro.power import big_little_power_model
+from repro.safety.faults import FaultSpec
 from repro.schedule.periodic import PeriodicSchedule
 from repro.schedule.serialization import (
     result_from_dict,
@@ -245,6 +246,15 @@ class TestSession:
             third = session.solve(SPEC2, solver, params).result.details
             assert len(third["trace"]["levels"]) == n_levels
             assert "corrupt" not in third["gains"]
+
+    def test_fault_spec_param_is_keyed_and_cached(self, session):
+        """A dataclass parameter canonicalizes field by field, so it
+        neither crashes the cache key nor splits repeats of one solve."""
+        params = {"faults": FaultSpec(sensor_noise_sigma=0.1), "horizon": 0.02}
+        first = session.solve("paper", "reactive", params)
+        second = session.solve("paper", "reactive", params)
+        assert first.status == "ok" and not first.cached
+        assert second.cached and second.cache_key == first.cache_key
 
     def test_param_change_misses_the_cache(self, session):
         session.solve(SPEC2, "AO", {"m_cap": 8})
@@ -487,6 +497,24 @@ class TestCoalescer:
         assert session.solve_requests == 1
         docs = [_deterministic(r["result"]) for r in responses]
         assert all(doc == _deterministic(direct) for doc in docs)
+
+    def test_coalesced_responses_do_not_share_containers(self, session):
+        """Mutating one coalesced response leaves its twin unchanged."""
+        coalescer = RequestCoalescer(session)
+
+        async def run():
+            return await asyncio.gather(
+                *(coalescer.submit(self._solve_request()) for _ in range(2))
+            )
+
+        a, b = asyncio.run(run())
+        assert a["coalesced"] == b["coalesced"] == 2
+        expected = json.dumps(b)
+        a["result"]["schedule"]["intervals"].append("corrupt")
+        a["result"]["details"]["corrupt"] = True
+        a["certificate"]["reasons"].append("corrupt")
+        a["certificate"]["method_peaks"]["corrupt"] = 0.0
+        assert json.dumps(b) == expected
 
     def test_concurrent_equals_sequential_for_distinct_requests(self, session):
         requests = [

@@ -3,8 +3,9 @@
 ``repro.tolerances`` holds one constant per concept (feasibility slack,
 improvement margin, voltage equality, ...).  The first case fails when a
 bare ``1e-N`` literal (6 <= N <= 15) appears in the solver, thermal,
-safety, schedule, power or service code instead, so a copy of a
-tolerance cannot drift from the named value.  Comments and docstrings
+safety, schedule, power, service, real-time or workload code (or the
+closed-loop simulator, TSP and linear-algebra helpers) instead, so a
+copy of a tolerance cannot drift from the named value.  Comments and docstrings
 are not ``NUMBER`` tokens and do not count.  ``thermal/reference.py``
 (the LSODA oracle, whose ``rtol``/``atol`` are integrator settings) is
 exempt.  The second case keeps the *Tolerances* table of
@@ -22,8 +23,14 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
-SCOPE_DIRS = ("algorithms", "thermal", "safety", "schedule", "power", "service")
-SCOPE_FILES = ("api.py", "engine.py", "platform.py")
+SCOPE_DIRS = (
+    "algorithms", "thermal", "safety", "schedule", "power", "service",
+    "realtime", "workload",
+)
+SCOPE_FILES = (
+    "api.py", "engine.py", "platform.py",
+    "sim/engine.py", "analysis/tsp.py", "util/linalg.py",
+)
 EXEMPT = {PACKAGE / "thermal" / "reference.py"}
 TOLERANCE_LITERAL = re.compile(r"^1(?:\.0*)?e-(\d+)$", re.IGNORECASE)
 
