@@ -11,7 +11,10 @@ What the serving layer's throughput claims rest on:
 * the content key itself (platform hash memoized, request document
   hashed) prices every request, hit or miss;
 * ``evaluate_many`` turns R independent evaluations into one grid-kernel
-  call — the coalescer's win over R one-row calls.
+  call — the coalescer's win over R one-row calls;
+* a cold stream that interleaves AO and PCO over 13 platforms keeps
+  every engine alive in the session's LRU, so each PCO reuses the AO
+  core (m scan and TPT loop) its platform's AO solve built.
 """
 
 import pytest
@@ -107,3 +110,34 @@ def test_evaluate_one_row_loop(benchmark, evaluation_rows):
 
     out = benchmark.pedantic(run, rounds=20, iterations=1)
     assert len(out) == len(evaluation_rows)
+
+
+#: Paper 2/3/6 cores x 2/3 levels x 55/65 C plus big.LITTLE: 13 platforms.
+_STREAM_PLATFORMS = [
+    {"name": "paper", "n_cores": n, "n_levels": lv, "t_max_c": t}
+    for n in (2, 3, 6)
+    for lv in (2, 3)
+    for t in (55.0, 65.0)
+] + [{"name": "big_little"}]
+
+
+def test_interleaved_ao_pco_stream(benchmark):
+    """Cold AO over every platform, then PCO over every platform, on a
+    fresh session per round: 13 engines and 13 AO cores are built, and
+    each PCO reuses its platform's core."""
+    stream = [
+        (platform, solver, params)
+        for solver, params in (
+            ("AO", {"m_cap": 8}),
+            ("PCO", {"m_cap": 8, "shift_grid": 4}),
+        )
+        for platform in _STREAM_PLATFORMS
+    ]
+
+    def run():
+        session = SchedulerSession()
+        return session, [session.solve(*req) for req in stream]
+
+    session, outcomes = benchmark.pedantic(run, rounds=5, iterations=1)
+    assert all(o.status == "ok" and not o.cached for o in outcomes)
+    assert session.engines_built == len(_STREAM_PLATFORMS)

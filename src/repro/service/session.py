@@ -4,9 +4,12 @@ A :class:`SchedulerSession` is the long-lived object the serving layer
 (and every in-process consumer) routes thermal work through.  It owns:
 
 * one :class:`~repro.engine.ThermalEngine` per platform content hash,
-  LRU-bounded (:data:`MAX_ENGINES`), so repeated requests for the same
-  physics share the model's steady-state and eigenbasis caches instead
-  of rebuilding them per call;
+  LRU-bounded (:data:`MAX_ENGINES`, 32), so repeated requests for the
+  same physics share the model's steady-state and eigenbasis caches and
+  the engine's solver memo instead of rebuilding them per call: a PCO
+  solve reuses the AO core (ideal speeds, m scan, TPT loop) an earlier
+  AO solve on the same platform built, as long as the engine is still
+  in the LRU.  Eviction costs only that reuse, never an answer;
 * an in-process, content-addressed
   :class:`~repro.service.cache.ScheduleCache` mapping
   ``(platform, solver, params, tolerance)`` to finished solve outcomes —
@@ -65,10 +68,18 @@ __all__ = [
     "reset_default_session",
 ]
 
-#: Bound on the per-platform engine LRU.  Each engine pins its platform's
-#: thermal model (and caches); sweeps touch a handful of platforms, so
-#: this is a working-set bound.
-MAX_ENGINES = 8
+#: Bound on the per-platform engine LRU.  An engine pins its thermal
+#: model, steady-state LRU and solver memo (the AO core PCO reuses).
+#: Measured with tracemalloc after a five-solver pass: 10-73 KB per
+#: engine, freed on eviction; 0.66 MB for all 22 ``solve-cold`` platform
+#: classes; 4-8 KB for a served fresh-key miss.  So 32 engines hold about
+#: 2.3 MB, beside the process's eigenbasis memo of up to 256
+#: decompositions.  The worst case is a full steady-state LRU
+#: (``SS_CACHE_SIZE`` entries): 1.3-2.4 MB per 2- to 9-core paper
+#: platform, 42-78 MB for 32 engines.  A bound of 8 evicts most
+#: ``solve-cold`` engines before their platform comes back (235 built for
+#: 66 platforms), and each PCO on a rebuilt engine re-runs AO's TPT loop.
+MAX_ENGINES = 32
 
 #: Bound on canonical-spec -> platform-hash memoization (strings only).
 _SPEC_MEMO_SIZE = 4096

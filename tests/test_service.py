@@ -418,6 +418,78 @@ class TestSession:
         assert all(c.accepted for c in certs)
 
 
+#: More platforms than an engine LRU of one holds: paper 2/3/6 cores x
+#: 2/3 levels x 55/65 C, plus the heterogeneous preset.
+STREAM_PLATFORMS = [
+    {"name": "paper", "n_cores": n, "n_levels": lv, "t_max_c": t}
+    for n in (2, 3, 6)
+    for lv in (2, 3)
+    for t in (55.0, 65.0)
+] + [{"name": "big_little"}]
+
+STREAM_SOLVERS = (
+    ("AO", {"m_cap": 8}),
+    ("PCO", {"m_cap": 8, "shift_grid": 4}),
+    ("EXS", {}),
+    ("LNS", {}),
+)
+
+
+def _interleaved_stream(solvers=STREAM_SOLVERS):
+    """Every solver over every platform, solver by solver, so a
+    platform's next request comes only after all other platforms'."""
+    return [
+        (platform, name, params)
+        for name, params in solvers
+        for platform in STREAM_PLATFORMS
+    ]
+
+
+def _untimed(doc: dict) -> dict:
+    """A solve response without its stats and wall-clock keys."""
+    doc = dict(doc, stats=None)
+    if doc["result"] is not None:
+        doc["result"] = dict(doc["result"], runtime_s=None, stats=None)
+    return doc
+
+
+class TestEngineReuse:
+    """The engine LRU decides what a solve reuses, never what it answers."""
+
+    def test_eviction_never_changes_an_answer(self, monkeypatch):
+        stream = _interleaved_stream()
+
+        def solve_all():
+            session = SchedulerSession()
+            docs = [_untimed(session.solve(*req).as_doc()) for req in stream]
+            return docs, session
+
+        default_docs, default = solve_all()
+        monkeypatch.setattr(service_session, "MAX_ENGINES", 1)
+        evicting_docs, evicting = solve_all()
+        assert default.engines_evicted == 0
+        assert evicting.engines_evicted == len(stream) - 1
+        assert evicting_docs == default_docs
+
+    def test_interleaved_ao_pco_reuses_each_core(self, monkeypatch):
+        # `repro.algorithms.ao` resolves to the function, not the module.
+        ao_module = sys.modules["repro.algorithms.ao"]
+        builds = []
+        build = ao_module._build_core
+
+        def counted(engine, period, m_cap, *args):
+            builds.append((id(engine), m_cap))
+            return build(engine, period, m_cap, *args)
+
+        monkeypatch.setattr(ao_module, "_build_core", counted)
+        session = SchedulerSession()
+        stream = _interleaved_stream(STREAM_SOLVERS[:2])
+        outcomes = [session.solve(*req) for req in stream]
+        assert all(o.status == "ok" for o in outcomes)
+        assert session.engines_built == len(STREAM_PLATFORMS)
+        assert len(builds) == len(set(builds)) == len(STREAM_PLATFORMS)
+
+
 class TestHeterogeneousCertificates:
     """Satellite: the cross-route certificate check covers big.LITTLE."""
 
