@@ -88,3 +88,15 @@ def test_peak_scalar_9core_shifted(benchmark, platform9):
     model = platform9.model
     r = benchmark(lambda: peak_temperature(model, s))
     assert r.value == r.core_peaks.max()
+
+
+def test_pco_9core(benchmark, platform9):
+    """PCO end to end on a fresh 9-core engine: AO core, phase search, fill."""
+    from repro.algorithms.pco import pco
+    from repro.engine import ThermalEngine
+
+    def run():
+        return pco(ThermalEngine(platform9), m_cap=16, shift_grid=8)
+
+    result = benchmark.pedantic(run, rounds=5, iterations=1)
+    assert result.feasible and result.throughput > 0

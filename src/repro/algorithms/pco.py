@@ -16,13 +16,16 @@ consistently slower than AO.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.algorithms.ao import ao_core, constant_floor_guard
 from repro.algorithms.base import SchedulerResult
 from repro.algorithms.oscillation import DEFAULT_M_CAP, effective_throughput
 from repro.algorithms.tpt import fill_headroom
 from repro.engine import ThermalEngine, engine_entrypoint
-from repro.schedule.transforms import shift_core, shift_core_arrays
-from repro.thermal.batch import stack_rows
+from repro.schedule.periodic import PeriodicSchedule
+from repro.schedule.transforms import shift_core_rows
+from repro.thermal.batch import Rows
 from repro.tolerances import FILL_HEADROOM, IMPROVEMENT_MARGIN, within_threshold
 
 __all__ = ["pco"]
@@ -58,25 +61,31 @@ def pco(
     # Greedy sequential phase search: shift one core at a time, keep the
     # offset that minimizes the (general) stable peak.  It starts from
     # AO's schedule and its scalar peak; each core's whole offset grid is
-    # priced as one batch of rows, and each accepted shift once, scalar.
+    # built and priced as one batch of rows (the current schedule tiled
+    # over the offsets), and each accepted shift is priced once, scalar.
     sched, peak = base.schedule, base.peak
     shifts = [0.0] * platform.n_cores
     candidates = [k * cycle / shift_grid for k in range(shift_grid)]
+    offsets = np.array(candidates[1:])
     with engine.phase("pco/phase_search"):
         for core in range(platform.n_cores):
-            best_off, best_val = 0.0, peak.value
-            trials = engine.general_peak_rows(
-                stack_rows(
-                    shift_core_arrays(sched.lengths, sched.voltage_matrix, core, off)
-                    for off in candidates[1:]
-                )
+            best, best_val = -1, peak.value
+            tiled = (
+                np.full(offsets.size, sched.n_intervals),
+                np.broadcast_to(sched.lengths, (offsets.size, sched.n_intervals)),
+                np.broadcast_to(
+                    sched.voltage_matrix, (offsets.size, *sched.voltage_matrix.shape)
+                ),
             )
-            for off, val in zip(candidates[1:], trials.value.tolist()):
+            z, lengths, volts = shift_core_rows(*tiled, core, offsets)
+            trials = engine.general_peak_rows(Rows(z, lengths, volts))
+            for i, val in enumerate(trials.value.tolist()):
                 if val < best_val - IMPROVEMENT_MARGIN:
-                    best_off, best_val = off, val
-            if best_off > 0.0:
-                sched = shift_core(sched, core, best_off)
-                shifts[core] = best_off
+                    best, best_val = i, val
+            if best >= 0:
+                k = z[best]
+                sched = PeriodicSchedule(lengths[best, :k], volts[best, :k])
+                shifts[core] = candidates[best + 1]
                 peak = engine.general_peak(sched)
 
     # Refill the headroom the interleaving created (ratios grow under the

@@ -41,8 +41,8 @@ from repro.engine import ThermalEngine
 from repro.errors import ConvergenceError
 from repro.platform import Platform
 from repro.schedule.periodic import PeriodicSchedule
-from repro.schedule.transforms import shift_core_arrays, shift_cores
-from repro.thermal.batch import PeakRows, Rows, stack_rows
+from repro.schedule.transforms import shift_core_rows, shift_cores
+from repro.thermal.batch import PeakRows, Rows
 from repro.thermal.peak import PeakResult
 from repro.tolerances import FEASIBILITY_SLACK, RATIO_ATOL, RISE_FLOOR, SLOPE_FLOOR
 from repro.tolerances import VOLTAGE_ATOL, within_threshold
@@ -155,13 +155,9 @@ def enforce_threshold(
 
 def _shift_rows(rows: Rows, offsets: dict[int, float]) -> Rows:
     """Every row with each ``core: offset`` of ``offsets`` applied, in order."""
-    shifted = []
-    for z, lengths, volts in zip(*rows):
-        lengths, volts = lengths[:z], volts[:z]
-        for core, offset in offsets.items():
-            lengths, volts = shift_core_arrays(lengths, volts, core, float(offset))
-        shifted.append((lengths, volts))
-    return stack_rows(shifted)
+    for core, offset in offsets.items():
+        rows = Rows(*shift_core_rows(*rows, core, float(offset)))
+    return rows
 
 
 def fill_headroom(

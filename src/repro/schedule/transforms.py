@@ -24,9 +24,9 @@ from repro.schedule.periodic import (
     check_segments,
     combine_timelines,
     core_runs,
-    rotate_segments,
     run_sums,
 )
+from repro.tolerances import MIN_INTERVAL, PERIOD_RTOL
 
 __all__ = [
     "step_up",
@@ -34,7 +34,7 @@ __all__ = [
     "m_oscillate_core",
     "shift_core",
     "shift_cores",
-    "shift_core_arrays",
+    "shift_core_rows",
     "merge_adjacent",
 ]
 
@@ -100,23 +100,106 @@ def m_oscillate_core(schedule: PeriodicSchedule, core: int, m: int) -> PeriodicS
     return PeriodicSchedule(*combine_timelines(seg_len, seg_v, counts))
 
 
-def shift_core_arrays(
-    lengths: np.ndarray, volts: np.ndarray, core: int, offset: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`shift_core` on ``(lengths, voltage_matrix)`` arrays (unchecked)."""
-    z, n = volts.shape
-    rot_len, source = rotate_segments(lengths, offset)
-    k = max(z, rot_len.size)
-    seg_len = np.zeros((n, k))
-    seg_v = np.zeros((n, k))
-    seg_len[:, :z] = lengths
-    seg_v[:, :z] = volts.T
-    seg_len[core] = 0.0
-    seg_len[core, : rot_len.size] = rot_len
-    seg_v[core, : rot_len.size] = volts[source, core]
-    counts = np.full(n, z)
-    counts[core] = rot_len.size
-    return combine_timelines(seg_len, seg_v, counts)
+def shift_core_rows(
+    z: np.ndarray,
+    lengths: np.ndarray,
+    volts: np.ndarray,
+    core: int,
+    offsets,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`shift_core` of one core on K stacked rows, by K offsets (unchecked).
+
+    ``z`` is ``(K,)``, ``lengths`` ``(K, Z)`` and ``volts`` ``(K, Z, n)``,
+    row k's first ``z[k]`` intervals a schedule's arrays and the rest
+    zero padding; ``offsets`` is a scalar or ``(K,)``.  Returns
+    ``(z, lengths, volts)`` in the same layout, padded to the widest
+    row: row k is ``shift_core(schedule_k, core, offsets[k])``'s arrays,
+    bit for bit.  Row by row, the core's interval pieces in
+    ``[cut, period)`` play first, then those in ``[0, cut)``
+    (:func:`~repro.schedule.periodic.rotate_segments`), and the new
+    state intervals are the cut grid of the rotated core's switch
+    instants and the other cores' unchanged ones
+    (:func:`~repro.schedule.periodic.combine_timelines`).
+    """
+    k, width = lengths.shape
+    rows = np.arange(k)
+    # Each row's period as rotate_segments and combine_timelines take it:
+    # Python's sum of the intervals (zero padding adds nothing).
+    period = np.array([sum(r) for r in lengths.tolist()])
+    cut = period - np.remainder(np.broadcast_to(offsets, (k,)), period)
+    ends = np.cumsum(lengths, axis=1)
+    starts = np.zeros_like(ends)
+    starts[:, 1:] = ends[:, :-1]
+    # The rotated core's pieces, compacted to the left of each row.  A
+    # padding interval yields two pieces of length <= 0, dropped.
+    pieces = np.concatenate(
+        (
+            ends - np.maximum(starts, cut[:, None]),
+            np.minimum(ends, cut[:, None]) - starts,
+        ),
+        axis=1,
+    )
+    kept = pieces >= MIN_INTERVAL
+    order = np.argsort(~kept, axis=1, kind="stable")
+    n_rot = kept.sum(axis=1)
+    rot_len = np.where(
+        np.arange(2 * width) < n_rot[:, None],
+        np.take_along_axis(pieces, order, axis=1),
+        0.0,
+    )
+    rot_v = volts[rows[:, None], order % max(width, 1), core]
+    rot_ends = np.cumsum(rot_len, axis=1)
+
+    # Core 0's period closes the grid; every core's period must agree.
+    if core == 0:
+        period = np.array([sum(r) for r in rot_len.tolist()])
+    n = volts.shape[2]
+    # All other cores share the row's interval ends; the lowest of them
+    # is the first one the check reaches.
+    other_core = 1 if core == 0 else 0
+    periods = np.stack((ends[rows, z - 1], rot_ends[rows, n_rot - 1]), axis=1)
+    tol = PERIOD_RTOL * np.maximum(period, 1.0)
+    off = np.abs(periods - period[:, None]) > tol[:, None]
+    off[:, 0] &= n > 1
+    if off.any():
+        i = int(np.argmax(off.any(axis=1)))
+        j = 0 if off[i, 0] and (other_core < core or not off[i, 1]) else 1
+        raise ScheduleError(
+            f"core {other_core if j == 0 else core} period {periods[i, j]} "
+            f"!= core 0 period {period[i].item()}"
+        )
+
+    # cut_grid of each row.  Equal points collapse to one (the copies are
+    # dropped as duplicates), so the other cores add their interval ends
+    # once, and unused slots hold the period itself, which sorts last.
+    inner = (np.arange(width - 1) < (z - 1)[:, None]) & (n > 1)
+    other_cuts = np.where(inner, ends[:, :-1], np.inf)
+    rot_inner = np.arange(2 * width - 1) < (n_rot - 1)[:, None]
+    rot_cuts = np.where(rot_inner, rot_ends[:, :-1], np.inf)
+    cuts = np.concatenate(
+        (np.zeros((k, 1)), period[:, None], other_cuts, rot_cuts), axis=1
+    )
+    grid = np.sort(np.minimum(cuts, period[:, None]), axis=1)
+    keep = np.ones(grid.shape, dtype=bool)
+    np.greater(np.diff(grid, axis=1), MIN_INTERVAL, out=keep[:, 1:])
+    n_kept = keep.sum(axis=1)
+    # Dropped points become the period and sort after the kept ones; the
+    # period is re-appended where the cut rule dropped it.
+    grid = np.sort(np.where(keep, grid, period[:, None]), axis=1)
+    z_new = n_kept - 1 + (grid[rows, n_kept - 1] < period - MIN_INTERVAL)
+
+    out_width = int(z_new.max()) if k else 0
+    real = np.arange(out_width) < z_new[:, None]
+    new_lengths = np.where(real, np.diff(grid, axis=1)[:, :out_width], 0.0)
+    mids = 0.5 * (grid[:, :out_width] + grid[:, 1 : out_width + 1])
+    # In each new interval a core plays the segment after its last inner
+    # end strictly before the interval's midpoint.
+    other = (other_cuts[:, None, :] < mids[:, :, None]).sum(axis=2)
+    mine = (rot_cuts[:, None, :] < mids[:, :, None]).sum(axis=2)
+    new_volts = volts[rows[:, None], other]
+    new_volts[:, :, core] = rot_v[rows[:, None], mine]
+    new_volts[~real] = 0.0
+    return z_new, new_lengths, new_volts
 
 
 def shift_core(schedule: PeriodicSchedule, core: int, offset: float) -> PeriodicSchedule:
@@ -134,15 +217,21 @@ def shift_cores(
     """Apply :func:`shift_core` for each ``core: offset`` item, in order.
 
     Bit-identical to chaining :func:`shift_core` calls, but the
-    intermediate schedules stay arrays and only the result is built.
+    intermediate schedules stay arrays (the one-row case of
+    :func:`shift_core_rows`) and only the result is built.
     """
     for core in offsets:
         if not (0 <= core < schedule.n_cores):
             raise ScheduleError(f"core {core} out of range [0, {schedule.n_cores})")
-    lengths, volts = schedule.lengths, schedule.voltage_matrix
+    rows = (
+        np.array([schedule.n_intervals]),
+        schedule.lengths[None],
+        schedule.voltage_matrix[None],
+    )
     for core, offset in offsets.items():
-        lengths, volts = shift_core_arrays(lengths, volts, core, float(offset))
-    return PeriodicSchedule(lengths, volts)
+        rows = shift_core_rows(*rows, core, float(offset))
+    z, lengths, volts = rows
+    return PeriodicSchedule(lengths[0, : z[0]], volts[0, : z[0]])
 
 
 def merge_adjacent(schedule: PeriodicSchedule) -> PeriodicSchedule:

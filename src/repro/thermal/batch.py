@@ -30,6 +30,16 @@ never as schedule objects):
 * :func:`peak_rows` — the general MatEx-style extrema search, with the
   step-up fast path applied per row.
 
+No Python loop runs per row or per interval.  The stable states take
+one :meth:`~repro.thermal.model.ThermalModel.steady_state_many` lookup
+of the distinct voltage vectors.  The general search selects with
+array arguments: each (row, interval) cell's candidate is its dense-grid
+maximum (first in (sample, core) order); Brent's method runs only on the
+bracketed (row, interval, core) cells, in that order, and replaces a
+cell's candidate only when strictly greater; a row's peak is its first
+interval of greatest candidate (what a scan keeping only strict
+improvements picks), and its ``core_peaks`` one masked maximum.
+
 Entry points on schedules, which stack them with :func:`stack_rows` and
 call the row kernels:
 
@@ -182,21 +192,18 @@ def _solve_stack(model: ThermalModel, rows: Rows) -> _Stack:
     lam = model.eigen.eigenvalues
 
     t_inf = np.zeros((k, z_max, n))
+    mask = np.arange(z_max)[None, :] < z[:, None]
     # Candidate sets re-use a handful of mode vectors; dedup by the exact
-    # voltage tuple, then solve the distinct ones in one LRU-aware call.
+    # voltage tuple (first occurrence in row-major order), then solve the
+    # distinct ones in one LRU-aware call.
     local: dict[tuple, int] = {}
     slots = [
-        [
-            local.setdefault(volts, len(local))
-            for volts in map(tuple, rows.volts[i, : z[i]].tolist())
-        ]
-        for i in range(k)
+        local.setdefault(volts, len(local))
+        for volts in map(tuple, rows.volts[mask].tolist())
     ]
     if local:
         thetas = np.asarray(model.steady_state_many(list(local)))
-        for i, idx in enumerate(slots):
-            t_inf[i, : len(idx)] = thetas[idx]
-    mask = np.arange(z_max)[None, :] < z[:, None]
+        t_inf[mask] = thetas[slots]
     starts = np.concatenate(
         [np.zeros((k, 1)), np.cumsum(lengths, axis=1)[:, :-1]], axis=1
     ) if z_max else np.zeros((k, 0))
@@ -284,10 +291,15 @@ def _grid_scan(
     n_grid = max(int(grid), 2)
 
     frac = np.linspace(0.0, 1.0, n_grid)
-    times = stack.lengths[chunk][:, :, None] * frac[None, None, :]
+    lengths = stack.lengths[chunk]
+    times = lengths[:, :, None] * frac[None, None, :]
     modal = stack.modal()[chunk]
     # (k, Z, G, n_modes) -> contract modes against the core rows of W.
-    phase = np.exp(times[:, :, :, None] * lam[None, None, None, :])
+    # Candidate rows share most interval lengths, so each distinct
+    # length's samples are exponentiated once.
+    uniq, inv = np.unique(lengths, return_inverse=True)
+    phase = np.exp((uniq[:, None] * frac)[:, :, None] * lam)
+    phase = phase[inv.reshape(lengths.shape)]
     temps = (phase * modal[:, :, None, :]) @ w_cores.T
     temps += stack.t_inf[chunk][:, :, None, cores]
     return times, temps
@@ -383,123 +395,85 @@ def stepup_peak_temperature_batch(
     ).results()
 
 
-def _refine_interval_best(
-    stack: _Stack,
-    model: ThermalModel,
-    times: np.ndarray,
-    temps: np.ndarray,
-    chunk: slice,
-) -> list[list[tuple[float, int, float] | None]]:
-    """Per-interval best (value, core, local time), Brent-refined.
-
-    Mirrors :meth:`repro.thermal.matex.IntervalSolution.peak`: start from
-    the interval's dense-grid maximum, then polish every core whose
-    derivative changes sign around its own grid argmax, keeping strict
-    improvements in core order.  Padded intervals yield ``None``.
-    """
-    cores = model.network.core_nodes
-    lam = model.eigen.eigenvalues
-    w_cores = model.eigen.w[cores, :]
-    modal = stack.modal()[chunk]
-    kc, zc, gc, cc = temps.shape
-
-    # Bracket candidates: each core's own grid argmax and its neighbours.
-    j_star = np.argmax(temps, axis=2)  # (k, Z, C)
-    j_lo = np.maximum(j_star - 1, 0)
-    j_hi = np.minimum(j_star + 1, gc - 1)
-    t_lo = np.take_along_axis(times, j_lo.reshape(kc, zc, -1), axis=2).reshape(
-        kc, zc, cc
-    )
-    t_hi = np.take_along_axis(times, j_hi.reshape(kc, zc, -1), axis=2).reshape(
-        kc, zc, cc
-    )
-    # Derivative of core c at time t: sum_m (W[c, m] * modal_m) * lam_m * e^{lam_m t}.
-    modal_c = w_cores[None, None, :, :] * modal[:, :, None, :]  # (k, Z, C, n)
-    d_lo = np.sum(modal_c * lam * np.exp(lam * t_lo[..., None]), axis=3)
-    d_hi = np.sum(modal_c * lam * np.exp(lam * t_hi[..., None]), axis=3)
-    needs_brent = (d_lo > 0) & (d_hi < 0) & (t_hi > t_lo) & stack.mask[chunk][:, :, None]
-
-    # Grid winner of every (candidate, interval) cell in one shot.
-    flat_iq = temps.reshape(kc, zc, -1).argmax(axis=2)  # (k, Z)
-    gi_all, ci_all = np.unravel_index(flat_iq, (gc, cc))
-    val_all = np.take_along_axis(
-        temps.reshape(kc, zc, -1), flat_iq[:, :, None], axis=2
-    )[:, :, 0]
-    t_all = np.take_along_axis(times, gi_all[:, :, None], axis=2)[:, :, 0]
-
-    out: list[list[tuple[float, int, float] | None]] = []
-    for i in range(kc):
-        per_interval: list[tuple[float, int, float] | None] = []
-        for q in range(zc):
-            if not stack.mask[chunk][i, q]:
-                per_interval.append(None)
-                continue
-            best = (float(val_all[i, q]), int(ci_all[i, q]), float(t_all[i, q]))
-            for c in np.where(needs_brent[i, q])[0]:
-                coeffs = modal_c[i, q, c]
-                t_star = brentq(
-                    lambda t: float(np.sum(coeffs * lam * np.exp(lam * t))),
-                    t_lo[i, q, c],
-                    t_hi[i, q, c],
-                )
-                val = float(
-                    stack.t_inf[chunk][i, q, cores[c]]
-                    + np.sum(coeffs * np.exp(lam * t_star))
-                )
-                if val > best[0]:
-                    best = (val, int(c), float(t_star))
-            per_interval.append(best)
-        out.append(per_interval)
-    return out
-
-
 def _general_peak_rows(
     model: ThermalModel,
     rows: Rows,
     grid_per_interval: int,
     refine: bool,
 ) -> PeakRows:
-    """Dense-grid + Brent extrema search of K arbitrary rows."""
+    """Dense-grid + Brent extrema search of K arbitrary rows.
+
+    Each interval's candidate is its dense-grid maximum (first in
+    (sample, core) order).  With ``refine``, every core whose derivative
+    changes sign around its own grid argmax is Brent-polished, in core
+    order, and replaces the candidate only when strictly greater — as
+    :meth:`repro.thermal.matex.IntervalSolution.peak` does.  A row's peak
+    is its first interval of greatest candidate, which is what a scan of
+    interval after interval keeping only strict improvements picks.
+    """
     stack = _solve_stack(model, rows)
-    n_cores = model.network.core_nodes.shape[0]
+    cores = model.network.core_nodes
+    lam = model.eigen.eigenvalues
+    w_cores = model.eigen.w[cores, :]
     value = np.empty(stack.k)
     core = np.empty(stack.k, dtype=int)
     when = np.empty(stack.k)
-    all_core_peaks = np.empty((stack.k, n_cores))
+    all_core_peaks = np.empty((stack.k, cores.shape[0]))
 
     for chunk, times, temps in _grid_chunks(stack, model, grid_per_interval):
-        masked = np.where(stack.mask[chunk][:, :, None, None], temps, -np.inf)
-        grid_core_peaks = masked.max(axis=2)  # (k, Z, C)
+        mask = stack.mask[chunk]
+        kc, zc, gc, cc = temps.shape
+
+        # Grid winner of every (row, interval) cell.
+        flat = temps.reshape(kc, zc, -1)
+        arg = flat.argmax(axis=2)  # (k, Z)
+        gi, ci = np.unravel_index(arg, (gc, cc))
+        val = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
+        local = np.take_along_axis(times, gi[:, :, None], axis=2)[:, :, 0]
+
         if refine:
-            interval_best = _refine_interval_best(stack, model, times, temps, chunk)
-        else:
-            interval_best = None
-        base = chunk.start if chunk.start else 0
-        for i in range(masked.shape[0]):
-            core_peaks = np.full(n_cores, -np.inf)
-            best = (-np.inf, 0, 0.0)
-            for q in range(stack.z[base + i]):
-                core_peaks = np.maximum(core_peaks, grid_core_peaks[i, q])
-                if interval_best is not None:
-                    cand = interval_best[i][q]
-                else:
-                    flat = int(np.argmax(temps[i, q]))
-                    gi, ci = np.unravel_index(flat, temps.shape[2:])
-                    cand = (
-                        float(temps[i, q, gi, ci]),
-                        int(ci),
-                        float(times[i, q, gi]),
-                    )
-                if cand is not None and cand[0] > best[0]:
-                    best = (
-                        cand[0],
-                        cand[1],
-                        stack.starts[base + i, q] + cand[2],
-                    )
-            all_core_peaks[base + i] = np.maximum(
-                core_peaks, best[0] * (np.arange(n_cores) == best[1])
-            )
-            value[base + i], core[base + i], when[base + i] = best
+            # Bracket candidates: each core's own grid argmax and its
+            # neighbours.
+            j_star = np.argmax(temps, axis=2)  # (k, Z, C)
+            t_lo = np.take_along_axis(times, np.maximum(j_star - 1, 0), axis=2)
+            t_hi = np.take_along_axis(times, np.minimum(j_star + 1, gc - 1), axis=2)
+            # Derivative of core c at time t:
+            # sum_m (W[c, m] * modal_m) * lam_m * e^{lam_m t}.
+            modal = stack.modal()[chunk]
+            slope = w_cores[None, None, :, :] * modal[:, :, None, :] * lam
+            d_lo = np.sum(slope * np.exp(lam * t_lo[..., None]), axis=3)
+            d_hi = np.sum(slope * np.exp(lam * t_hi[..., None]), axis=3)
+            needs_brent = (d_lo > 0) & (d_hi < 0) & (t_hi > t_lo) & mask[:, :, None]
+            t_inf = stack.t_inf[chunk]
+            for i, q, c in zip(*np.nonzero(needs_brent)):
+                coeffs = w_cores[c] * modal[i, q]
+                t_star = brentq(
+                    lambda t: float(np.sum(slope[i, q, c] * np.exp(lam * t))),
+                    t_lo[i, q, c],
+                    t_hi[i, q, c],
+                )
+                peak = float(
+                    t_inf[i, q, cores[c]] + np.sum(coeffs * np.exp(lam * t_star))
+                )
+                if peak > val[i, q]:
+                    val[i, q], ci[i, q], local[i, q] = peak, c, t_star
+
+        # Padding and NaN cells never win; no candidate leaves (-inf, 0, 0).
+        cand = np.where(mask & (val > -np.inf), val, -np.inf)
+        q_best = cand.argmax(axis=1)
+        r = np.arange(kc)
+        best = cand[r, q_best]
+        found = best > -np.inf
+        value[chunk] = best
+        core[chunk] = np.where(found, ci[r, q_best], 0)
+        when[chunk] = np.where(
+            found, stack.starts[chunk][r, q_best] + local[r, q_best], 0.0
+        )
+        masked = np.where(mask[:, :, None, None], temps, -np.inf)
+        all_core_peaks[chunk] = np.maximum(
+            masked.max(axis=(1, 2)),
+            value[chunk][:, None] * (np.arange(cc) == core[chunk][:, None]),
+        )
     return PeakRows(value=value, core=core, time=when, core_peaks=all_core_peaks)
 
 

@@ -222,44 +222,60 @@ class ThermalModel:
         """Full-node steady states for many voltage vectors at once.
 
         The LRU-aware batch form of :meth:`steady_state` (which returns
-        all nodes, unlike :meth:`steady_state_batch`): memoized vectors
-        are served from the cache, the misses share a single Cholesky
-        solve, and every fresh result is memoized.  This is the
-        steady-state path of the batch kernels
-        (:mod:`repro.thermal.batch`), which dedup voltage vectors
-        before calling.
+        all nodes, unlike :meth:`steady_state_batch`), with the same
+        results, counters and cache order as calling :meth:`steady_state`
+        on each vector in turn: the first occurrence of an uncached vector
+        is a solve and later ones are hits.  The keys come from one
+        rounding of the whole ``(K, n_cores)`` block, and the solves
+        share a single Cholesky solve.  This is the steady-state path of
+        :func:`~repro.thermal.periodic.periodic_steady_state` and of the
+        batch kernels (:mod:`repro.thermal.batch`).
         """
-        out: list[np.ndarray | None] = [None] * len(voltage_list)
-        keys = []
-        miss: list[int] = []
-        for i, volts in enumerate(voltage_list):
-            key = tuple(
-                np.round(np.atleast_1d(np.asarray(volts, dtype=float)), 12)
-            )
-            keys.append(key)
-            cached = self._ss_cache.get(key)
+        volts = np.asarray(voltage_list, dtype=float)
+        if not volts.size:
+            return []
+        volts = volts.reshape(volts.shape[0], -1)
+        cache = self._ss_cache
+        out: list = []
+        # A vector first seen in this call holds its index in ``solve`` as
+        # its cache value until the shared solve below fills it in.
+        solve: list[int] = []
+        keys: list[tuple] = []
+        for i, key in enumerate(map(tuple, np.round(volts, 12).tolist())):
+            cached = cache.get(key)
             if cached is not None:
-                self.ss_cache_hits += 1
-                self._ss_cache.move_to_end(key)
-                out[i] = cached
-            else:
-                miss.append(i)
-        if miss:
-            self.ss_solves += len(miss)
-            volts = np.asarray(
-                [np.atleast_1d(np.asarray(voltage_list[i], dtype=float)) for i in miss]
-            )
-            psi = np.asarray(self.power.psi(volts))
-            rhs = np.zeros((self.n_nodes, len(miss)))
+                cache.move_to_end(key)
+                out.append(cached)
+                continue
+            if len(cache) >= self.SS_CACHE_SIZE:
+                cache.popitem(last=False)
+            cache[key] = len(solve)
+            out.append(len(solve))
+            solve.append(i)
+            keys.append(key)
+        self.ss_cache_hits += len(out) - len(solve)
+        if not solve:
+            return out
+
+        def pending(j: int, key: tuple) -> bool:
+            value = cache.get(key)
+            return type(value) is int and value == j
+
+        try:
+            psi = np.asarray(self.power.psi(volts[solve]))
+            rhs = np.zeros((self.n_nodes, len(solve)))
             rhs[self.network.core_nodes, :] = psi.T
-            theta = scipy.linalg.cho_solve(self._g_cho, rhs)
-            for j, i in enumerate(miss):
-                value = theta[:, j].copy()
-                if len(self._ss_cache) >= self.SS_CACHE_SIZE:
-                    self._ss_cache.popitem(last=False)
-                self._ss_cache[keys[i]] = value
-                out[i] = value
-        return out  # type: ignore[return-value]
+            fresh = list(scipy.linalg.cho_solve(self._g_cho, rhs).T.copy())
+        except BaseException:
+            for j, key in enumerate(keys):
+                if pending(j, key):
+                    del cache[key]
+            raise
+        self.ss_solves += len(solve)
+        for j, key in enumerate(keys):
+            if pending(j, key):
+                cache[key] = fresh[j]
+        return [fresh[x] if type(x) is int else x for x in out]
 
     def propagate(self, theta0: np.ndarray, dt: float, voltages) -> np.ndarray:
         """Advance eq. (3) by ``dt`` seconds under constant voltages.

@@ -135,9 +135,7 @@ def periodic_steady_state(
     n = model.n_nodes
     eigen = model.eigen
     lam, w, w_inv = eigen.eigenvalues, eigen.w, eigen.w_inv
-    t_infs = tuple(
-        model.steady_state(volts) for volts in schedule.voltage_matrix.tolist()
-    )
+    t_infs = tuple(model.steady_state_many(schedule.voltage_matrix))
     # expm(A l_q) = W diag(decays[q]) W^{-1}.
     decays = np.exp(schedule.lengths[:, None] * lam)
     eigen.expm_applications += 3 * schedule.n_intervals

@@ -36,7 +36,7 @@ from repro.schedule.builders import (
 )
 from repro.schedule.periodic import PeriodicSchedule
 from repro.schedule.properties import is_step_up
-from repro.schedule.transforms import shift_core_arrays
+from repro.schedule.transforms import shift_core
 from repro.thermal.batch import (
     PeakRows,
     peak_rows,
@@ -365,6 +365,81 @@ class TestChunkBudget:
             assert a.core == b.core
 
 
+class TestGeneralSearchTies:
+    """The general search keeps the first of equal candidates."""
+
+    @staticmethod
+    def _rows(model3, rng):
+        scheds = [
+            s
+            for s in mixed_candidates(3, rng, count=40)
+            if s.n_intervals >= 3 and not is_step_up(s)
+        ][:6]
+        assert len(scheds) >= 2
+        return stack_rows((s.lengths, s.voltage_matrix) for s in scheds)
+
+    @staticmethod
+    def _patched_grid(monkeypatch, edit):
+        """Run ``edit(times, temps)`` on every chunk's dense grid first."""
+        real = batch_mod._grid_chunks
+
+        def chunks(stack, model, grid):
+            for chunk, times, temps in real(stack, model, grid):
+                edit(times, temps)
+                yield chunk, times, temps
+
+        monkeypatch.setattr(batch_mod, "_grid_chunks", chunks)
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_equal_interval_maxima_keep_the_earlier(
+        self, model3, rng, monkeypatch, refine
+    ):
+        rows = self._rows(model3, rng)
+        top = float(peak_rows(model3, rows, stepup_fast_path=False).value.max()) + 1.0
+
+        def edit(times, temps):
+            temps[1, 0, 0, 0] = top
+            temps[1, 2, 3, 1] = top
+
+        self._patched_grid(monkeypatch, edit)
+        got = peak_rows(model3, rows, refine=refine, stepup_fast_path=False)
+        assert got.value[1] == top
+        assert got.core[1] == 0
+        assert got.time[1] == 0.0  # interval 0, sample 0
+        assert got.core_peaks[1].tolist() == [top, top, got.core_peaks[1, 2]]
+
+    def test_equal_brent_value_keeps_the_grid_winner(self, model3, rng, monkeypatch):
+        rows = self._rows(model3, rng)
+        grids = []
+        self._patched_grid(monkeypatch, lambda *grid: grids.append(grid))
+        plain = peak_rows(model3, rows, stepup_fast_path=False)
+        (times, temps), = grids
+        starts = np.zeros_like(rows.lengths)
+        starts[:, 1:] = np.cumsum(rows.lengths, axis=1)[:, :-1]
+        # A row whose peak is a Brent refinement, off the dense grid.
+        for i in range(len(rows.z)):
+            q = int(np.searchsorted(starts[i, : rows.z[i]], plain.time[i], "right")) - 1
+            c = int(plain.core[i])
+            j = int(np.argmax(temps[i, q, :, c]))
+            if plain.time[i] != starts[i, q] + times[i, q, j]:
+                break
+        else:
+            pytest.fail("no row's peak came from a Brent refinement")
+
+        def edit(times_, temps_):
+            # Lift that core's own grid argmax to the refined value: the
+            # bracket and the Brent root stay the same, so the refinement
+            # now only ties the grid winner.
+            temps_[i, q, j, c] = plain.value[i]
+
+        monkeypatch.undo()
+        self._patched_grid(monkeypatch, edit)
+        got = peak_rows(model3, rows, stepup_fast_path=False)
+        assert got.value[i] == plain.value[i]
+        assert got.core[i] == c
+        assert got.time[i] == starts[i, q] + times[i, q, j]
+
+
 class TestSteadyStateLRU:
     def test_eviction_keeps_recently_used(self, monkeypatch, model3):
         from repro.thermal.model import ThermalModel
@@ -469,7 +544,8 @@ class TestRows:
         for i, (z, lengths, volts) in enumerate(zip(*rows)):
             pair = (lengths[:z], volts[:z])
             if i % 2:
-                pair = shift_core_arrays(*pair, i % 6, 0.0011 * i)
+                shifted = shift_core(PeriodicSchedule(*pair), i % 6, 0.0011 * i)
+                pair = (shifted.lengths, shifted.voltage_matrix)
             pairs.append(pair)
         scheds = [PeriodicSchedule(*pair) for pair in pairs]
         stepup = [is_step_up(s) for s in scheds]

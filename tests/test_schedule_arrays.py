@@ -36,8 +36,15 @@ from repro.schedule import (
     throughput,
     two_mode_schedule,
 )
-from repro.schedule.periodic import MIN_INTERVAL, core_runs
+from repro.schedule.builders import random_stepup_schedule
+from repro.schedule.periodic import (
+    MIN_INTERVAL,
+    combine_timelines,
+    core_runs,
+    rotate_segments,
+)
 from repro.schedule.serialization import schedule_from_dict, schedule_to_dict
+from repro.schedule.transforms import shift_core_rows
 
 settings.register_profile(
     "ci", max_examples=15, deadline=None, derandomize=True, print_blob=True
@@ -597,6 +604,125 @@ class TestBuilderParity:
             for core, off in offsets.items():
                 old = old_shift_core(old, core, off)
             assert_same(shift_cores(two_mode_schedule(lo, hi, r, period), offsets), old)
+
+
+def seq_shift_core_arrays(
+    lengths: np.ndarray, volts: np.ndarray, core: int, offset: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one-schedule array shift that the row form replaced, verbatim."""
+    z, n = volts.shape
+    rot_len, source = rotate_segments(lengths, offset)
+    k = max(z, rot_len.size)
+    seg_len = np.zeros((n, k))
+    seg_v = np.zeros((n, k))
+    seg_len[:, :z] = lengths
+    seg_v[:, :z] = volts.T
+    seg_len[core] = 0.0
+    seg_len[core, : rot_len.size] = rot_len
+    seg_v[core, : rot_len.size] = volts[source, core]
+    counts = np.full(n, z)
+    counts[core] = rot_len.size
+    return combine_timelines(seg_len, seg_v, counts)
+
+
+def stacked(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(z, lengths, volts)`` rows of ``(lengths, volts)`` pairs, zero-padded."""
+    z = np.array([ls.size for ls, _ in pairs], dtype=int)
+    width = int(z.max())
+    lengths = np.zeros((len(pairs), width))
+    volts = np.zeros((len(pairs), width, pairs[0][1].shape[1]))
+    for i, (ls, vs) in enumerate(pairs):
+        lengths[i, : ls.size] = ls
+        volts[i, : ls.size] = vs
+    return z, lengths, volts
+
+
+def shift_error(fn) -> str | None:
+    try:
+        fn()
+    except ScheduleError as exc:
+        return str(exc)
+    return None
+
+
+class TestShiftRows:
+    """The K-row shift against the sequential one-schedule shift, bit for bit."""
+
+    @staticmethod
+    def random_pairs(rng: np.random.Generator, n: int, k: int):
+        """Step-up schedules and already-shifted ones, with varying z."""
+        pairs = []
+        for _ in range(k):
+            period = 0.02 / int(rng.integers(1, 65))
+            s = random_stepup_schedule(
+                n, rng, max_segments=int(rng.integers(1, 5)), period=period
+            )
+            pair = (s.lengths, s.voltage_matrix)
+            for _ in range(int(rng.integers(0, 3))):
+                pair = seq_shift_core_arrays(
+                    *pair, int(rng.integers(n)), float(rng.uniform(0, period))
+                )
+            pairs.append(pair)
+        return pairs
+
+    @staticmethod
+    def offset_for(rng: np.random.Generator, lengths: np.ndarray) -> float:
+        """0, whole and wrapping periods, and cuts within MIN_INTERVAL of a boundary."""
+        period = float(sum(lengths.tolist()))
+        bounds = np.concatenate(([0.0], np.cumsum(lengths)))
+        near = period - float(rng.choice(bounds))
+        return float(rng.choice([
+            0.0, period, 2 * period, 2.5 * period, -0.3 * period,
+            near + MIN_INTERVAL * 0.5, near - MIN_INTERVAL * 0.5, near,
+            rng.uniform(0, period), rng.uniform(-3, 3) * period,
+        ]))
+
+    def test_matches_sequential_shifts(self):
+        rng = np.random.default_rng(7)
+        for trial in range(300):
+            n = int(rng.integers(1, 10))
+            pairs = self.random_pairs(rng, n, int(rng.integers(1, 8)))
+            core = 0 if trial % 4 == 0 else int(rng.integers(n))
+            offsets = np.array([self.offset_for(rng, ls) for ls, _ in pairs])
+            z, lengths, volts = shift_core_rows(*stacked(pairs), core, offsets)
+            want = [
+                seq_shift_core_arrays(ls, vs, core, off)
+                for (ls, vs), off in zip(pairs, offsets.tolist())
+            ]
+            assert lengths.shape[1] == max(ls.size for ls, _ in want)
+            for i, (ls, vs) in enumerate(want):
+                assert z[i] == ls.size
+                assert lengths[i, : z[i]].tobytes() == ls.tobytes()
+                assert volts[i, : z[i]].tobytes() == np.ascontiguousarray(vs).tobytes()
+                assert not lengths[i, z[i] :].any()
+                assert not volts[i, z[i] :].any()
+
+    def test_scalar_offset_and_no_rows(self):
+        rng = np.random.default_rng(8)
+        pairs = self.random_pairs(rng, 4, 3)
+        z, lengths, volts = shift_core_rows(*stacked(pairs), 2, 0.001)
+        for i, (ls, vs) in enumerate(pairs):
+            want = seq_shift_core_arrays(ls, vs, 2, 0.001)
+            assert lengths[i, : z[i]].tobytes() == want[0].tobytes()
+        empty = (np.zeros(0, dtype=int), np.zeros((0, 5)), np.zeros((0, 5, 4)))
+        z, lengths, volts = shift_core_rows(*empty, 1, np.zeros(0))
+        assert (z.shape, lengths.shape, volts.shape) == ((0,), (0, 0), (0, 0, 4))
+
+    def test_period_mismatch_message(self):
+        # Sub-MIN_INTERVAL intervals (rows are unchecked) drop out of the
+        # shifted core's timeline, so its period falls short of the others'.
+        good = (np.array([0.5, 0.5]), np.tile([0.6, 0.8, 1.0], (2, 1)))
+        short = (
+            np.array([0.4e-12] * 4000 + [1.0]),
+            np.tile([0.6, 0.8, 1.0], (4001, 1)),
+        )
+        for core in (0, 1, 2):
+            want = shift_error(lambda: seq_shift_core_arrays(*short, core, 0.3))
+            assert want is not None and "period" in want
+            got = shift_error(
+                lambda: shift_core_rows(*stacked([good, short, good]), core, 0.3)
+            )
+            assert got == want
 
 
 # ----------------------------------------------------------------------

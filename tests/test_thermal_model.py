@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ThermalModelError, ThermalRunawayError
+from repro.errors import PowerModelError, ThermalModelError, ThermalRunawayError
 from repro.floorplan.library import floorplan_2x1
 from repro.power.model import PowerModel
 from repro.thermal.model import ThermalModel
@@ -66,6 +66,68 @@ class TestSteadyState:
     def test_batch_shape_validation(self, model3):
         with pytest.raises(ThermalModelError):
             model3.steady_state_batch(np.ones((4, 2)))
+
+
+class TestSteadyStateMany:
+    """The batch lookup counts, caches and evicts as sequential calls do."""
+
+    VOLTS = [
+        (0.8, 0.8, 0.8),
+        (1.0, 0.6, 1.2),
+        (0.8, 0.8, 0.8),
+        (1.3, 1.3, 1.3),
+        (1.0, 0.6, 1.2),
+        (0.8, 0.8, 0.8),
+    ]
+
+    def _fresh(self, model3):
+        return ThermalModel(model3.network, model3.power)
+
+    def test_repeat_within_one_call_is_one_solve(self, model3):
+        model = self._fresh(model3)
+        out = model.steady_state_many([(0.7, 0.9, 1.1)] * 3)
+        assert (model.ss_solves, model.ss_cache_hits) == (1, 2)
+        assert out[0] is out[1] is out[2]
+        assert model.steady_state((0.7, 0.9, 1.1)) is out[0]
+
+    def test_matches_sequential_calls(self, model3):
+        batch, seq = self._fresh(model3), self._fresh(model3)
+        seq.steady_state(self.VOLTS[3])
+        batch.steady_state_many([self.VOLTS[3]])
+        got = batch.steady_state_many(np.array(self.VOLTS))
+        want = [seq.steady_state(v) for v in self.VOLTS]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert (batch.ss_solves, batch.ss_cache_hits) == (
+            seq.ss_solves,
+            seq.ss_cache_hits,
+        ) == (3, 4)
+        assert list(batch._ss_cache) == list(seq._ss_cache)
+        assert batch.steady_state_many([]) == []
+
+    def test_lru_eviction_order(self, monkeypatch, model3):
+        monkeypatch.setattr(ThermalModel, "SS_CACHE_SIZE", 2)
+        batch, seq = self._fresh(model3), self._fresh(model3)
+        volts = [(0.6,) * 3, (0.8,) * 3, (0.6,) * 3, (1.0,) * 3, (0.8,) * 3]
+        got = batch.steady_state_many(volts)
+        want = [seq.steady_state(v) for v in volts]
+        # (0.8,)*3 is the least recently used when (1.0,)*3 arrives, so it
+        # is evicted and solved again; (0.6,)*3 survives.
+        assert batch.ss_solves == seq.ss_solves == 4
+        assert batch.ss_cache_hits == seq.ss_cache_hits == 1
+        assert list(batch._ss_cache) == list(seq._ss_cache) == [
+            (1.0,) * 3,
+            (0.8,) * 3,
+        ]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_rejected_voltages_leave_no_pending_entry(self, model3):
+        model = self._fresh(model3)
+        with pytest.raises(PowerModelError):
+            model.steady_state_many([(0.8, 0.8, 0.8), (5.0, 0.8, 0.8)])
+        assert model.ss_solves == 0
+        assert not model._ss_cache
 
 
 class TestPropagation:
